@@ -4,7 +4,7 @@ The suppression grammar is a source comment on the offending line or
 the line directly above::
 
     # dsa: allow[DSA002] -- rebuilds are idempotent; store is GIL-atomic
-    self._merit_sorted[key] = cached
+    self._cache[key] = value
 
 Multiple codes separate with commas.  The ``-- justification`` tail is
 mandatory: an allow without one suppresses its target but earns the

@@ -38,6 +38,7 @@ from repro.core.explore.outcome import (
     ESTIMATED,
     Outcome,
     ParetoFrontier,
+    render_path,
 )
 from repro.core.explore.problem import ExplorationProblem
 from repro.core.explore.strategies import (
@@ -284,10 +285,12 @@ class SearchContext:
         added: List[Outcome] = []
         report = session.prune_report()
         if report.survivors:
+            path_key = render_path(decisions)
             for core in report.survivors:
                 merits = tuple((m, float(core.merit(m)))
                                for m in self.metrics if core.has_merit(m))
-                outcome = Outcome(decisions, cdo, core.name, merits)
+                outcome = Outcome(decisions, cdo, core.name, merits,
+                                  path_key=path_key)
                 self.stats.outcomes += 1
                 if self.frontier.add(outcome):
                     added.append(outcome)

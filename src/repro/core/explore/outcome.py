@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.evaluation import dominates
@@ -33,6 +33,12 @@ def _render_value(value: object) -> str:
     return repr(value) if isinstance(value, str) else str(value)
 
 
+def render_path(decisions: Sequence[Tuple[str, object]]) -> str:
+    """Canonical rendering of a decision assignment."""
+    return ", ".join(f"{name}={_render_value(option)}"
+                     for name, option in decisions)
+
+
 @dataclass(frozen=True)
 class Outcome:
     """One terminal point of the search: a decision path and its merits.
@@ -40,7 +46,10 @@ class Outcome:
     ``decisions`` is the full (name, option) assignment sorted by issue
     name — the canonical form, independent of the order a strategy
     happened to address the issues in.  ``merits`` carries only the
-    problem's metrics the core documents.
+    problem's metrics the core documents.  ``path_key`` is
+    ``render_path(decisions)``: rendered here unless the caller passes
+    the rendering it already holds (a terminal renders its assignment
+    once for all of its cores).
     """
 
     decisions: Tuple[Tuple[str, object], ...]
@@ -48,12 +57,11 @@ class Outcome:
     core: str
     merits: Tuple[Tuple[str, float], ...]
     estimated: bool = False
+    path_key: str = field(default="", compare=False, repr=False)
 
-    @property
-    def path_key(self) -> str:
-        """Canonical rendering of the decision assignment."""
-        return ", ".join(f"{name}={_render_value(option)}"
-                         for name, option in self.decisions)
+    def __post_init__(self) -> None:
+        if not self.path_key:
+            object.__setattr__(self, "path_key", render_path(self.decisions))
 
     @property
     def key(self) -> Tuple[str, str]:

@@ -5,12 +5,17 @@ The paper argues the design space layer is "easily scalable" because it
 a :class:`CoreIndex` precomputes, over a snapshot of a core collection,
 
 * the **descendant closure** of every CDO prefix, so "all cores indexed
-  at or below ``Operator.Modular.Multiplier``" is a set lookup instead of
-  a string-prefix scan over the whole federation;
+  at or below ``Operator.Modular.Multiplier``" is a lookup instead of a
+  string-prefix scan over the whole federation;
 * **posting sets** per (property, value), so design-decision filtering is
   set intersection instead of per-core predicate evaluation; and
 * **per-merit sorted arrays**, so threshold requirements bisect and
   figure-of-merit ranges probe instead of scanning.
+
+Every id set is an :class:`IdSet`: an ``int`` bitmask whose bit ``i`` is
+core ``i``.  The index builds all of them once, so a prune is a chain of
+word-parallel ANDs and iterating a result walks its set bits in
+ascending id order — the snapshot order the naive scan returns.
 
 Pruning through the index returns the same :class:`PruneReport` the naive
 filter produces — survivors in the same order, elimination reasons
@@ -25,7 +30,10 @@ caches by hand.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tuple
+from collections import abc
+from itertools import chain
+from typing import (AbstractSet, Callable, Dict, Iterable, Iterator, List,
+                    Mapping, Sequence, Tuple)
 
 from repro.core.cdo import QNAME_SEP
 from repro.core.designobject import DesignObject
@@ -37,48 +45,192 @@ from repro.core.pruning import (
     _match_requirement,
 )
 
-_EMPTY: FrozenSet[int] = frozenset()
+#: Rank prefixes kept per merit.  In an index of ``n`` cores they cost
+#: about ``_RANK_PREFIXES * n / 8`` bytes per merit, and a range probe
+#: scans at most two blocks of ``holders / _RANK_PREFIXES`` ranks.
+_RANK_PREFIXES = 256
+
+#: Bit positions set in each byte value, ascending.
+_BYTE_BITS: Tuple[Tuple[int, ...], ...] = tuple(
+    tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256))
+
+
+def _mask_of(ids: Iterable[int]) -> int:
+    """Bitmask of an id collection (linear in its size)."""
+    if isinstance(ids, IdSet):
+        return ids.mask
+    ids = list(ids)
+    if not ids:
+        return 0
+    if min(ids) < 0:
+        raise ValueError(f"core ids are non-negative, got {min(ids)}")
+    digits = bytearray(b"0") * (max(ids) + 1)
+    for i in ids:
+        digits[i] = 49  # ord("1")
+    digits.reverse()
+    return int(digits, 2)
+
+
+def _bits(mask: int) -> List[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    if data.count(0) * 2 > len(data):
+        # Mostly empty (a terminal's survivors): jump from one set bit to
+        # the next.  Dense sets (a wide report) walk the bytes instead.
+        text = bin(mask)
+        top = len(text) - 1
+        out = []
+        pos = text.rfind("1")
+        while pos > 1:
+            out.append(top - pos)
+            pos = text.rfind("1", 0, pos)
+        return out
+    return [(pos << 3) + bit for pos, byte in enumerate(data) if byte
+            for bit in _BYTE_BITS[byte]]
+
+
+class IdSet(AbstractSet[int]):
+    """An immutable set of core ids stored as one ``int`` bitmask.
+
+    Supports the set algebra the layer uses — ``& | -`` (with an
+    ``IdSet`` or any set of ids on either side), ``len``, truth, ``in``
+    and ``==`` against plain sets — and iterates in ascending id order.
+    """
+
+    __slots__ = ("mask",)
+
+    def __init__(self, mask: int = 0):
+        self.mask = mask
+
+    @classmethod
+    def _from_iterable(cls, ids: Iterable[int]) -> "IdSet":
+        return cls(_mask_of(ids))
+
+    def __len__(self) -> int:
+        return bin(self.mask).count("1")
+
+    def __bool__(self) -> bool:
+        return self.mask != 0
+
+    def __contains__(self, i: object) -> bool:
+        return (isinstance(i, int) and i >= 0
+                and bool(self.mask >> i & 1))
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(_bits(self.mask))
+
+    def __and__(self, other: AbstractSet) -> "IdSet":
+        if not isinstance(other, abc.Set):
+            return NotImplemented
+        return IdSet(self.mask & _mask_of(other))
+
+    __rand__ = __and__
+
+    def __or__(self, other: AbstractSet) -> "IdSet":
+        if not isinstance(other, abc.Set):
+            return NotImplemented
+        return IdSet(self.mask | _mask_of(other))
+
+    __ror__ = __or__
+
+    def __sub__(self, other: AbstractSet) -> "IdSet":
+        if not isinstance(other, abc.Set):
+            return NotImplemented
+        return IdSet(self.mask & ~_mask_of(other))
+
+    def __rsub__(self, other: AbstractSet) -> "IdSet":
+        if not isinstance(other, abc.Set):
+            return NotImplemented
+        return IdSet(_mask_of(other) & ~self.mask)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, IdSet):
+            return self.mask == other.mask
+        if not isinstance(other, abc.Set):
+            return NotImplemented
+        if not all(isinstance(i, int) and i >= 0 for i in other):
+            return False
+        return self.mask == _mask_of(other)
+
+    def __repr__(self) -> str:
+        return f"IdSet({list(self)!r})"
 
 
 def _is_plain_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _masks(postings: Mapping[object, List[int]]) -> Dict[object, int]:
+    return {key: _mask_of(ids) for key, ids in postings.items()}
+
+
 class CoreIndex:
     """An immutable inverted index over a snapshot of design objects.
 
     Core ids are positions in the snapshot order (the owner's iteration
-    order), so materializing a sorted id set reproduces exactly the core
-    ordering the linear scans used to return.
+    order), so walking an id set in ascending order reproduces exactly
+    the core ordering the linear scans used to return.
     """
 
     def __init__(self, cores: Iterable[DesignObject]):
         self.cores: List[DesignObject] = list(cores)
-        self.all_ids: FrozenSet[int] = frozenset(range(len(self.cores)))
-        self._by_exact: Dict[str, Set[int]] = {}
-        self._by_subtree: Dict[str, Set[int]] = {}
-        self._by_prop: Dict[str, Dict[object, Set[int]]] = {}
-        self._with_prop: Dict[str, Set[int]] = {}
-        #: ids whose value for a property is unhashable (checked linearly).
-        self._odd_prop_ids: Dict[str, Set[int]] = {}
-        self._with_merit: Dict[str, Set[int]] = {}
-        #: merit key -> (sorted values, ids in that order); built lazily.
-        self._merit_sorted: Dict[str, Tuple[List[float], List[int]]] = {}
+        by_exact: Dict[str, List[int]] = {}
+        by_prop: Dict[str, Dict[object, List[int]]] = {}
+        odd_prop: Dict[str, List[int]] = {}
+        merit_ids: Dict[str, List[int]] = {}
         for i, core in enumerate(self.cores):
-            self._by_exact.setdefault(core.cdo_name, set()).add(i)
-            parts = core.cdo_name.split(QNAME_SEP)
+            by_exact.setdefault(core.cdo_name, []).append(i)
+            for name, value in core._properties.items():
+                groups = by_prop.setdefault(name, {})
+                try:
+                    groups.setdefault(value, []).append(i)
+                except TypeError:
+                    odd_prop.setdefault(name, []).append(i)
+            for key in core._merits:
+                merit_ids.setdefault(key, []).append(i)
+        self._all = (1 << len(self.cores)) - 1
+        self.all_ids = IdSet(self._all)
+        self._by_exact = _masks(by_exact)
+        self._by_subtree: Dict[str, int] = {}
+        for cdo_name, mask in self._by_exact.items():
+            parts = cdo_name.split(QNAME_SEP)
             for depth in range(1, len(parts) + 1):
                 prefix = QNAME_SEP.join(parts[:depth])
-                self._by_subtree.setdefault(prefix, set()).add(i)
-            for name, value in core._properties.items():
-                self._with_prop.setdefault(name, set()).add(i)
-                groups = self._by_prop.setdefault(name, {})
-                try:
-                    groups.setdefault(value, set()).add(i)
-                except TypeError:
-                    self._odd_prop_ids.setdefault(name, set()).add(i)
-            for key in core._merits:
-                self._with_merit.setdefault(key, set()).add(i)
+                self._by_subtree[prefix] = (self._by_subtree.get(prefix, 0)
+                                            | mask)
+        self._by_prop = {name: _masks(groups)
+                         for name, groups in by_prop.items()}
+        self._with_prop = {
+            name: _mask_of(chain(odd_prop.get(name, ()), *groups.values()))
+            for name, groups in by_prop.items()}
+        #: ids whose value for a property is unhashable (checked linearly).
+        self._odd_prop = _masks(odd_prop)
+        #: merit key -> (ascending values, ids in that order); ties keep
+        #: ascending id order.
+        self._merit_sorted: Dict[str, Tuple[List[float], List[int]]] = {}
+        #: merit key -> (B, masks of the ids ranked below 0, B, 2B, ...
+        #: and finally all holders).
+        self._merit_prefixes: Dict[str, Tuple[int, List[int]]] = {}
+        for key, ids in merit_ids.items():
+            merits = [self.cores[i]._merits[key] for i in ids]
+            order = sorted(range(len(ids)), key=merits.__getitem__)
+            ids = [ids[k] for k in order]
+            self._merit_sorted[key] = ([merits[k] for k in order], ids)
+            bits = bytearray(len(self.cores) // 8 + 1)
+            prefixes = [0]
+            block = -(-len(ids) // _RANK_PREFIXES)
+            for start in range(0, len(ids), block):
+                for i in ids[start:start + block]:
+                    bits[i >> 3] |= 1 << (i & 7)
+                prefixes.append(int.from_bytes(bits, "little"))
+            self._merit_prefixes[key] = (block, prefixes)
+        self._with_merit = {key: prefixes[-1] for key, (_, prefixes)
+                            in self._merit_prefixes.items()}
+        #: name -> ids documenting neither a property nor a merit of it.
+        self._undocumented = {
+            name: self._all & ~(self._with_prop.get(name, 0)
+                                | self._with_merit.get(name, 0))
+            for name in set(by_prop) | set(merit_ids)}
 
     # ------------------------------------------------------------------
     # id-set primitives
@@ -86,18 +238,17 @@ class CoreIndex:
     def __len__(self) -> int:
         return len(self.cores)
 
-    def subtree_ids(self, cdo_name: str) -> FrozenSet[int]:
+    def subtree_ids(self, cdo_name: str) -> IdSet:
         """Ids of cores indexed at ``cdo_name`` or any descendant."""
-        ids = self._by_subtree.get(cdo_name)
-        return frozenset(ids) if ids is not None else _EMPTY
+        return IdSet(self._by_subtree.get(cdo_name, 0))
 
-    def exact_ids(self, cdo_name: str) -> FrozenSet[int]:
-        ids = self._by_exact.get(cdo_name)
-        return frozenset(ids) if ids is not None else _EMPTY
+    def exact_ids(self, cdo_name: str) -> IdSet:
+        return IdSet(self._by_exact.get(cdo_name, 0))
 
     def materialize(self, ids: Iterable[int]) -> List[DesignObject]:
         """Cores for ``ids`` in snapshot (= federation iteration) order."""
-        return [self.cores[i] for i in sorted(ids)]
+        cores = self.cores
+        return [cores[i] for i in _bits(_mask_of(ids))]
 
     def cores_under(self, cdo_name: str,
                     include_descendants: bool = True) -> List[DesignObject]:
@@ -107,45 +258,32 @@ class CoreIndex:
 
     def decision_ids(self, name: str, option: object,
                      policy: MissingPolicy = MissingPolicy.EXCLUDE
-                     ) -> Set[int]:
+                     ) -> IdSet:
         """Ids complying with the decision ``name = option``."""
         groups = self._by_prop.get(name, {})
         try:
-            ok = set(groups.get(option, _EMPTY))
+            ok = groups.get(option, 0)
         except TypeError:  # unhashable option: compare against each group
-            ok = set()
+            ok = 0
             for value, ids in groups.items():
                 if value == option:
                     ok |= ids
-        for i in self._odd_prop_ids.get(name, _EMPTY):
+        for i in _bits(self._odd_prop.get(name, 0)):
             if self.cores[i].property_value(name) == option:
-                ok.add(i)
+                ok |= 1 << i
         if policy is MissingPolicy.INCLUDE:
-            ok |= self.all_ids - self._with_prop.get(name, _EMPTY)
-        return ok
+            ok |= self._all & ~self._with_prop.get(name, 0)
+        return IdSet(ok)
 
-    def merit_ids_at_most(self, key: str, bound: float) -> Set[int]:
-        values, ids = self._merit_arrays(key)
-        return set(ids[:bisect_right(values, bound)])
+    def merit_ids_at_most(self, key: str, bound: float) -> IdSet:
+        values, ids = self._merit_sorted.get(key, ([], []))
+        return IdSet(_mask_of(ids[:bisect_right(values, bound)]))
 
-    def merit_ids_at_least(self, key: str, bound: float) -> Set[int]:
-        values, ids = self._merit_arrays(key)
-        return set(ids[bisect_left(values, bound):])
+    def merit_ids_at_least(self, key: str, bound: float) -> IdSet:
+        values, ids = self._merit_sorted.get(key, ([], []))
+        return IdSet(_mask_of(ids[bisect_left(values, bound):]))
 
-    def _merit_arrays(self, key: str) -> Tuple[List[float], List[int]]:
-        cached = self._merit_sorted.get(key)
-        if cached is None:
-            pairs = sorted((self.cores[i].merit(key), i)
-                           for i in self._with_merit.get(key, _EMPTY))
-            cached = ([v for v, _ in pairs], [i for _, i in pairs])
-            # dsa: allow[DSA002] -- idempotent publish: an index is frozen
-            # after __init__, so racing readers build identical arrays and
-            # the dict store is atomic under the GIL; worst case is one
-            # redundant sort, never a wrong answer
-            self._merit_sorted[key] = cached
-        return cached
-
-    def requirement_ids(self, req: Requirement, required: object) -> Set[int]:
+    def requirement_ids(self, req: Requirement, required: object) -> IdSet:
         """Ids *not eliminated* by the requirement value ``required``.
 
         Mirrors :func:`repro.core.pruning._match_requirement`: a documented
@@ -154,24 +292,22 @@ class CoreIndex:
         unconstrained.  Grouping by distinct value means ``satisfied_by``
         runs once per value, not once per core.
         """
-        documented = self._with_prop.get(req.name, _EMPTY)
-        ok: Set[int] = set()
+        ok = self._undocumented.get(req.name, self._all)
         for value, ids in self._by_prop.get(req.name, {}).items():
             if req.satisfied_by(value, required):
                 ok |= ids
-        for i in self._odd_prop_ids.get(req.name, _EMPTY):
+        for i in _bits(self._odd_prop.get(req.name, 0)):
             if req.satisfied_by(self.cores[i].property_value(req.name),
                                 required):
-                ok.add(i)
-        merit_holders = self._with_merit.get(req.name, _EMPTY)
-        merit_only = merit_holders - documented
+                ok |= 1 << i
+        merit_only = (self._with_merit.get(req.name, 0)
+                      & ~self._with_prop.get(req.name, 0))
         if merit_only:
-            ok |= self._satisfying_merit_ids(req, required) & merit_only
-        ok |= self.all_ids - documented - merit_holders
-        return ok
+            ok |= self._satisfying_merit_ids(req, required).mask & merit_only
+        return IdSet(ok)
 
     def _satisfying_merit_ids(self, req: Requirement, required: object
-                              ) -> Set[int]:
+                              ) -> IdSet:
         if _is_plain_number(required):
             if req.sense is RequirementSense.MAX:
                 return self.merit_ids_at_most(req.name, float(required))
@@ -180,15 +316,15 @@ class CoreIndex:
                 return self.merit_ids_at_least(req.name, float(required))
         # EXACT or a non-numeric requirement value: merits are floats, so
         # fall back to grouped equality via satisfied_by.
-        ok: Set[int] = set()
-        values, ids = self._merit_arrays(req.name)
+        ok: List[int] = []
+        values, ids = self._merit_sorted.get(req.name, ([], []))
         start = 0
         while start < len(values):
             stop = bisect_right(values, values[start], lo=start)
             if req.satisfied_by(values[start], required):
-                ok.update(ids[start:stop])
+                ok.extend(ids[start:stop])
             start = stop
-        return ok
+        return IdSet(_mask_of(ok))
 
     # ------------------------------------------------------------------
     # pruning
@@ -196,19 +332,19 @@ class CoreIndex:
     def prune_ids(self, start_ids: Iterable[int],
                   decisions: Mapping[str, object],
                   requirements: Sequence[Tuple[Requirement, object]] = (),
-                  policy: MissingPolicy = MissingPolicy.EXCLUDE) -> Set[int]:
+                  policy: MissingPolicy = MissingPolicy.EXCLUDE) -> IdSet:
         """Intersect ``start_ids`` down to the ids complying with every
         decision and requirement value."""
-        candidates = set(start_ids)
+        candidates = _mask_of(start_ids)
         for name, option in decisions.items():
             if not candidates:
                 break
-            candidates &= self.decision_ids(name, option, policy)
+            candidates &= self.decision_ids(name, option, policy).mask
         for req, value in requirements:
             if not candidates:
                 break
-            candidates &= self.requirement_ids(req, value)
-        return candidates
+            candidates &= self.requirement_ids(req, value).mask
+        return IdSet(candidates)
 
     def prune(self, cdo_name: str,
               decisions: Mapping[str, object],
@@ -219,14 +355,13 @@ class CoreIndex:
         cores under ``cdo_name``; elimination reasons are reconstructed
         only when the report's ``eliminated`` mapping is read."""
         start = self.subtree_ids(cdo_name)
-        survivor_ids = frozenset(self.prune_ids(start, decisions,
-                                                requirements, policy))
+        survivor_ids = self.prune_ids(start, decisions, requirements, policy)
         decisions_snapshot = dict(decisions)
         requirements_snapshot = tuple(requirements)
 
         def reasons() -> Dict[str, str]:
             out: Dict[str, str] = {}
-            for i in sorted(start - survivor_ids):
+            for i in start - survivor_ids:
                 core = self.cores[i]
                 reason = None
                 for name, option in decisions_snapshot.items():
@@ -249,33 +384,54 @@ class CoreIndex:
     # ------------------------------------------------------------------
     # figure-of-merit ranges
     # ------------------------------------------------------------------
-    def merit_ranges_for(self, ids: Set[int], metrics: Sequence[str]
+    def merit_ranges_for(self, ids: Iterable[int], metrics: Sequence[str]
                          ) -> Dict[str, Tuple[float, float]]:
         """Min/max of each metric over ``ids`` (documenting cores only),
         identical to :func:`repro.core.pruning.merit_ranges` over the
         materialized cores."""
+        mask = _mask_of(ids)
+        bits = mask.to_bytes(max(mask.bit_length(), len(self.cores)) // 8 + 1,
+                             "little")
         ranges: Dict[str, Tuple[float, float]] = {}
         for metric in metrics:
-            holders = self._with_merit.get(metric)
-            if not holders:
-                continue
-            have = ids & holders
-            if not have:
-                continue
-            if len(have) * 4 >= len(holders):
-                # Dense candidate set: probe the sorted array from both
-                # ends — the first/last hit is the min/max.
-                values, ordered = self._merit_arrays(metric)
-                lo = next(values[pos] for pos, i in enumerate(ordered)
-                          if i in have)
-                hi = next(values[pos]
-                          for pos in range(len(ordered) - 1, -1, -1)
-                          if ordered[pos] in have)
-                ranges[metric] = (lo, hi)
-            else:
-                values_iter = [self.cores[i]._merits[metric] for i in have]
-                ranges[metric] = (min(values_iter), max(values_iter))
+            have = mask & self._with_merit.get(metric, 0)
+            if have:
+                ranges[metric] = self._merit_extremes(metric, have, bits)
         return ranges
+
+    def _merit_extremes(self, metric: str, have: int, bits: bytes
+                        ) -> Tuple[float, float]:
+        """Min and max of ``metric`` over the non-empty id mask ``have``
+        (``bits`` holds a superset of it, little-endian).
+
+        Bisects the rank prefixes for the first and the last block of the
+        sorted array that hold a member, then scans only those blocks."""
+        values, ordered = self._merit_sorted[metric]
+        block, prefixes = self._merit_prefixes[metric]
+        first = _first_prefix(prefixes, lambda ids: (ids & have) != 0)
+        last = _first_prefix(prefixes, lambda ids: (ids & have) == have)
+        ascending = range((first - 1) * block, first * block)
+        descending = range(min(last * block, len(ordered)) - 1,
+                           (last - 1) * block - 1, -1)
+        lo = next(pos for pos in ascending
+                  if bits[ordered[pos] >> 3] >> (ordered[pos] & 7) & 1)
+        hi = next(pos for pos in descending
+                  if bits[ordered[pos] >> 3] >> (ordered[pos] & 7) & 1)
+        return values[lo], values[hi]
+
+
+def _first_prefix(prefixes: Sequence[int], reached: Callable[[int], bool]
+                  ) -> int:
+    """Smallest ``k >= 1`` with ``reached(prefixes[k])``; ``reached`` is
+    monotone in ``k`` and holds for the last prefix."""
+    lo, hi = 1, len(prefixes) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if reached(prefixes[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 class IndexedPruneReport(PruneReport):
@@ -284,7 +440,7 @@ class IndexedPruneReport(PruneReport):
     without re-materializing cores."""
 
     def __init__(self, survivors, eliminated=None, eliminated_factory=None,
-                 survivor_ids: FrozenSet[int] = _EMPTY,
+                 survivor_ids: IdSet = IdSet(),
                  index: "CoreIndex" = None):
         super().__init__(survivors, eliminated, eliminated_factory)
         self.survivor_ids = survivor_ids

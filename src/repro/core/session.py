@@ -31,7 +31,7 @@ from repro.core.constraints import (
     SessionBinding,
 )
 from repro.core.designobject import DesignObject
-from repro.core.index import CoreIndex
+from repro.core.index import CoreIndex, IdSet, IndexedPruneReport
 from repro.core.layer import DesignSpaceLayer
 from repro.core.obs import events as _ev
 from repro.core.path import PropertyPath
@@ -43,9 +43,7 @@ from repro.core.properties import (
 )
 from repro.core.pruning import (
     MissingPolicy,
-    PruneReport,
     _match_decision,
-    merit_ranges,
 )
 from repro.errors import (
     ConstraintError,
@@ -104,19 +102,19 @@ class DecisionOutcome:
         self._policy = policy
         self._filters_before = filters_before
         self._filters_after = filters_after
-        self._ids_memo: Optional[Tuple[frozenset, frozenset]] = None
+        self._ids_memo: Optional[Tuple[IdSet, IdSet]] = None
 
-    def _ids(self) -> Tuple[frozenset, frozenset]:
+    def _ids(self) -> Tuple[IdSet, IdSet]:
         if self._ids_memo is None:
             index = self._index
             decisions, requirements = self._filters_before
-            before = frozenset(index.prune_ids(
+            before = index.prune_ids(
                 index.subtree_ids(self.cdo_before), decisions,
-                requirements, self._policy))
+                requirements, self._policy)
             decisions, requirements = self._filters_after
-            after = frozenset(index.prune_ids(
+            after = index.prune_ids(
                 index.subtree_ids(self.cdo), decisions,
-                requirements, self._policy))
+                requirements, self._policy)
             self._ids_memo = (before, after)
         return self._ids_memo
 
@@ -146,7 +144,7 @@ class DecisionOutcome:
         """
         before, after = self._ids()
         out: Dict[str, str] = {}
-        for i in sorted(before - after):
+        for i in before - after:
             core = self._index.cores[i]
             reason = None
             if not self.generalized:
@@ -201,7 +199,7 @@ class ExplorationSession:
         #: Epoch-keyed memo of prune reports; every mutation clears it
         #: (the layer-epoch component of each key additionally guards
         #: against library/hierarchy changes behind the session's back).
-        self._prune_cache: Dict[tuple, PruneReport] = {}
+        self._prune_cache: Dict[tuple, IndexedPruneReport] = {}
         self._constraints_cache_key: object = None
         self._constraints_cache: List[ConsistencyConstraint] = []
         #: Number of actual (non-memoized) prune computations; exposed
@@ -774,7 +772,7 @@ class ExplorationSession:
 
     def prune_report(self,
                      extra: Optional[Mapping[str, object]] = None
-                     ) -> PruneReport:
+                     ) -> IndexedPruneReport:
         """Current survivors with (lazily computed) elimination reasons.
 
         Reports are memoized on (layer epoch, position, decisions,
@@ -831,8 +829,9 @@ class ExplorationSession:
                    ) -> Dict[str, Tuple[float, float]]:
         """Figure-of-merit ranges over the current candidates."""
         report = self.prune_report()
-        return merit_ranges(report.survivors,
-                            metrics if metrics is not None else self.merit_metrics)
+        return report.index.merit_ranges_for(
+            report.survivor_ids,
+            metrics if metrics is not None else self.merit_metrics)
 
     def available_options(self, issue_name: str,
                           limit: int = 32) -> List[OptionInfo]:
@@ -943,7 +942,7 @@ class ExplorationSession:
                 lines.append(f"    {name} = {value!r}")
         prune_report = self.prune_report()
         lines.append(f"  candidate cores: {len(prune_report.survivors)}")
-        ranges = merit_ranges(prune_report.survivors, self.merit_metrics)
+        ranges = self.fom_ranges()
         for metric, (lo, hi) in sorted(ranges.items()):
             lines.append(f"    {metric}: {lo:g} .. {hi:g}")
         pending = self.pending_constraints()

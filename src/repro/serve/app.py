@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from repro.core import CoreQuery, ExplorationSession
 from repro.core.layer import DesignSpaceLayer
 from repro.core.obs.metrics import MetricsRegistry
-from repro.core.pruning import MissingPolicy, merit_ranges, names_digest
+from repro.core.pruning import MissingPolicy, names_digest
 from repro.core.serialize import core_to_dict
 from repro.errors import ReproError
 from repro.serve.batching import PruneBatcher
@@ -444,7 +444,8 @@ class DesignSpaceService:
 
         def compute() -> Payload:
             report = session.prune_report()
-            ranges = merit_ranges(report.survivors, session.merit_metrics)
+            ranges = report.index.merit_ranges_for(report.survivor_ids,
+                                                   session.merit_metrics)
             return {
                 "survivors": len(report.survivors),
                 "digest": report.digest(),

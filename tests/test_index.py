@@ -1,6 +1,10 @@
 """Unit tests of the inverted core index (repro.core.index)."""
 
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     CoreIndex,
@@ -9,6 +13,7 @@ from repro.core import (
     Requirement,
     RequirementSense,
 )
+from repro.core.index import IdSet
 from repro.core.values import IntRange
 from repro.core.pruning import merit_ranges, prune
 
@@ -122,7 +127,85 @@ class TestIndexedPrune:
         got = index.merit_ranges_for(set(report.survivor_ids),
                                      ["area", "latency_ns", "missing"])
         assert got == expected
+        assert index.merit_ranges_for(report.survivor_ids,
+                                      ["area", "latency_ns",
+                                       "missing"]) == expected
+        assert index.merit_ranges_for(set(), ["area"]) == {}
+        assert index.merit_ranges_for(IdSet(), ["area"]) == {}
 
     def test_survivor_order_is_snapshot_order(self, index):
         report = index.prune("R", {})
         assert report.survivor_names == ["a", "b", "c", "d"]
+
+
+#: The highest id the IdSet properties use; masks span several words.
+HIGH_ID = 4095
+ID_LISTS = st.lists(st.integers(0, HIGH_ID) | st.sampled_from([0, HIGH_ID]),
+                    max_size=40)
+
+
+def id_set(ids):
+    mask = 0
+    for i in ids:
+        mask |= 1 << i
+    return IdSet(mask)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=ID_LISTS, b=ID_LISTS)
+@example(a=[], b=[])
+@example(a=[0], b=[HIGH_ID])
+@example(a=[0, HIGH_ID], b=[HIGH_ID])
+def test_idset_matches_frozenset(a, b):
+    fa, fb = frozenset(a), frozenset(b)
+    ia, ib = id_set(a), id_set(b)
+    assert list(ia) == sorted(fa)
+    assert len(ia) == len(fa)
+    assert bool(ia) == bool(fa)
+    for i in (0, HIGH_ID, HIGH_ID + 1, -1, *a, *b):
+        assert (i in ia) == (i in fa)
+    assert "x" not in ia
+    assert ia == fa and fa == ia
+    assert ia == set(a) and set(a) == ia
+    assert (ia == ib) == (fa == fb)
+    assert (ia != fb) == (fa != fb)
+    for left, right in ((ia, ib), (ia, set(b)), (set(a), ib)):
+        for got, want in ((left & right, fa & fb), (left | right, fa | fb),
+                          (left - right, fa - fb)):
+            assert isinstance(got, IdSet)
+            assert got == want
+            assert list(got) == sorted(want)
+
+
+def test_idset_rejects_negative_ids():
+    with pytest.raises(ValueError):
+        IdSet() | {-1}
+    assert IdSet(0b1) != {0, -1}
+
+
+def test_index_ids_cover_first_and_last_core(index):
+    assert list(index.all_ids) == list(range(len(index.cores)))
+    assert 0 in index.all_ids and len(index.cores) - 1 in index.all_ids
+    assert len(index.cores) not in index.all_ids
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), num_cores=st.integers(1, 900),
+       keep=st.integers(1, 64), ties=st.integers(1, 50))
+def test_merit_ranges_match_naive_across_rank_blocks(seed, num_cores, keep,
+                                                     ties):
+    # Enough cores to span several rank blocks; ``ties`` folds merits
+    # onto few values, ``keep`` thins the probed id set.
+    rnd = random.Random(seed)
+    cores = []
+    for i in range(num_cores):
+        merits = {"area": float(rnd.randrange(ties))}
+        if rnd.random() < 0.7:
+            merits["latency_ns"] = rnd.uniform(0.0, 100.0)
+        cores.append(DesignObject(f"c{i}", "R", {}, merits))
+    index = CoreIndex(cores)
+    ids = {i for i in range(num_cores) if rnd.randrange(keep) == 0}
+    metrics = ["area", "latency_ns", "missing"]
+    expected = merit_ranges([cores[i] for i in sorted(ids)], metrics)
+    assert index.merit_ranges_for(ids, metrics) == expected
+    assert index.merit_ranges_for(id_set(ids), metrics) == expected

@@ -130,6 +130,30 @@ class TestSessionVerbs:
         assert served_decide["report"]["digest"] == \
             session.prune_report().digest()
 
+    def test_served_ranges_equal_the_naive_scan(self, service, layer):
+        # The service reads ranges off the index; the naive scan over the
+        # materialized survivors is the oracle, at every step of a walk.
+        token = ok(service, "session/open", layer="widgets",
+                   start="Widget")["token"]
+        session = ExplorationSession(layer, "Widget")
+        steps = [("session/report", {}, None),
+                 ("session/require", {"name": "Width", "value": 64},
+                  lambda: session.set_requirement("Width", 64)),
+                 ("session/decide", {"issue": "Style", "option": "hw"},
+                  lambda: session.decide("Style", "hw")),
+                 ("session/decide", {"issue": "Tech", "option": "t35"},
+                  lambda: session.decide("Tech", "t35"))]
+        for verb, params, direct in steps:
+            payload = ok(service, verb, token=token, **params)
+            served = payload.get("report", payload)
+            if direct is not None:
+                direct()
+            report = session.prune_report()
+            naive = merit_ranges(report.survivors, session.merit_metrics)
+            assert served["ranges"] == {k: [lo, hi]
+                                        for k, (lo, hi) in naive.items()}
+            assert session.fom_ranges() == naive
+
     def test_undo_returns_to_the_previous_state(self, service):
         token = ok(service, "session/open", layer="widgets",
                    start="Widget")["token"]
