@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import le, lt
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.designobject import DesignObject
@@ -46,9 +47,7 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     strictly better on at least one (all axes minimized)."""
     if len(a) != len(b):
         raise ReproError("cannot compare points of different dimension")
-    at_least_as_good = all(x <= y for x, y in zip(a, b))
-    strictly_better = any(x < y for x, y in zip(a, b))
-    return at_least_as_good and strictly_better
+    return all(map(le, a, b)) and any(map(lt, a, b))
 
 
 class EvaluationSpace:

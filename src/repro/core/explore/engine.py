@@ -22,6 +22,7 @@ per run and closes it afterwards.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -276,6 +277,11 @@ class SearchContext:
         and the problem has an estimator, one estimated outcome (the
         paper's conceptual-design fallback).  Returns the outcomes that
         joined the frontier.
+
+        Every survivor counts as an offered outcome, but only those the
+        frontier does not reject on their coordinates become
+        :class:`Outcome` objects: nearly all of a terminal's cores are
+        dominated, and a rejected offer changes nothing.
         """
         session = self.session
         self.stats.terminals += 1
@@ -286,13 +292,21 @@ class SearchContext:
         report = session.prune_report()
         if report.survivors:
             path_key = render_path(decisions)
+            metrics = self.metrics
+            worst = (math.inf,) * len(metrics)
+            frontier = self.frontier
+            self.stats.outcomes += len(report.survivors)
             for core in report.survivors:
-                merits = tuple((m, float(core.merit(m)))
-                               for m in self.metrics if core.has_merit(m))
-                outcome = Outcome(decisions, cdo, core.name, merits,
+                merits = core.merits
+                coords = tuple(map(merits.get, metrics, worst))
+                if frontier.rejects((path_key, core.name), coords):
+                    continue
+                outcome = Outcome(decisions, cdo, core.name,
+                                  tuple((m, value) for m, value
+                                        in zip(metrics, coords)
+                                        if m in merits),
                                   path_key=path_key)
-                self.stats.outcomes += 1
-                if self.frontier.add(outcome):
+                if frontier.add(outcome):
                     added.append(outcome)
         elif self.problem.estimator is not None:
             self.stats.evaluations += 1

@@ -128,6 +128,23 @@ class ParetoFrontier:
     def __contains__(self, outcome: Outcome) -> bool:
         return outcome.key in self._members
 
+    def rejects(self, key: Tuple[str, str],
+                coords: Sequence[float]) -> bool:
+        """True when :meth:`add` would turn away an outcome with this
+        ``key`` and these ``coords``: a duplicate key, or a member
+        strictly dominates it.
+
+        Callers holding many candidates screen them here first and build
+        an :class:`Outcome` only for the few the frontier would accept;
+        a rejected :meth:`add` changes nothing, so skipping it is exact.
+        """
+        if key in self._members:
+            return True
+        for existing_coords, _ in self._members.values():
+            if dominates(existing_coords, coords):
+                return True
+        return False
+
     def add(self, outcome: Outcome) -> bool:
         """Offer an outcome; True when it joined the frontier.
 
@@ -136,12 +153,9 @@ class ParetoFrontier:
         dominates are evicted.
         """
         key = outcome.key
-        if key in self._members:
-            return False
         coords = outcome.coords(self.metrics)
-        for existing_coords, _ in self._members.values():
-            if dominates(existing_coords, coords):
-                return False
+        if self.rejects(key, coords):
+            return False
         evict = [k for k, (existing_coords, _) in self._members.items()
                  if dominates(coords, existing_coords)]
         for k in evict:

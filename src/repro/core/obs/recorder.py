@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Tuple)
 
 from repro.core.obs import events as ev
 from repro.core.obs.events import TraceEvent
-from repro.core.obs.metrics import MetricsRegistry
+from repro.core.obs.metrics import Counter, MetricsRegistry
 
 
 class _NullSpan:
@@ -149,6 +150,9 @@ class TraceRecorder:
         self._lock = threading.Lock()
         #: Per-thread span nesting stacks, keyed by thread ident.
         self._span_stacks: Dict[int, List[int]] = {}
+        #: Per-event counter handles in ``self.metrics``, keyed by
+        #: (metric name, event kind); see :meth:`_kind_counter`.
+        self._kind_counters: Dict[Tuple[str, str], Counter] = {}
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -181,6 +185,7 @@ class TraceRecorder:
         with self._lock:
             self.events.clear()
             self.metrics = MetricsRegistry()
+            self._kind_counters = {}
             self._span_stacks.clear()
             self._t0 = self._clock()
 
@@ -310,10 +315,10 @@ class TraceRecorder:
                 absorbed.append(event)
         for event in absorbed:
             self._update_metrics(event)
-            self.metrics.counter(
+            self._kind_counter(
                 "dsl_worker_events_total",
                 "worker-emitted trace events merged into the parent trace",
-                kind=event.kind).inc()
+                event.kind).inc()
         if dropped:
             self.metrics.counter(
                 "dsl_trace_events_dropped_total",
@@ -339,12 +344,25 @@ class TraceRecorder:
     # ------------------------------------------------------------------
     # metrics derivation
     # ------------------------------------------------------------------
+    def _kind_counter(self, name: str, help: str, kind: str) -> Counter:
+        """The ``name{kind=...}`` counter, cached so the per-event path
+        skips the registry's label sort and lock."""
+        # Read the cache before the registry: clear() swaps the registry
+        # first, so a cache that is already the fresh one is never
+        # filled from the old registry.
+        counters = self._kind_counters
+        counter = counters.get((name, kind))
+        if counter is None:
+            counter = counters[(name, kind)] = self.metrics.counter(
+                name, help, kind=kind)
+        return counter
+
     def _update_metrics(self, event: TraceEvent) -> None:
         m = self.metrics
         kind = event.kind
         payload = event.payload
-        m.counter("dsl_events_total", "trace events by kind",
-                  kind=kind).inc()
+        self._kind_counter("dsl_events_total", "trace events by kind",
+                           kind).inc()
         if kind == ev.PRUNE:
             if event.duration_s is not None:
                 m.histogram("dsl_prune_seconds",

@@ -1,5 +1,7 @@
 """Evaluation space: dominance, Pareto frontier, windows, distances."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -23,6 +25,18 @@ def space_2d():
     return EvaluationSpace(("delay", "area"), points)
 
 
+#: Axis values with many ties, both zeros and both infinities.
+AXIS_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, math.inf, -math.inf]),
+    st.floats(allow_nan=False))
+
+
+def reference_dominates(a, b):
+    """The generator-based definition ``dominates`` must agree with."""
+    return (all(x <= y for x, y in zip(a, b))
+            and any(x < y for x, y in zip(a, b)))
+
+
 class TestDominates:
     def test_strict_dominance(self):
         assert dominates((1, 1), (2, 2))
@@ -38,6 +52,34 @@ class TestDominates:
     def test_dimension_mismatch(self):
         with pytest.raises(ReproError):
             dominates((1,), (1, 2))
+        with pytest.raises(ReproError):
+            dominates([1.0, 2.0], (1.0,))
+
+    def test_signed_zero_is_a_tie(self):
+        assert not dominates((-0.0, 1.0), (0.0, 1.0))
+        assert not dominates((0.0, 1.0), (-0.0, 1.0))
+        assert dominates((-0.0, 1.0), (0.0, 2.0))
+
+    def test_inf_axis(self):
+        assert dominates((1.0, 1.0), (1.0, math.inf))
+        assert not dominates((1.0, math.inf), (1.0, math.inf))
+        assert not dominates((0.0, math.inf), (1.0, 5.0))
+
+    def test_list_against_tuple(self):
+        assert dominates([1.0, 1.0], (2.0, 1.0))
+        assert not dominates((1.0, 1.0), [1.0, 1.0])
+
+    @given(st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.lists(AXIS_VALUES, min_size=n, max_size=n),
+            st.lists(AXIS_VALUES, min_size=n, max_size=n),
+            st.booleans())))
+    def test_matches_generator_reference(self, case):
+        a, b, a_as_list = case
+        left = a if a_as_list else tuple(a)
+        assert dominates(left, tuple(b)) == reference_dominates(a, b)
+        assert dominates(tuple(b), left) == reference_dominates(b, a)
+        assert not dominates(left, tuple(a))
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
                               min_value=-1e6, max_value=1e6),

@@ -3,13 +3,24 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core import (
+    ClassOfDesignObjects,
+    DesignIssue,
+    DesignObject,
+    DesignSpaceLayer,
+    EnumDomain,
+    ReuseLibrary,
+)
 from repro.core.explore import (
     ESTIMATED,
+    ExplorationProblem,
     Outcome,
     ParetoFrontier,
     weighted_sum,
 )
+from repro.core.explore.engine import SearchContext
 from repro.core.pruning import merit_bounds
 
 
@@ -192,3 +203,168 @@ class TestReporting:
         text = f.render_text(limit=2)
         assert "5 non-dominated" in text
         assert "... 3 more" in text
+
+
+# ----------------------------------------------------------------------
+# Lazy terminal outcomes: rejects() screening must equal add() exactly
+# ----------------------------------------------------------------------
+#: Merit values with ties, both zeros and a documented ``inf``.
+MERIT_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, math.inf])
+
+#: One metric's value, or None when the core leaves it undocumented.
+MAYBE_MERIT = st.one_of(st.none(), MERIT_VALUES)
+
+
+def random_outcome():
+    return st.builds(
+        lambda core, option, area, latency: out(
+            core, {m: v for m, v in (("area", area), ("latency_ns", latency))
+                   if v is not None},
+            decisions=(("Style", option),)),
+        st.sampled_from(["a", "b", "c"]), st.sampled_from(["hw", "sw"]),
+        MAYBE_MERIT, MAYBE_MERIT)
+
+
+class TestRejects:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(random_outcome(), max_size=12), random_outcome())
+    def test_rejects_iff_add_refuses(self, members, candidate):
+        frontier, probe = ParetoFrontier(METRICS), ParetoFrontier(METRICS)
+        for o in members:
+            frontier.add(o)
+            probe.add(o)
+        before = frontier.outcomes()
+        rejected = frontier.rejects(candidate.key, candidate.coords(METRICS))
+        assert frontier.outcomes() == before
+        assert rejected == (not probe.add(candidate))
+        if rejected:
+            assert probe.outcomes() == frontier.outcomes()
+
+    def test_duplicate_key_rejected(self):
+        f = ParetoFrontier(METRICS)
+        o = out("a", {"area": 5.0, "latency_ns": 5.0})
+        f.add(o)
+        assert f.rejects(o.key, (0.0, 0.0))
+        assert not f.rejects(("other", "a"), (0.0, 0.0))
+
+    def test_tie_is_not_rejected(self):
+        f = ParetoFrontier(METRICS)
+        f.add(out("a", {"area": 1.0, "latency_ns": 1.0}))
+        assert not f.rejects(("Style='hw'", "b"), (1.0, 1.0))
+        assert f.rejects(("Style='hw'", "b"), (1.0, math.inf))
+
+
+def core_specs():
+    """Cores as (library, name, option of issue I, merits); names repeat
+    across the two libraries but are unique within one."""
+    return st.lists(
+        st.tuples(st.sampled_from([0, 1]),
+                  st.sampled_from(["c0", "c1", "c2", "c3", "c4"]),
+                  st.sampled_from([None, 0, 1]),
+                  MAYBE_MERIT, MAYBE_MERIT),
+        max_size=14, unique_by=lambda spec: (spec[0], spec[1]))
+
+
+def spec_layer(specs):
+    """Root ``R`` with one issue ``I`` over {0, 1, 2}; no core documents
+    option 2, so deciding it leaves no survivor."""
+    layer = DesignSpaceLayer("lazy", "terminal equivalence layer")
+    root = ClassOfDesignObjects("R", "root")
+    root.add_property(DesignIssue("I", EnumDomain([0, 1, 2]), "issue"))
+    layer.add_root(root)
+    libraries = [ReuseLibrary(f"lib{i}", "cores") for i in range(2)]
+    for library, name, option, area, latency in specs:
+        properties = {} if option is None else {"I": option}
+        merits = {m: v for m, v in (("area", area), ("latency_ns", latency))
+                  if v is not None}
+        libraries[library].add(DesignObject(name, "R", properties, merits))
+    for library in libraries:
+        if len(library):
+            layer.attach_library(library)
+    layer.validate()
+    return layer
+
+
+def reference_terminal(ctx):
+    """Every survivor becomes an Outcome offered to ``frontier.add``."""
+    session = ctx.session
+    ctx.stats.terminals += 1
+    decisions = tuple(sorted(session.decisions.items(),
+                             key=lambda item: item[0]))
+    cdo = session.current_cdo.qualified_name
+    added = []
+    report = session.prune_report()
+    if report.survivors:
+        for core in report.survivors:
+            merits = tuple((m, float(core.merit(m)))
+                           for m in ctx.metrics if core.has_merit(m))
+            outcome = Outcome(decisions, cdo, core.name, merits)
+            ctx.stats.outcomes += 1
+            if ctx.frontier.add(outcome):
+                added.append(outcome)
+    elif ctx.problem.estimator is not None:
+        ctx.stats.evaluations += 1
+        estimates = dict(ctx.problem.estimator(session))
+        merits = tuple((m, float(estimates[m]))
+                       for m in ctx.metrics if m in estimates)
+        outcome = Outcome(decisions, cdo, ESTIMATED, merits, estimated=True)
+        ctx.stats.outcomes += 1
+        if ctx.frontier.add(outcome):
+            added.append(outcome)
+    return added
+
+
+def walk_terminals(ctx, terminal):
+    """Terminals at the root, under each option of ``I``, and at the
+    root again (every key a duplicate then)."""
+    results = [terminal(ctx)]
+    for option in (0, 1, 2):
+        assert ctx.decide("I", option)
+        results.append(terminal(ctx))
+        ctx.undo()
+    results.append(terminal(ctx))
+    return results
+
+
+class TestLazyTerminal:
+    @settings(max_examples=150, deadline=None)
+    @given(core_specs(),
+           st.one_of(st.none(), st.fixed_dictionaries(
+               {}, optional={"area": MERIT_VALUES,
+                             "latency_ns": MERIT_VALUES})))
+    def test_matches_reference_loop(self, specs, estimate):
+        layer = spec_layer(specs)
+        estimator = None if estimate is None else (lambda session: estimate)
+        problem = ExplorationProblem(start="R", metrics=METRICS,
+                                     layer=layer, estimator=estimator)
+        lazy = SearchContext(problem, problem.open_session(layer))
+        eager = SearchContext(problem, problem.open_session(layer))
+        got = walk_terminals(lazy, SearchContext.terminal)
+        want = walk_terminals(eager, reference_terminal)
+        assert got == want
+        assert [[o.path_key for o in batch] for batch in got] \
+            == [[o.path_key for o in batch] for batch in want]
+        assert list(lazy.frontier._members.items()) \
+            == list(eager.frontier._members.items())
+        assert lazy.frontier.digest() == eager.frontier.digest()
+        assert lazy.stats.to_dict() == eager.stats.to_dict()
+
+    def test_duplicate_core_name_across_libraries(self):
+        layer = spec_layer([(0, "c0", 0, 1.0, 1.0), (1, "c0", 1, 1.0, 1.0)])
+        problem = ExplorationProblem(start="R", metrics=METRICS, layer=layer)
+        ctx = SearchContext(problem, problem.open_session(layer))
+        added = ctx.terminal()
+        # Same path and name: the second core is the same key.
+        assert [o.core for o in added] == ["c0"]
+        assert ctx.stats.outcomes == 2
+        assert len(ctx.frontier) == 1
+
+    def test_missing_metric_and_documented_inf_keep_merits(self):
+        layer = spec_layer([(0, "c0", 0, 1.0, None),
+                            (0, "c1", 0, 0.5, math.inf)])
+        problem = ExplorationProblem(start="R", metrics=METRICS, layer=layer)
+        ctx = SearchContext(problem, problem.open_session(layer))
+        added = ctx.terminal()
+        assert [(o.core, o.merits) for o in added] == [
+            ("c0", (("area", 1.0),)),
+            ("c1", (("area", 0.5), ("latency_ns", math.inf)))]

@@ -115,6 +115,17 @@ class TestTraceRecorder:
         assert rec.events == []
         assert len(rec.metrics) == 0
 
+    def test_event_counts_land_in_the_registry_after_clear(self):
+        rec = fake_recorder()
+        rec.emit(REQUIRE, name="Width", value=1)
+        rec.emit(REQUIRE, name="Width", value=2)
+        old = rec.metrics
+        rec.clear()
+        rec.emit(REQUIRE, name="Width", value=3)
+        assert old.counter("dsl_events_total", kind=REQUIRE).value == 2
+        assert rec.metrics.counter("dsl_events_total",
+                                   kind=REQUIRE).value == 1
+
     def test_metrics_derived_from_events(self):
         rec = fake_recorder()
         rec.emit(CACHE_HIT)
