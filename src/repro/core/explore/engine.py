@@ -281,7 +281,10 @@ class SearchContext:
         Every survivor counts as an offered outcome, but only those the
         frontier does not reject on their coordinates become
         :class:`Outcome` objects: nearly all of a terminal's cores are
-        dominated, and a rejected offer changes nothing.
+        dominated, and a rejected offer changes nothing.  When a member
+        strictly dominates the survivors' ideal point (each metric's
+        minimum over them) it strictly dominates every survivor, so the
+        terminal is counted without visiting a core.
         """
         session = self.session
         self.stats.terminals += 1
@@ -290,12 +293,16 @@ class SearchContext:
         cdo = session.current_cdo.qualified_name
         added: List[Outcome] = []
         report = session.prune_report()
-        if report.survivors:
-            path_key = render_path(decisions)
+        ids = report.survivor_ids
+        if ids:
             metrics = self.metrics
-            worst = (math.inf,) * len(metrics)
             frontier = self.frontier
-            self.stats.outcomes += len(report.survivors)
+            self.stats.outcomes += len(ids)
+            if frontier.dominates_bound(
+                    report.index.merit_minima(ids, metrics)):
+                return added
+            path_key = render_path(decisions)
+            worst = (math.inf,) * len(metrics)
             for core in report.survivors:
                 merits = core.merits
                 coords = tuple(map(merits.get, metrics, worst))

@@ -18,8 +18,9 @@ word-parallel ANDs and iterating a result walks its set bits in
 ascending id order — the snapshot order the naive scan returns.
 
 Pruning through the index returns the same :class:`PruneReport` the naive
-filter produces — survivors in the same order, elimination reasons
-reconstructed lazily (and identically) only when someone reads them.
+filter produces — survivors in the same order, the core list built and
+elimination reasons reconstructed lazily (and identically) only when
+someone reads them.
 
 Indexes are snapshots; freshness is the owner's problem.  The library /
 federation / layer classes own one index each and rebuild it when their
@@ -29,11 +30,12 @@ caches by hand.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from collections import abc
 from itertools import chain
 from typing import (AbstractSet, Callable, Dict, Iterable, Iterator, List,
-                    Mapping, Sequence, Tuple)
+                    Mapping, Optional, Sequence, Tuple)
 
 from repro.core.cdo import QNAME_SEP
 from repro.core.designobject import DesignObject
@@ -53,6 +55,16 @@ _RANK_PREFIXES = 256
 #: Bit positions set in each byte value, ascending.
 _BYTE_BITS: Tuple[Tuple[int, ...], ...] = tuple(
     tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256))
+
+
+def _bin_popcount(mask: int) -> int:
+    """Set bits of a non-negative ``mask``; the fallback before 3.10."""
+    return bin(mask).count("1")
+
+
+#: Set bits of a non-negative ``int``: ``int.bit_count`` (3.10+) walks
+#: the machine words, ``bin().count`` builds a string of every bit.
+_popcount: Callable[[int], int] = getattr(int, "bit_count", _bin_popcount)
 
 
 def _mask_of(ids: Iterable[int]) -> int:
@@ -107,7 +119,7 @@ class IdSet(AbstractSet[int]):
         return cls(_mask_of(ids))
 
     def __len__(self) -> int:
-        return bin(self.mask).count("1")
+        return _popcount(self.mask)
 
     def __bool__(self) -> bool:
         return self.mask != 0
@@ -205,27 +217,40 @@ class CoreIndex:
             for name, groups in by_prop.items()}
         #: ids whose value for a property is unhashable (checked linearly).
         self._odd_prop = _masks(odd_prop)
-        #: merit key -> (ascending values, ids in that order); ties keep
+        #: merit key -> ids whose value is NaN.  NaN compares false both
+        #: ways, so it would scramble a sort; it satisfies no MAX, MIN or
+        #: EXACT requirement and no point dominates it, so its holders
+        #: stay out of the sorted arrays and the rank prefixes below.
+        self._merit_nan: Dict[str, int] = {}
+        #: merit key -> (ascending numbers, ids in that order); ties keep
         #: ascending id order.
         self._merit_sorted: Dict[str, Tuple[List[float], List[int]]] = {}
         #: merit key -> (B, masks of the ids ranked below 0, B, 2B, ...
-        #: and finally all holders).
+        #: and finally all holders of a number).
         self._merit_prefixes: Dict[str, Tuple[int, List[int]]] = {}
         for key, ids in merit_ids.items():
             merits = [self.cores[i]._merits[key] for i in ids]
+            # A sum is NaN when a term is (or when inf meets -inf), so
+            # only then are the values searched.
+            if math.isnan(sum(merits)):
+                self._merit_nan[key] = _mask_of(
+                    i for i, value in zip(ids, merits) if value != value)
+                ids = [i for i, value in zip(ids, merits) if value == value]
+                merits = [value for value in merits if value == value]
             order = sorted(range(len(ids)), key=merits.__getitem__)
             ids = [ids[k] for k in order]
             self._merit_sorted[key] = ([merits[k] for k in order], ids)
             bits = bytearray(len(self.cores) // 8 + 1)
             prefixes = [0]
-            block = -(-len(ids) // _RANK_PREFIXES)
+            block = -(-len(ids) // _RANK_PREFIXES) or 1
             for start in range(0, len(ids), block):
                 for i in ids[start:start + block]:
                     bits[i >> 3] |= 1 << (i & 7)
                 prefixes.append(int.from_bytes(bits, "little"))
             self._merit_prefixes[key] = (block, prefixes)
-        self._with_merit = {key: prefixes[-1] for key, (_, prefixes)
-                            in self._merit_prefixes.items()}
+        self._with_merit = {
+            key: prefixes[-1] | self._merit_nan.get(key, 0)
+            for key, (_, prefixes) in self._merit_prefixes.items()}
         #: name -> ids documenting neither a property nor a merit of it.
         self._undocumented = {
             name: self._all & ~(self._with_prop.get(name, 0)
@@ -377,8 +402,7 @@ class CoreIndex:
                 out[core.name] = reason
             return out
 
-        return IndexedPruneReport(self.materialize(survivor_ids),
-                                  eliminated_factory=reasons,
+        return IndexedPruneReport(None, eliminated_factory=reasons,
                                   survivor_ids=survivor_ids, index=self)
 
     # ------------------------------------------------------------------
@@ -388,36 +412,77 @@ class CoreIndex:
                          ) -> Dict[str, Tuple[float, float]]:
         """Min/max of each metric over ``ids`` (documenting cores only),
         identical to :func:`repro.core.pruning.merit_ranges` over the
-        materialized cores."""
+        materialized cores when none of them holds NaN.  A metric where
+        one does reads ``(nan, nan)``: NaN is unordered, so the range has
+        no defined ends, and :func:`~repro.core.pruning.merit_bounds`
+        then gives a bound that no point dominates."""
         mask = _mask_of(ids)
-        bits = mask.to_bytes(max(mask.bit_length(), len(self.cores)) // 8 + 1,
-                             "little")
+        bits = self._bytes(mask)
         ranges: Dict[str, Tuple[float, float]] = {}
         for metric in metrics:
             have = mask & self._with_merit.get(metric, 0)
-            if have:
-                ranges[metric] = self._merit_extremes(metric, have, bits)
+            if have & self._merit_nan.get(metric, 0):
+                ranges[metric] = (math.nan, math.nan)
+            elif have:
+                ranges[metric] = (self._merit_min(metric, have, bits),
+                                  self._merit_max(metric, have, bits))
         return ranges
 
-    def _merit_extremes(self, metric: str, have: int, bits: bytes
-                        ) -> Tuple[float, float]:
-        """Min and max of ``metric`` over the non-empty id mask ``have``
-        (``bits`` holds a superset of it, little-endian).
+    def merit_minima(self, ids: Iterable[int], metrics: Sequence[str]
+                     ) -> Tuple[float, ...]:
+        """The ideal point of ``ids``: each metric's minimum over them, in
+        ``metrics`` order.
 
-        Bisects the rank prefixes for the first and the last block of the
-        sorted array that hold a member, then scans only those blocks."""
+        Equals :func:`repro.core.pruning.merit_bounds` of
+        :meth:`merit_ranges_for`: ``inf`` for a metric none of them
+        documents and ``nan`` for one where one of them holds NaN, a
+        coordinate no point dominates."""
+        mask = _mask_of(ids)
+        bits = self._bytes(mask)
+        minima: List[float] = []
+        for metric in metrics:
+            have = mask & self._with_merit.get(metric, 0)
+            if have & self._merit_nan.get(metric, 0):
+                minima.append(math.nan)
+            elif have:
+                minima.append(self._merit_min(metric, have, bits))
+            else:
+                minima.append(math.inf)
+        return tuple(minima)
+
+    def _bytes(self, mask: int) -> bytes:
+        """``mask`` little-endian, long enough to probe any core id."""
+        return mask.to_bytes(max(mask.bit_length(), len(self.cores)) // 8 + 1,
+                             "little")
+
+    # ``_merit_min`` and ``_merit_max`` take the non-empty id mask ``have``
+    # of a metric's holders of a number and ``bits``, a superset of it from
+    # :meth:`_bytes`.  Each bisects the rank prefixes for the one block of
+    # the sorted array that holds its extreme member, then scans only that
+    # block, probing ``bits`` (a byte lookup, where a shift of a 50k-bit
+    # ``int`` would cost a copy of it per probe).
+    def _merit_min(self, metric: str, have: int, bits: bytes) -> float:
         values, ordered = self._merit_sorted[metric]
         block, prefixes = self._merit_prefixes[metric]
         first = _first_prefix(prefixes, lambda ids: (ids & have) != 0)
-        last = _first_prefix(prefixes, lambda ids: (ids & have) == have)
         ascending = range((first - 1) * block, first * block)
+        return values[_first_member(ordered, ascending, bits)]
+
+    def _merit_max(self, metric: str, have: int, bits: bytes) -> float:
+        values, ordered = self._merit_sorted[metric]
+        block, prefixes = self._merit_prefixes[metric]
+        last = _first_prefix(prefixes, lambda ids: (ids & have) == have)
         descending = range(min(last * block, len(ordered)) - 1,
                            (last - 1) * block - 1, -1)
-        lo = next(pos for pos in ascending
-                  if bits[ordered[pos] >> 3] >> (ordered[pos] & 7) & 1)
-        hi = next(pos for pos in descending
-                  if bits[ordered[pos] >> 3] >> (ordered[pos] & 7) & 1)
-        return values[lo], values[hi]
+        return values[_first_member(ordered, descending, bits)]
+
+
+def _first_member(ordered: Sequence[int], positions: Iterable[int],
+                  bits: bytes) -> int:
+    """First of ``positions`` whose id ``ordered[pos]`` is set in
+    ``bits``; one is known to be."""
+    return next(pos for pos in positions
+                if bits[ordered[pos] >> 3] >> (ordered[pos] & 7) & 1)
 
 
 def _first_prefix(prefixes: Sequence[int], reached: Callable[[int], bool]
@@ -436,12 +501,28 @@ def _first_prefix(prefixes: Sequence[int], reached: Callable[[int], bool]
 
 class IndexedPruneReport(PruneReport):
     """A :class:`PruneReport` that remembers the id set it came from, so
-    downstream set algebra (option annotation, range probes) can reuse it
-    without re-materializing cores."""
+    downstream set algebra (option annotation, range probes, counts) can
+    reuse it without materializing cores.
 
-    def __init__(self, survivors, eliminated=None, eliminated_factory=None,
+    ``survivors=None`` defers the core list to its first read, which
+    then caches it: a caller that only counts or bounds the survivors
+    never builds it.  Two threads racing on the first read each build
+    the same list from the immutable index, so the race is harmless."""
+
+    def __init__(self, survivors: Optional[List[DesignObject]],
+                 eliminated=None, eliminated_factory=None,
                  survivor_ids: IdSet = IdSet(),
                  index: "CoreIndex" = None):
         super().__init__(survivors, eliminated, eliminated_factory)
         self.survivor_ids = survivor_ids
         self.index = index
+
+    @property
+    def survivors(self) -> List[DesignObject]:
+        if self._survivors is None:
+            self._survivors = self.index.materialize(self.survivor_ids)
+        return self._survivors
+
+    @survivors.setter
+    def survivors(self, cores: Optional[List[DesignObject]]) -> None:
+        self._survivors = cores

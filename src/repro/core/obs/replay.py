@@ -217,10 +217,10 @@ def _check_prune(live, event: TraceEvent) -> ReplayStep:
         return ReplayStep(event.seq, event.kind, False,
                           f"prune raised: {exc}")
     problems: List[str] = []
+    live_count = len(live_report.survivor_ids)
     expected_count = payload.get("survivors")
-    if expected_count is not None \
-            and expected_count != len(live_report.survivors):
-        problems.append(f"survivors {len(live_report.survivors)} "
+    if expected_count is not None and expected_count != live_count:
+        problems.append(f"survivors {live_count} "
                         f"!= recorded {expected_count}")
     expected_digest = payload.get("digest")
     if expected_digest is not None:
@@ -239,4 +239,4 @@ def _check_prune(live, event: TraceEvent) -> ReplayStep:
     if problems:
         return ReplayStep(event.seq, event.kind, False, "; ".join(problems))
     return ReplayStep(event.seq, event.kind, True,
-                      f"{len(live_report.survivors)} survivors verified")
+                      f"{live_count} survivors verified")

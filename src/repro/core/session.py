@@ -790,10 +790,10 @@ class ExplorationSession:
             hit = self._prune_cache.get(key)
             if hit is not None:
                 if obs.enabled:
+                    count = len(hit.survivor_ids)
                     payload = dict(session=self._obs_session,
-                                   survivors=len(hit.survivors),
-                                   extra=bool(extra))
-                    if len(hit.survivors) <= TRACE_SET_LIMIT:
+                                   survivors=count, extra=bool(extra))
+                    if count <= TRACE_SET_LIMIT:
                         payload["digest"] = hit.digest()
                     obs.emit(_ev.CACHE_HIT, **payload)
                 return hit
@@ -806,12 +806,13 @@ class ExplorationSession:
                 self._cdo.qualified_name, decisions, requirements,
                 self.missing_policy)
             if obs.enabled:
+                count = len(report.survivor_ids)
                 span.note(
                     cdo=self._cdo.qualified_name,
-                    survivors=len(report.survivors),
+                    survivors=count,
                     epoch=self.layer.epoch,
                     extra=bool(extra))
-                if len(report.survivors) <= TRACE_SET_LIMIT:
+                if count <= TRACE_SET_LIMIT:
                     ranges = index.merit_ranges_for(
                         report.survivor_ids, self.merit_metrics)
                     span.note(
@@ -941,7 +942,7 @@ class ExplorationSession:
             for name, value in sorted(self._derived.items()):
                 lines.append(f"    {name} = {value!r}")
         prune_report = self.prune_report()
-        lines.append(f"  candidate cores: {len(prune_report.survivors)}")
+        lines.append(f"  candidate cores: {len(prune_report.survivor_ids)}")
         ranges = self.fom_ranges()
         for metric, (lo, hi) in sorted(ranges.items()):
             lines.append(f"    {metric}: {lo:g} .. {hi:g}")

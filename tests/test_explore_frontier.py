@@ -18,10 +18,15 @@ from repro.core.explore import (
     ExplorationProblem,
     Outcome,
     ParetoFrontier,
+    explore,
     weighted_sum,
 )
 from repro.core.explore.engine import SearchContext
+from repro.core.index import CoreIndex
 from repro.core.pruning import merit_bounds
+from repro.domains.idct import idct_exploration_problem
+
+from conftest import build_widget_layer
 
 
 def out(core, merits, decisions=(("Style", "hw"),), cdo="Widget.hw",
@@ -214,6 +219,9 @@ MERIT_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, math.inf])
 #: One metric's value, or None when the core leaves it undocumented.
 MAYBE_MERIT = st.one_of(st.none(), MERIT_VALUES)
 
+#: As :data:`MAYBE_MERIT`, also drawing NaN, which nothing dominates.
+MAYBE_MERIT_OR_NAN = st.one_of(MAYBE_MERIT, st.just(math.nan))
+
 
 def random_outcome():
     return st.builds(
@@ -261,7 +269,7 @@ def core_specs():
         st.tuples(st.sampled_from([0, 1]),
                   st.sampled_from(["c0", "c1", "c2", "c3", "c4"]),
                   st.sampled_from([None, 0, 1]),
-                  MAYBE_MERIT, MAYBE_MERIT),
+                  MAYBE_MERIT_OR_NAN, MAYBE_MERIT_OR_NAN),
         max_size=14, unique_by=lambda spec: (spec[0], spec[1]))
 
 
@@ -314,10 +322,11 @@ def reference_terminal(ctx):
     return added
 
 
-def walk_terminals(ctx, terminal):
-    """Terminals at the root, under each option of ``I``, and at the
-    root again (every key a duplicate then)."""
-    results = [terminal(ctx)]
+def walk_terminals(ctx, terminal, root_first=True):
+    """Terminals under each option of ``I`` and at the root (every key a
+    duplicate the second time); the root comes first and last, or only
+    last so the options meet an emptier frontier."""
+    results = [terminal(ctx)] if root_first else []
     for option in (0, 1, 2):
         assert ctx.decide("I", option)
         results.append(terminal(ctx))
@@ -326,21 +335,32 @@ def walk_terminals(ctx, terminal):
     return results
 
 
+def reference_run(monkeypatch, problem, **options):
+    """``explore`` with every terminal built by :func:`reference_terminal`."""
+    with monkeypatch.context() as patch:
+        patch.setattr(SearchContext, "terminal", reference_terminal)
+        return explore(problem, **options)
+
+
 class TestLazyTerminal:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(core_specs(),
            st.one_of(st.none(), st.fixed_dictionaries(
                {}, optional={"area": MERIT_VALUES,
-                             "latency_ns": MERIT_VALUES})))
-    def test_matches_reference_loop(self, specs, estimate):
+                             "latency_ns": MERIT_VALUES})),
+           st.booleans())
+    def test_matches_reference_loop(self, specs, estimate, root_first):
+        # Covers undocumented metrics, documented inf, NaN, ties on the
+        # ideal point, one name in two libraries, and the estimator when
+        # option 2 leaves no survivor.
         layer = spec_layer(specs)
         estimator = None if estimate is None else (lambda session: estimate)
         problem = ExplorationProblem(start="R", metrics=METRICS,
                                      layer=layer, estimator=estimator)
         lazy = SearchContext(problem, problem.open_session(layer))
         eager = SearchContext(problem, problem.open_session(layer))
-        got = walk_terminals(lazy, SearchContext.terminal)
-        want = walk_terminals(eager, reference_terminal)
+        got = walk_terminals(lazy, SearchContext.terminal, root_first)
+        want = walk_terminals(eager, reference_terminal, root_first)
         assert got == want
         assert [[o.path_key for o in batch] for batch in got] \
             == [[o.path_key for o in batch] for batch in want]
@@ -368,3 +388,77 @@ class TestLazyTerminal:
         assert [(o.core, o.merits) for o in added] == [
             ("c0", (("area", 1.0),)),
             ("c1", (("area", 0.5), ("latency_ns", math.inf)))]
+
+    def test_member_equal_to_the_ideal_point_does_not_skip(self):
+        # c0 joins at the root with (1, 1); under I=0 the ideal point of
+        # c1 is (1, 1) as well, a tie, so c1 joins under its own path.
+        layer = spec_layer([(0, "c0", None, 1.0, 1.0),
+                            (0, "c1", 0, 1.0, 1.0)])
+        problem = ExplorationProblem(start="R", metrics=METRICS, layer=layer)
+        ctx = SearchContext(problem, problem.open_session(layer))
+        assert [o.core for o in ctx.terminal()] == ["c0", "c1"]
+        assert ctx.decide("I", 0)
+        assert [(o.path_key, o.core) for o in ctx.terminal()] == [
+            ("I=0", "c1")]
+
+    def test_nan_survivor_is_never_skipped(self):
+        layer = spec_layer([(0, "c0", None, 0.0, 0.0),
+                            (0, "c1", 0, math.nan, 5.0)])
+        problem = ExplorationProblem(start="R", metrics=METRICS, layer=layer)
+        ctx = SearchContext(problem, problem.open_session(layer))
+        ctx.terminal()
+        assert ctx.decide("I", 0)
+        # (0, 0) would dominate (x, 5.0) for any number x, but not NaN.
+        assert [o.core for o in ctx.terminal()] == ["c1"]
+
+    def test_bnb_opens_an_option_whose_nan_core_joins(self):
+        # Under I=1 the numbers' minima (1, 1) are dominated by c0, but
+        # c2's NaN area is dominated by nothing: the option's bound must
+        # be NaN there, as the leaf bound's is, so bnb opens it.
+        layer = spec_layer([(0, "c0", 0, 0.0, 0.0),
+                            (0, "c1", 1, 1.0, 1.0),
+                            (0, "c2", 1, math.nan, 5.0)])
+        problem = ExplorationProblem(start="R", metrics=METRICS, layer=layer)
+        full = explore(problem, strategy="exhaustive")
+        bnb = explore(problem, strategy="bnb")
+        assert "c2" in [o.core for o in full.frontier.outcomes()]
+        assert bnb.frontier.digest() == full.frontier.digest()
+
+    def test_dominated_terminal_never_materializes(self, monkeypatch):
+        layer = spec_layer([(0, "c0", None, 0.0, 0.0),
+                            (0, "c1", 0, 1.0, 2.0),
+                            (1, "c2", 0, 3.0, 0.5)])
+        problem = ExplorationProblem(start="R", metrics=METRICS, layer=layer)
+        ctx = SearchContext(problem, problem.open_session(layer))
+        ctx.terminal()
+        assert ctx.decide("I", 0)
+        calls = []
+        materialize = CoreIndex.materialize
+        monkeypatch.setattr(
+            CoreIndex, "materialize",
+            lambda index, ids: calls.append(ids) or materialize(index, ids))
+        assert ctx.terminal() == []
+        assert calls == []
+        assert ctx.stats.outcomes == 5 and ctx.stats.terminals == 2
+
+    @pytest.mark.parametrize("options", [
+        dict(strategy="exhaustive"),
+        dict(strategy="bnb"),
+        dict(strategy="evolutionary", seed=3, population=6, generations=3),
+        dict(strategy="exhaustive", jobs=2, backend="thread"),
+        dict(strategy="evolutionary", jobs=2, backend="thread", seed=3,
+             population=6, generations=3),
+    ], ids=["exhaustive", "bnb", "evolutionary", "merge-jobs2",
+            "islands-jobs2"])
+    @pytest.mark.parametrize("layer_name", ["widget", "idct"])
+    def test_strategies_match_reference_runs(self, monkeypatch, idct_layer,
+                                             options, layer_name):
+        if layer_name == "idct":
+            problem = idct_exploration_problem(layer=idct_layer)
+        else:
+            problem = ExplorationProblem(start="Widget", metrics=METRICS,
+                                         layer=build_widget_layer())
+        got = explore(problem, **options)
+        want = reference_run(monkeypatch, problem, **options)
+        assert got.frontier.digest() == want.frontier.digest()
+        assert got.stats.to_dict() == want.stats.to_dict()

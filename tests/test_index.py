@@ -1,5 +1,6 @@
 """Unit tests of the inverted core index (repro.core.index)."""
 
+import math
 import random
 
 import pytest
@@ -13,9 +14,9 @@ from repro.core import (
     Requirement,
     RequirementSense,
 )
-from repro.core.index import IdSet
+from repro.core.index import IdSet, _bin_popcount
 from repro.core.values import IntRange
-from repro.core.pruning import merit_ranges, prune
+from repro.core.pruning import merit_bounds, merit_ranges, prune
 
 
 def make_cores():
@@ -209,3 +210,106 @@ def test_merit_ranges_match_naive_across_rank_blocks(seed, num_cores, keep,
     expected = merit_ranges([cores[i] for i in sorted(ids)], metrics)
     assert index.merit_ranges_for(ids, metrics) == expected
     assert index.merit_ranges_for(id_set(ids), metrics) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), num_cores=st.integers(1, 900),
+       keep=st.integers(1, 64), ties=st.integers(1, 50),
+       ends=st.sampled_from(["none", "first", "last", "both", "empty"]))
+def test_merit_minima_match_naive_bounds(seed, num_cores, keep, ties, ends):
+    # As above, plus documented ``inf`` and ``-inf`` values (whose sum is
+    # NaN), an undocumented metric, the empty id set and the first and
+    # last core ids.
+    rnd = random.Random(seed)
+    cores = []
+    for i in range(num_cores):
+        merits = {"area": float(rnd.randrange(ties))}
+        if rnd.random() < 0.7:
+            merits["latency_ns"] = rnd.choice(
+                [rnd.uniform(0.0, 100.0), float("inf"), float("-inf")])
+        cores.append(DesignObject(f"c{i}", "R", {}, merits))
+    index = CoreIndex(cores)
+    ids = {i for i in range(num_cores) if rnd.randrange(keep) == 0}
+    if ends in ("first", "both"):
+        ids.add(0)
+    if ends in ("last", "both"):
+        ids.add(num_cores - 1)
+    if ends == "empty":
+        ids = set()
+    metrics = ["area", "latency_ns", "missing"]
+    expected = merit_bounds(merit_ranges(index.materialize(ids), metrics),
+                            metrics)
+    assert index.merit_minima(ids, metrics) == expected
+    assert index.merit_minima(id_set(ids), metrics) == expected
+
+
+class TestNanMerits:
+    """NaN passes no requirement and is dominated by nothing; the index
+    must neither rank it among the numbers nor hide it from a bound."""
+
+    @pytest.fixture()
+    def cores(self):
+        nan = float("nan")
+        return [DesignObject(f"c{i}", "R", {}, {"area": area, "power": 1.0})
+                for i, area in enumerate([3.0, nan, 1.0, 2.0, nan, 0.5])]
+
+    def test_minima_are_nan_only_where_a_survivor_holds_nan(self, cores):
+        index = CoreIndex(cores)
+        nan_area, power = index.merit_minima({0, 1, 3}, ["area", "power"])
+        assert math.isnan(nan_area) and power == 1.0
+        # Without a NaN holder the minimum is exact even though the
+        # metric has NaN holders elsewhere.
+        assert index.merit_minima({0, 2, 3}, ["area", "power"]) == (1.0, 1.0)
+        assert index.merit_minima({0, 3}, ["area"]) == (2.0,)
+        assert index.merit_ranges_for({0, 2, 3}, ["area"]) == {
+            "area": (1.0, 3.0)}
+
+    def test_ranges_and_minima_share_the_nan_rule(self, cores):
+        # Over every subset: a NaN holder makes the range (nan, nan), so
+        # merit_bounds of the ranges (branch-and-bound's option bound) is
+        # the leaf bound's ideal point; without one, the naive scan holds.
+        index = CoreIndex(cores)
+        metrics = ["area", "power", "missing"]
+        for subset in range(1 << len(cores)):
+            ids = {i for i in range(len(cores)) if subset >> i & 1}
+            ranges = index.merit_ranges_for(ids, metrics)
+            minima = index.merit_minima(ids, metrics)
+            assert repr(minima) == repr(merit_bounds(ranges, metrics))
+            if ids & {1, 4}:
+                assert repr(ranges["area"]) == "(nan, nan)"
+            else:
+                assert ranges == merit_ranges(
+                    [cores[i] for i in sorted(ids)], metrics)
+
+    @pytest.mark.parametrize("sense", [RequirementSense.MAX,
+                                       RequirementSense.MIN,
+                                       RequirementSense.EXACT])
+    @pytest.mark.parametrize("bound", [0.0, 0.5, 1.0, 2.5, 3, 10.0, "3.0"])
+    def test_requirements_on_nan_merits_match_naive(self, cores, sense,
+                                                    bound):
+        # EXACT and the non-numeric "3.0" take the grouped-equality path.
+        req = Requirement("area", IntRange(0, 100), "area", sense=sense)
+        want = prune(cores, {}, [(req, bound)]).survivor_names
+        got = CoreIndex(cores).prune("R", {}, [(req, bound)])
+        assert got.survivor_names == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 1 << 5000) | st.sampled_from([0, 1, (1 << 4096) - 1]))
+def test_idset_len_is_the_popcount(mask):
+    want = bin(mask).count("1")
+    assert len(IdSet(mask)) == want
+    # The fallback used where ``int.bit_count`` is missing (Python 3.9).
+    assert _bin_popcount(mask) == want
+
+
+def test_prune_defers_the_core_list(monkeypatch):
+    index = CoreIndex(make_cores())
+    calls = []
+    materialize = index.materialize
+    monkeypatch.setattr(index, "materialize",
+                        lambda ids: calls.append(1) or materialize(ids))
+    report = index.prune("R", {"Tech": "t35"})
+    assert len(report.survivor_ids) == 2 and calls == []
+    assert report.survivor_names == ["a", "c"]
+    assert report.survivors is report.survivors and calls == [1]
