@@ -222,6 +222,7 @@ DEFAULT_CONTRACT = ConcurrencyContract(
     # list; an edge running backward is an inversion even before the
     # matching reverse edge exists.
     lock_order=(
+        "DesignSpaceServer._lock",
         "DesignSpaceService._lock",
         "SessionManager._lock",
         "ServedSession._lock",

@@ -66,6 +66,7 @@ _BLOCKING_ATTRS = {
     "check_output": "a subprocess wait",
     "run": "a subprocess wait",
     "urlopen": "a blocking HTTP request",
+    "getresponse": "a blocking HTTP request",
 }
 
 #: ``run`` only blocks when it is ``subprocess.run``; other receivers

@@ -16,7 +16,7 @@ the standard library:
   transport-free;
 * :class:`~repro.serve.http.DesignSpaceServer` / :func:`serve` — the
   ``ThreadingHTTPServer`` shell with ``/metrics`` and graceful drain;
-* :class:`~repro.serve.client.ServiceClient` — a urllib client for
+* :class:`~repro.serve.client.ServiceClient` — a keep-alive client for
   tests and load benchmarks.
 
 See ``docs/serving.md`` for the API surface and operational notes.

@@ -1,20 +1,25 @@
 """A thin stdlib client for the service, used by tests and benchmarks.
 
-One :class:`ServiceClient` per thread (urllib openers are not shared);
-:meth:`request` returns the raw status + body bytes so the digest
-oracle can compare served bytes against direct library calls without
-a decode/re-encode round trip, and :meth:`call` adds the JSON +
+A :class:`ServiceClient` keeps one HTTP/1.1 connection open and sends
+every request on it, so a session walk pays for one TCP connection, not
+one per request.  The connection is not shared: use one client per
+thread.  :meth:`request` returns the raw status + body bytes so the
+digest oracle can compare served bytes against direct library calls
+without a decode/re-encode round trip, and :meth:`call` adds the JSON +
 raise-on-error convenience everything else wants.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
+import select
+import urllib.parse
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ReproError
+
+_JSON_HEADERS = {"Content-Type": "application/json"}
 
 
 class ServiceClientError(ReproError):
@@ -30,37 +35,64 @@ class ServiceClientError(ReproError):
 
 
 class ServiceClient:
-    """JSON verbs against one server; also a session-verb convenience."""
+    """JSON verbs against one server; also a session-verb convenience.
+
+    Transport failures raise :class:`OSError` subclasses.  A request is
+    never sent twice: a connection the server closed while it sat idle
+    is replaced before the request goes out, and a failure after the
+    request went out is raised, not retried.
+    """
 
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        parts = urllib.parse.urlsplit(self.base_url)
+        self._path = parts.path
+        self._conn = http.client.HTTPConnection(parts.netloc,
+                                                timeout=timeout)
+
+    def close(self) -> None:
+        self._conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # raw byte-level surface (the digest oracle uses this)
     # ------------------------------------------------------------------
     def get(self, path: str) -> Tuple[int, bytes]:
-        request = urllib.request.Request(self.base_url + path, method="GET")
-        return self._send(request)
+        return self._send("GET", path)
 
     def request(self, verb: str, params: Optional[Dict[str, object]] = None
                 ) -> Tuple[int, bytes]:
         body = json.dumps(params or {}).encode("utf-8")
-        request = urllib.request.Request(
-            f"{self.base_url}/api/{verb}", data=body, method="POST",
-            headers={"Content-Type": "application/json"})
-        return self._send(request)
+        return self._send("POST", f"/api/{verb}", body)
 
-    def _send(self, request: urllib.request.Request) -> Tuple[int, bytes]:
+    def _send(self, method: str, path: str, body: Optional[bytes] = None
+              ) -> Tuple[int, bytes]:
+        conn = self._conn
+        if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+            # Between requests the server has nothing to say: a readable
+            # socket was closed by it (idle timeout, drain).  Reconnect
+            # before sending, while nothing can have reached the server.
+            conn.close()
         try:
-            with urllib.request.urlopen(request,
-                                        timeout=self.timeout) as response:
-                return response.status, response.read()
-        except urllib.error.HTTPError as error:
-            # Error responses are still JSON payloads, not exceptions:
-            # the caller decides whether a 4xx is fatal.
-            with error:
-                return error.code, error.read()
+            conn.request(method, self._path + path, body,
+                         {} if body is None else _JSON_HEADERS)
+            response = conn.getresponse()
+            # Error statuses are responses too, with JSON payloads: the
+            # caller decides whether a 4xx is fatal.
+            return response.status, response.read()
+        except OSError:
+            conn.close()
+            raise
+        except http.client.HTTPException as error:
+            conn.close()
+            raise ConnectionError(
+                f"{method} {path}: malformed response: {error!r}") from error
 
     # ------------------------------------------------------------------
     # decoded convenience surface

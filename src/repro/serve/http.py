@@ -9,11 +9,19 @@ Routes are deliberately few — the verb namespace lives in
 * ``POST /api/<verb>`` — JSON body in, canonical JSON out, where
   ``<verb>`` is any service verb (``query``, ``session/decide``, ...).
 
+Connections are HTTP/1.1 keep-alive: one handler thread serves every
+request a client sends on its connection, and closes it after
+``CONNECTION_TIMEOUT`` idle seconds.  Responses go out with
+``TCP_NODELAY``, so a body never waits behind the client's delayed ACK
+of its headers.
+
 Shutdown is graceful by construction: handler threads are non-daemon
 and ``server_close`` blocks on them (``block_on_close``), so a SIGTERM
 stops the accept loop, *drains every in-flight request*, then closes the
-service's owned worker pool and sessions.  Idle keep-alive connections
-cannot stall the drain — the per-connection socket timeout bounds them.
+service's owned worker pool and sessions.  Idle kept-alive connections
+do not stall the drain: ``server_close`` shuts the read side of every
+connection waiting for a request line, and a response written while the
+server drains carries ``Connection: close``.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Set, Tuple
 
 from repro.serve.app import DesignSpaceService, canonical_json
 
@@ -39,12 +47,32 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
     timeout = CONNECTION_TIMEOUT
+    # Headers and body leave in two sends; on a kept-alive socket Nagle
+    # would hold the body until the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
+
+    def handle_one_request(self) -> None:
+        server: DesignSpaceServer = self.server  # type: ignore[assignment]
+        server.mark_idle(self.connection)
+        try:  # idle until the first byte of the next request arrives
+            waiting = self.rfile.peek(1)
+        except OSError:  # idle timeout or a reset: nothing left to serve
+            waiting = b""
+        finally:
+            server.mark_busy(self.connection)
+        if not waiting:
+            self.close_connection = True
+            return
+        super().handle_one_request()
 
     def _send(self, status: int, body: bytes,
               content_type: str = "application/json") -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.server.draining:  # type: ignore[attr-defined]
+            # also sets close_connection: this request is the last one
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -121,7 +149,41 @@ class DesignSpaceServer(ThreadingHTTPServer):
         self.service = service
         self.json_logs = json_logs
         self.quiet = quiet
+        self.draining = False
+        self._idle: Set[socket.socket] = set()
+        self._lock = threading.Lock()
         super().__init__(address, ServiceRequestHandler)
+
+    def mark_idle(self, connection: socket.socket) -> None:
+        """Mark ``connection`` as waiting for its next request line.
+
+        Marking comes before the draining check, and :meth:`server_close`
+        sets ``draining`` before it collects the idle set, so either the
+        drain sees this connection or this call sees the drain.
+        """
+        with self._lock:
+            self._idle.add(connection)
+            draining = self.draining
+        if draining:
+            _shut_read(connection)
+
+    def mark_busy(self, connection: socket.socket) -> None:
+        """A request line arrived (or the connection ended)."""
+        with self._lock:
+            self._idle.discard(connection)
+
+    def server_close(self) -> None:
+        """Close idle connections, then drain the in-flight requests.
+
+        Shutting the read side wakes each idle handler with EOF, so it
+        closes at once; bytes that already arrived are still served.
+        """
+        with self._lock:
+            self.draining = True
+            idle = list(self._idle)
+        for connection in idle:
+            _shut_read(connection)
+        super().server_close()
 
     def log(self, client: str, message: str) -> None:
         if self.quiet:
@@ -150,6 +212,13 @@ class DesignSpaceServer(ThreadingHTTPServer):
                                    name="dsl-serve-stopper", daemon=True)
         stopper.start()
         return stopper
+
+
+def _shut_read(connection: socket.socket) -> None:
+    try:
+        connection.shutdown(socket.SHUT_RD)
+    except OSError:  # its handler closed it first
+        pass
 
 
 def serve(service: DesignSpaceService, host: str = "127.0.0.1",

@@ -100,6 +100,18 @@ class TestDeadlockFindings:
             ["deadlock_pkg.mod_a:sleep_under_lock",
              "deadlock_pkg.mod_a:wait_under_lock"]
 
+    def test_http_response_wait_under_lock(self, tmp_path):
+        module = tmp_path / "http_mod.py"
+        module.write_text("import threading\n\nLOCK = threading.Lock()\n\n\n"
+                          "def fetch(conn):\n"
+                          "    with LOCK:\n"
+                          "        return conn.getresponse()\n")
+        report = analyze_paths([str(module)], root=str(tmp_path),
+                               contract=ConcurrencyContract())
+        (finding,) = report.by_code("DSA032")
+        assert finding.symbol == "http_mod:fetch"
+        assert "blocking HTTP request" in finding.message
+
     def test_justified_blocking_stays_as_audit_trail(self, report):
         suppressed = [f for f in report.by_code("DSA032") if f.suppressed]
         assert [f.symbol for f in suppressed] == \
