@@ -14,6 +14,9 @@
 * exploration parallelism on the 50k synthetic layer — serial vs a warm
   snapshot-hydrated worker pool, plus the jobs 1/2/4 ``parallel_scaling``
   sweep (chunked vs per-task dispatch, snapshot capture/hydrate cost);
+  next to the timings, two host-independent counts: ``range_probes``
+  (option-range computations in one walk per strategy) and
+  ``retained_kb_per_result`` (memory one kept result holds);
 * distributed tracing on the same parallel walk — untraced vs traced
   (worker span buffers + deterministic merge) on a warm jobs=4 pool,
   gated < 1.10x min-over-min like the serial tracing budget;
@@ -213,6 +216,10 @@ def explore_measurements(num_cores: int = 50000, repeat: int = 3,
         run_parallel()  # warm workers (snapshot hydration)
         parallel_results.clear()
         parallel = _runs(run_parallel, repeat)
+    probes = {"exhaustive": range_probes(problem, "exhaustive"),
+              "bnb": range_probes(problem, "bnb"),
+              "beam": range_probes(problem, "beam", width=2)}
+    retained_kb = retained_kb_per_result(problem)
     digests = {full.frontier.digest(), bnb.frontier.digest()}
     digests.update(r.frontier.digest() for r in parallel_results)
     if len(digests) != 1:
@@ -229,12 +236,61 @@ def explore_measurements(num_cores: int = 50000, repeat: int = 3,
             "beam": beam.stats.opened,
         },
         "bnb_pruned_by_bound": bnb.stats.pruned.get("bound", 0),
+        "range_probes": probes,
+        "retained_kb_per_result": retained_kb,
         "frontier_size": len(full.frontier),
         "digest": full.frontier.digest(),
         "serial": serial,
         "parallel": parallel,
         "speedup": min(serial) / min(parallel),
     }
+
+
+def range_probes(problem, strategy: str, **options) -> int:
+    """``CoreIndex.merit_ranges_for`` calls in one untraced ``explore()``
+    walk: a work count, deterministic on any host.  Exhaustive search
+    never reads an option's ranges, so it makes none."""
+    from repro.core.explore import explore
+    from repro.core.index import CoreIndex
+
+    original = CoreIndex.merit_ranges_for
+    calls = [0]
+
+    def counting(index, ids, metrics):
+        calls[0] += 1
+        return original(index, ids, metrics)
+
+    CoreIndex.merit_ranges_for = counting
+    try:
+        explore(problem, strategy=strategy, **options)
+    finally:
+        CoreIndex.merit_ranges_for = original
+    return calls[0]
+
+
+def retained_kb_per_result(problem, walks: int = 20) -> float:
+    """KB of memory an exhaustive ``ExplorationResult`` keeps alive,
+    averaged over ``walks`` results held at once (tracemalloc)."""
+    import gc
+    import tracemalloc
+
+    from repro.core.explore import explore
+
+    explore(problem, strategy="exhaustive")  # warm-up (index build)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        results = [explore(problem, strategy="exhaustive")
+                   for _ in range(walks)]
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    del results
+    grown = sum(stat.size_diff for stat in after.compare_to(before,
+                                                            "filename"))
+    return grown / walks / 1024
 
 
 def parallel_scaling_measurements(num_cores: int = 50000, repeat: int = 2,
@@ -466,6 +522,8 @@ def collect_serving(num_cores: int, sessions: int) -> Dict[str, object]:
 
 
 def collect(repeat: int, num_cores: int) -> Dict[str, object]:
+    from test_bench_explore import available_cpus
+
     crypto = crypto_walk_runs(repeat)
     overhead = overhead_measurements(num_cores, repeat)
     sanitizer = sanitizer_overhead_measurements(num_cores, repeat)
@@ -481,6 +539,7 @@ def collect(repeat: int, num_cores: int) -> Dict[str, object]:
             "python": platform.python_version(),
             "platform": platform.platform(),
             "processor": platform.processor() or "unknown",
+            "cpus": available_cpus(),
         },
         "benchmarks": {
             "crypto_case_study_walk": _summary(crypto),
@@ -508,6 +567,9 @@ def collect(repeat: int, num_cores: int) -> Dict[str, object]:
             "cpus": exploration["cpus"],
             "branches_opened": exploration["branches_opened"],
             "bnb_pruned_by_bound": exploration["bnb_pruned_by_bound"],
+            "range_probes": exploration["range_probes"],
+            "retained_kb_per_result": round(
+                exploration["retained_kb_per_result"], 1),
             "frontier_size": exploration["frontier_size"],
             "digest": exploration["digest"],
             "serial": _summary(exploration["serial"]),

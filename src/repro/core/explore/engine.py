@@ -146,6 +146,8 @@ class SearchContext:
         #: worker's hydrated layer is untraced (and shared/sealed), but
         #: the branch's own search events still need somewhere to go.
         self._recorder = recorder
+        #: (issue, id(option)) -> the shared pair; see :meth:`_assignment`.
+        self._pairs: Dict[Tuple[str, int], Tuple[str, object]] = {}
         session.checkpoint(ROOT_TAG)
 
     @property
@@ -270,6 +272,25 @@ class SearchContext:
     # ------------------------------------------------------------------
     # terminals
     # ------------------------------------------------------------------
+    def _assignment(self) -> Tuple[Tuple[str, object], ...]:
+        """The session's decisions sorted by issue name, as an outcome
+        holds them.  Each (issue, option) pair is built once per context
+        and shared by every outcome that carries it."""
+        pairs = self._pairs
+        out = []
+        for name, option in sorted(self.session.decisions.items(),
+                                   key=lambda item: item[0]):
+            # Keyed on the option's identity: the memo keeps the option
+            # alive, so its id cannot be reused, and 1 / 1.0 / True stay
+            # distinct pairs.
+            # dsa: allow[DSA042] -- memo key only; the pair holds the option
+            key = (name, id(option))
+            pair = pairs.get(key)
+            if pair is None:
+                pair = pairs[key] = (name, option)
+            out.append(pair)
+        return tuple(out)
+
     def terminal(self) -> List[Outcome]:
         """Collect the current position's outcomes into the frontier.
 
@@ -288,9 +309,6 @@ class SearchContext:
         """
         session = self.session
         self.stats.terminals += 1
-        decisions = tuple(sorted(session.decisions.items(),
-                                 key=lambda item: item[0]))
-        cdo = session.current_cdo.qualified_name
         added: List[Outcome] = []
         report = session.prune_report()
         ids = report.survivor_ids
@@ -301,6 +319,8 @@ class SearchContext:
             if frontier.dominates_bound(
                     report.index.merit_minima(ids, metrics)):
                 return added
+            decisions = self._assignment()
+            cdo = session.current_cdo.qualified_name
             path_key = render_path(decisions)
             worst = (math.inf,) * len(metrics)
             for core in report.survivors:
@@ -316,6 +336,8 @@ class SearchContext:
                 if frontier.add(outcome):
                     added.append(outcome)
         elif self.problem.estimator is not None:
+            decisions = self._assignment()
+            cdo = session.current_cdo.qualified_name
             self.stats.evaluations += 1
             estimates = dict(self.problem.estimator(session))
             merits = tuple((m, float(estimates[m]))

@@ -19,8 +19,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from repro.core.evaluation import dominates
 
@@ -39,7 +40,7 @@ def render_path(decisions: Sequence[Tuple[str, object]]) -> str:
                      for name, option in decisions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Outcome:
     """One terminal point of the search: a decision path and its merits.
 
@@ -49,19 +50,42 @@ class Outcome:
     problem's metrics the core documents.  ``path_key`` is
     ``render_path(decisions)``: rendered here unless the caller passes
     the rendering it already holds (a terminal renders its assignment
-    once for all of its cores).
+    once for all of its cores).  It is not a field, so ``==``, ``hash``
+    and ``repr`` leave it out.
+
+    Slotted: a run's result keeps every frontier member, so an outcome
+    carries no per-instance ``__dict__``.  (``dataclass(slots=True)``
+    needs Python 3.10, and a slot cannot have a class-level default,
+    hence the hand-written ``__init__``.)
     """
+
+    __slots__ = ("decisions", "cdo", "core", "merits", "estimated",
+                 "path_key")
 
     decisions: Tuple[Tuple[str, object], ...]
     cdo: str
     core: str
     merits: Tuple[Tuple[str, float], ...]
-    estimated: bool = False
-    path_key: str = field(default="", compare=False, repr=False)
+    estimated: bool
+    if TYPE_CHECKING:  # a slot, not a field
+        path_key: str
 
-    def __post_init__(self) -> None:
-        if not self.path_key:
-            object.__setattr__(self, "path_key", render_path(self.decisions))
+    def __init__(self, decisions: Tuple[Tuple[str, object], ...], cdo: str,
+                 core: str, merits: Tuple[Tuple[str, float], ...],
+                 estimated: bool = False, path_key: str = ""):
+        init = object.__setattr__
+        init(self, "decisions", decisions)
+        init(self, "cdo", cdo)
+        init(self, "core", core)
+        init(self, "merits", merits)
+        init(self, "estimated", estimated)
+        init(self, "path_key", path_key or render_path(decisions))
+
+    def __reduce__(self):
+        # The default slot-state restore assigns attributes, which a
+        # frozen class refuses.
+        return Outcome, (self.decisions, self.cdo, self.core, self.merits,
+                         self.estimated, self.path_key)
 
     @property
     def key(self) -> Tuple[str, str]:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import abc
-from itertools import chain
+from itertools import chain, compress
 from typing import (AbstractSet, Callable, Dict, Iterable, Iterator, List,
                     Mapping, Optional, Sequence, Tuple)
 
@@ -51,6 +51,10 @@ from repro.core.pruning import (
 #: about ``_RANK_PREFIXES * n / 8`` bytes per merit, and a range probe
 #: scans at most two blocks of ``holders / _RANK_PREFIXES`` ranks.
 _RANK_PREFIXES = 256
+
+#: :func:`_bits` jumps between set bits when they are on average
+#: further apart than this many ids, and walks the bytes otherwise.
+_SPARSE_SPACING = 64
 
 #: Bit positions set in each byte value, ascending.
 _BYTE_BITS: Tuple[Tuple[int, ...], ...] = tuple(
@@ -85,10 +89,9 @@ def _mask_of(ids: Iterable[int]) -> int:
 
 def _bits(mask: int) -> List[int]:
     """Positions of the set bits of ``mask``, ascending."""
-    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
-    if data.count(0) * 2 > len(data):
-        # Mostly empty (a terminal's survivors): jump from one set bit to
-        # the next.  Dense sets (a wide report) walk the bytes instead.
+    if _popcount(mask) * _SPARSE_SPACING < mask.bit_length():
+        # Sparse (a terminal's survivors): jump from one set bit to the
+        # next in the binary text.
         text = bin(mask)
         top = len(text) - 1
         out = []
@@ -97,7 +100,12 @@ def _bits(mask: int) -> List[int]:
             out.append(top - pos)
             pos = text.rfind("1", 0, pos)
         return out
-    return [(pos << 3) + bit for pos, byte in enumerate(data) if byte
+    # Dense (a wide report): visit only the non-zero bytes, pairing each
+    # with its id offset.
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    offsets = compress(range(0, len(data) << 3, 8), data)
+    return [base + bit
+            for base, byte in zip(offsets, data.translate(None, b"\0"))
             for bit in _BYTE_BITS[byte]]
 
 
@@ -186,6 +194,9 @@ class CoreIndex:
 
     def __init__(self, cores: Iterable[DesignObject]):
         self.cores: List[DesignObject] = list(cores)
+        #: core name by id, so a report can name its survivors without
+        #: touching the cores.
+        self.names: List[str] = [core.name for core in self.cores]
         by_exact: Dict[str, List[int]] = {}
         by_prop: Dict[str, Dict[object, List[int]]] = {}
         odd_prop: Dict[str, List[int]] = {}
@@ -505,9 +516,12 @@ class IndexedPruneReport(PruneReport):
     reuse it without materializing cores.
 
     ``survivors=None`` defers the core list to its first read, which
-    then caches it: a caller that only counts or bounds the survivors
-    never builds it.  Two threads racing on the first read each build
-    the same list from the immutable index, so the race is harmless."""
+    then caches it; :attr:`survivor_names` (and so :meth:`digest`) reads
+    the index's name list instead and caches its own list.  A caller
+    that only counts, bounds, names or fingerprints the survivors never
+    builds the core list.  Two threads racing on a first read each
+    build the same list from the immutable index, so the race is
+    harmless."""
 
     def __init__(self, survivors: Optional[List[DesignObject]],
                  eliminated=None, eliminated_factory=None,
@@ -516,6 +530,7 @@ class IndexedPruneReport(PruneReport):
         super().__init__(survivors, eliminated, eliminated_factory)
         self.survivor_ids = survivor_ids
         self.index = index
+        self._survivor_names: Optional[List[str]] = None
 
     @property
     def survivors(self) -> List[DesignObject]:
@@ -526,3 +541,11 @@ class IndexedPruneReport(PruneReport):
     @survivors.setter
     def survivors(self, cores: Optional[List[DesignObject]]) -> None:
         self._survivors = cores
+
+    @property
+    def survivor_names(self) -> List[str]:
+        if self._survivor_names is None:
+            names = self.index.names
+            self._survivor_names = [names[i]
+                                    for i in _bits(self.survivor_ids.mask)]
+        return self._survivor_names

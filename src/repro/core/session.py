@@ -21,8 +21,10 @@ The session enforces the CC semantics of Sec 4:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from functools import partial
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence, Set,
+                    Tuple, Union)
 
 from repro.core.cdo import ClassOfDesignObjects
 from repro.core.constraints import (
@@ -61,15 +63,52 @@ from repro.errors import (
 TRACE_SET_LIMIT = 4096
 
 
-@dataclass
 class OptionInfo:
-    """What the layer can tell the designer about one option of an issue."""
+    """What the layer can tell the designer about one option of an issue.
 
-    option: object
-    eliminated: bool
-    elimination_reason: str
-    candidate_count: int
-    ranges: Dict[str, Tuple[float, float]] = field(default_factory=dict)
+    ``ranges`` (metric -> (min, max) over the option's candidates) may be
+    supplied eagerly, or as ``ranges_factory``: a thunk run on the first
+    read of :attr:`ranges`, whose result is kept.  An automated walk
+    that only counts candidates never pays for them.
+    """
+
+    __slots__ = ("option", "eliminated", "elimination_reason",
+                 "candidate_count", "_ranges", "_ranges_factory")
+
+    def __init__(self, option: object, eliminated: bool,
+                 elimination_reason: str, candidate_count: int,
+                 ranges: Optional[Dict[str, Tuple[float, float]]] = None,
+                 ranges_factory: Optional[
+                     Callable[[], Dict[str, Tuple[float, float]]]] = None):
+        self.option = option
+        self.eliminated = eliminated
+        self.elimination_reason = elimination_reason
+        self.candidate_count = candidate_count
+        self._ranges = ranges if ranges is not None else (
+            None if ranges_factory is not None else {})
+        self._ranges_factory = ranges_factory
+
+    @property
+    def ranges(self) -> Dict[str, Tuple[float, float]]:
+        if self._ranges is None:
+            self._ranges = self._ranges_factory()
+        return self._ranges
+
+    def _fields(self) -> tuple:
+        return (self.option, self.eliminated, self.elimination_reason,
+                self.candidate_count, self.ranges)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]  # mutable, like before
+
+    def __repr__(self) -> str:
+        return ("OptionInfo(option={!r}, eliminated={!r}, "
+                "elimination_reason={!r}, candidate_count={!r}, "
+                "ranges={!r})".format(*self._fields()))
 
 
 class DecisionOutcome:
@@ -842,7 +881,10 @@ class ExplorationSession:
 
         Answered in one indexed pass: the base candidate set (everything
         but this issue's filter) is pruned once, then each option is a
-        posting-set intersection instead of a full re-prune.
+        posting-set intersection instead of a full re-prune.  An
+        option's ranges are computed on their first read, over the index
+        snapshot taken here: a read after a layer mutation still
+        describes the space the options were computed from.
         """
         prop = self._cdo.find_property(issue_name)
         if not isinstance(prop, DesignIssue):
@@ -882,7 +924,8 @@ class ExplorationSession:
                     issue_name, option, self.missing_policy)
             infos.append(OptionInfo(
                 option, False, "", len(ids),
-                index.merit_ranges_for(ids, self.merit_metrics)))
+                ranges_factory=partial(index.merit_ranges_for, ids,
+                                       self.merit_metrics)))
         return infos
 
     def explain(self, core_name: str) -> str:

@@ -18,6 +18,7 @@ served explore results drop the ``pool`` dispatch-accounting key.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -46,14 +47,35 @@ REQUEST_SECONDS = "dsl_request_seconds"
 REQUESTS_TOTAL = "dsl_requests_total"
 
 
+_JSON_OPTIONS = dict(sort_keys=True, separators=(",", ":"), default=repr,
+                     allow_nan=False)
+
+
 def canonical_json(payload: object) -> bytes:
-    """The service's one wire encoding: sorted keys, no whitespace.
+    """The service's one wire encoding: RFC 8259 JSON with sorted keys
+    and no whitespace.
 
     ``default=repr`` matches the CLI's JSON emitter, so exotic option
-    values degrade identically on both surfaces.
+    values degrade identically on both surfaces.  JSON has no NaN or
+    infinity, so a non-finite float (a NaN merit's range, say) is sent
+    as ``null``; only a payload holding one pays for the second pass.
     """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      default=repr).encode("utf-8")
+    try:
+        text = json.dumps(payload, **_JSON_OPTIONS)
+    except ValueError:
+        text = json.dumps(_finite(payload), **_JSON_OPTIONS)
+    return text.encode("utf-8")
+
+
+def _finite(value: object) -> object:
+    """``value`` with every non-finite float inside it replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
 
 
 def default_layer_factories(eol: int = 768) -> Dict[
@@ -436,10 +458,11 @@ class DesignSpaceService:
 
     def _report_payload(self, manager: SnapshotManager,
                         session: ExplorationSession) -> Payload:
-        """The batched prune outcome: survivor count/digest/ranges/names.
+        """The batched prune outcome: survivor count, digest and ranges.
 
-        Shared verbatim across sessions at the same point of the space,
-        so it must stay plain immutable data derived from the report.
+        The batched dict is shared verbatim across sessions at the same
+        point of the space, so it holds only plain data derived from the
+        survivor bitmask; each response gets its own shallow copy.
         """
 
         def compute() -> Payload:
@@ -447,24 +470,14 @@ class DesignSpaceService:
             ranges = report.index.merit_ranges_for(report.survivor_ids,
                                                    session.merit_metrics)
             return {
-                "survivors": len(report.survivors),
+                "survivors": len(report.survivor_ids),
                 "digest": report.digest(),
-                "names": report.survivor_names,
                 "ranges": {name: [low, high]
                            for name, (low, high) in ranges.items()},
             }
 
-        return self.batcher.evaluate(self._prune_key(manager, session),
-                                     compute)
-
-    @staticmethod
-    def _public_report(report: Payload) -> Payload:
-        """The served view of a batched report: everything but the raw
-        survivor-name list (50k names would dominate every response;
-        ``session/candidates`` pages through them instead)."""
-        return {"survivors": report["survivors"],
-                "digest": report["digest"],
-                "ranges": report["ranges"]}
+        return dict(self.batcher.evaluate(
+            self._prune_key(manager, session), compute))
 
     def _handle_session_open(self, params: Params) -> Payload:
         manager = self.manager(_get_str(params, "layer"))
@@ -487,7 +500,7 @@ class DesignSpaceService:
             self.sessions.now(),
             lambda session: self._report_payload(manager, session))
         return {"token": served.token, "layer": manager.layer.name,
-                "start": start, "report": self._public_report(report)}
+                "start": start, "report": report}
 
     def _session_view(self, params: Params,
                       fn: Callable[[SnapshotManager, ExplorationSession],
@@ -506,18 +519,17 @@ class DesignSpaceService:
     def _handle_session_report(self, params: Params) -> Payload:
         return self._session_view(
             params,
-            lambda manager, session: self._public_report(
-                self._report_payload(manager, session)))
+            lambda manager, session: self._report_payload(manager, session))
 
     def _handle_session_candidates(self, params: Params) -> Payload:
         limit = _get_int(params, "limit", 100, minimum=1)
 
         def view(manager: SnapshotManager,
                  session: ExplorationSession) -> Payload:
-            report = self._report_payload(manager, session)
-            return {"survivors": report["survivors"],
-                    "digest": report["digest"],
-                    "names": list(report["names"])[:limit]}
+            report = session.prune_report()
+            return {"survivors": len(report.survivor_ids),
+                    "digest": report.digest(),
+                    "names": report.survivor_names[:limit]}
 
         return self._session_view(params, view)
 
@@ -549,8 +561,7 @@ class DesignSpaceService:
                  session: ExplorationSession) -> Payload:
             session.set_requirement(name, value)
             return {"required": {name: value},
-                    "report": self._public_report(
-                        self._report_payload(manager, session)),
+                    "report": self._report_payload(manager, session),
                     "state": self._state_payload(session)}
 
         return self._session_view(params, step)
@@ -571,8 +582,7 @@ class DesignSpaceService:
                             "survivors_before": outcome.survivors_before,
                             "survivors_after": outcome.survivors_after,
                             "eliminated": outcome.eliminated_count},
-                "report": self._public_report(
-                    self._report_payload(manager, session)),
+                "report": self._report_payload(manager, session),
                 "state": self._state_payload(session),
             }
 
@@ -582,8 +592,7 @@ class DesignSpaceService:
         def step(manager: SnapshotManager,
                  session: ExplorationSession) -> Payload:
             session.undo()
-            return {"report": self._public_report(
-                        self._report_payload(manager, session)),
+            return {"report": self._report_payload(manager, session),
                     "state": self._state_payload(session)}
 
         return self._session_view(params, step)
@@ -606,8 +615,7 @@ class DesignSpaceService:
                  session: ExplorationSession) -> Payload:
             session.restore(tag)
             return {"restored": tag,
-                    "report": self._public_report(
-                        self._report_payload(manager, session)),
+                    "report": self._report_payload(manager, session),
                     "state": self._state_payload(session)}
 
         return self._session_view(params, step)

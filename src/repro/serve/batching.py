@@ -16,7 +16,7 @@ mutation naturally strands old entries — they age out of the LRU, and
 tests.
 
 Results must be immutable/shared-safe (prune-derived plain-data
-payloads are; see ``DesignSpaceService._session_report_payload``).
+payloads are; see ``DesignSpaceService._report_payload``).
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 """Outcomes, Pareto dominance edge cases, rankings, and bounds."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +62,48 @@ class TestOutcome:
     def test_describe_marks_estimated(self):
         o = out(ESTIMATED, {"area": 5.0}, estimated=True)
         assert "[estimated]" in o.describe()
+
+    def test_immutable_and_slotted(self):
+        o = out("c1", {"area": 5.0})
+        assert not hasattr(o, "__dict__")
+        for name in ("core", "path_key", "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(o, name, "x")
+        with pytest.raises(AttributeError):
+            del o.core
+
+    def test_equality_hash_and_repr_leave_out_path_key(self):
+        decisions = (("A", 1),)
+        o = Outcome(decisions, "R", "c1", (("area", 5.0),))
+        same = Outcome(decisions, "R", "c1", (("area", 5.0),),
+                       path_key="rendered elsewhere")
+        assert o == same and hash(o) == hash(same)
+        assert o != Outcome(decisions, "R", "c1", (("area", 5.0),),
+                            estimated=True)
+        assert o != Outcome(decisions, "R", "c2", (("area", 5.0),))
+        assert repr(o) == repr(same) == (
+            "Outcome(decisions=(('A', 1),), cdo='R', core='c1', "
+            "merits=(('area', 5.0),), estimated=False)")
+
+    def test_pickle_and_copy_keep_every_field(self):
+        o = Outcome((("A", 1),), "R", "c1", (("area", 5.0),), True,
+                    path_key="kept")
+        for clone in (pickle.loads(pickle.dumps(o)), copy.copy(o),
+                      copy.deepcopy(o)):
+            assert clone == o and clone.path_key == "kept"
+            assert clone.estimated is True
+
+    def test_terminal_outcomes_share_decision_pairs(self):
+        layer = build_widget_layer()
+        problem = ExplorationProblem(start="Widget", metrics=METRICS,
+                                     layer=layer)
+        result = explore(problem, strategy="exhaustive")
+        pairs = {}
+        for outcome in result.frontier.outcomes():
+            for pair in outcome.decisions:
+                assert pairs.setdefault(pair, pair) is pair
+        assert len(pairs) < sum(len(o.decisions)
+                                for o in result.frontier.outcomes())
 
 
 class TestWeightedSum:

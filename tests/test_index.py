@@ -14,7 +14,7 @@ from repro.core import (
     Requirement,
     RequirementSense,
 )
-from repro.core.index import IdSet, _bin_popcount
+from repro.core.index import IdSet, _bin_popcount, _bits
 from repro.core.values import IntRange
 from repro.core.pruning import merit_bounds, merit_ranges, prune
 
@@ -313,3 +313,32 @@ def test_prune_defers_the_core_list(monkeypatch):
     assert len(report.survivor_ids) == 2 and calls == []
     assert report.survivor_names == ["a", "c"]
     assert report.survivors is report.survivors and calls == [1]
+
+
+def _naive_bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+@pytest.mark.parametrize("mask", [
+    0,
+    1,
+    1 << 49_999,
+    (1 << 50_000) - 1,
+    sum(1 << i for i in range(0, 50_000, 8)),
+    sum(1 << i for i in range(3, 50_000, 32)),
+    sum(1 << i for i in range(7, 50_000, 320)),
+    sum(1 << i for i in range(0, 50_000, 63)),
+    sum(1 << i for i in range(0, 50_000, 65)),
+], ids=["empty", "bit0", "top", "all", "per8", "per32", "per320", "per63",
+        "per65"])
+def test_bits_match_a_naive_scan(mask):
+    assert _bits(mask) == _naive_bits(mask)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), size=st.integers(1, 5000),
+       density=st.floats(0.0, 1.0))
+def test_bits_match_a_naive_scan_at_random_densities(seed, size, density):
+    rnd = random.Random(seed)
+    mask = sum(1 << i for i in range(size) if rnd.random() < density)
+    assert _bits(mask) == _naive_bits(mask)

@@ -8,7 +8,10 @@ HTTP against the 50k-core layer).
 
 import pytest
 
-from repro.core import CoreQuery, ExplorationSession
+import json
+import math
+
+from repro.core import CoreIndex, CoreQuery, DesignObject, ExplorationSession
 from repro.core.explore import ExplorationProblem, explore
 from repro.core.pruning import merit_ranges, names_digest
 from repro.core.serialize import core_to_dict
@@ -184,6 +187,39 @@ class TestSessionVerbs:
         assert page["survivors"] == 5
         assert len(page["names"]) == 2
 
+    @pytest.mark.parametrize("limit", [1, 2, 3, 100])
+    def test_candidates_page_equals_the_direct_session(self, service, layer,
+                                                       limit):
+        token = ok(service, "session/open", layer="widgets",
+                   start="Widget")["token"]
+        ok(service, "session/require", token=token, name="Width", value=64)
+        page = ok(service, "session/candidates", token=token, limit=limit)
+        session = ExplorationSession(layer, "Widget")
+        session.set_requirement("Width", 64)
+        names = [core.name for core in session.candidates()]
+        assert page["names"] == names[:limit]
+        assert page["survivors"] == len(names) == 4
+        assert page["digest"] == names_digest(names)
+
+    def test_session_verbs_never_materialize_survivors(self, service,
+                                                       monkeypatch):
+        calls = []
+        materialize = CoreIndex.materialize
+        monkeypatch.setattr(
+            CoreIndex, "materialize",
+            lambda index, ids: calls.append(1) or materialize(index, ids))
+        token = ok(service, "session/open", layer="widgets",
+                   start="Widget")["token"]
+        ok(service, "session/require", token=token, name="Width", value=64)
+        ok(service, "session/decide", token=token, issue="Style",
+           option="hw")
+        ok(service, "session/options", token=token, issue="Tech")
+        ok(service, "session/decide", token=token, issue="Tech",
+           option="t35")
+        ok(service, "session/report", token=token)
+        ok(service, "session/candidates", token=token, limit=2)
+        assert calls == []
+
     def test_options_annotate_counts_and_ranges(self, service, layer):
         token = ok(service, "session/open", layer="widgets",
                    start="Widget")["token"]
@@ -212,6 +248,63 @@ class TestSessionVerbs:
         status, error = err(service, "session/report", token=token)
         assert status == 404
         assert error["code"] == "unknown-session"
+
+
+class TestStrictJson:
+    """Bodies are RFC 8259 JSON: a non-finite merit reads as ``null``."""
+
+    @pytest.fixture()
+    def odd_layer(self):
+        layer = build_widget_layer()
+        layer.libraries.libraries[0].add_all([
+            DesignObject("h8", "Widget.hw",
+                         {"Tech": "t70", "Pipeline": 2, "Width": 64},
+                         {"area": math.nan, "latency_ns": 3.0,
+                          "MaxDelay": 3.0}),
+            DesignObject("h9", "Widget.hw",
+                         {"Tech": "t70", "Pipeline": 4, "Width": 64},
+                         {"area": 50.0, "latency_ns": math.inf,
+                          "MaxDelay": 3.0})])
+        return layer
+
+    @staticmethod
+    def strict(body):
+        def refuse(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+        return json.loads(body, parse_constant=refuse)
+
+    def test_session_bodies_parse_strictly(self, odd_layer):
+        with DesignSpaceService(layers={"widgets": odd_layer}) as svc:
+            def call(verb, **params):
+                status, body = svc.handle_json(
+                    verb, json.dumps(params).encode())
+                assert status == 200, body
+                return self.strict(body)
+
+            token = call("session/open", layer="widgets",
+                         start="Widget")["token"]
+            required = call("session/require", token=token, name="Width",
+                            value=64)
+            assert required["report"]["ranges"]["area"] == [None, None]
+            call("session/decide", token=token, issue="Style", option="hw")
+            options = call("session/options", token=token, issue="Tech")
+            ranges = {o["option"]: o["ranges"] for o in options["options"]}
+            assert ranges["t70"] == {"area": [None, None],
+                                     "latency_ns": [3.0, None]}
+            assert ranges["t35"] == {"area": [100.0, 140.0],
+                                     "latency_ns": [6.0, 10.0]}
+            decided = call("session/decide", token=token, issue="Tech",
+                           option="t70")
+            assert decided["report"]["ranges"]["latency_ns"] == [3.0, None]
+            report = call("session/report", token=token)
+            assert report["survivors"] == 2
+
+    def test_finite_payloads_encode_as_before(self):
+        payload = {"b": [1.5, {"c": (2, "x")}], "a": None}
+        assert canonical_json(payload) == json.dumps(
+            payload, sort_keys=True, separators=(",", ":")).encode()
+        assert canonical_json({"x": [math.inf, -math.inf, math.nan, 1.0]}) \
+            == b'{"x":[null,null,null,1.0]}'
 
 
 class TestErrors:
