@@ -14,8 +14,9 @@
 * exploration parallelism on the 50k synthetic layer — serial vs a warm
   snapshot-hydrated worker pool, plus the jobs 1/2/4 ``parallel_scaling``
   sweep (chunked vs per-task dispatch, snapshot capture/hydrate cost);
-  next to the timings, two host-independent counts: ``range_probes``
-  (option-range computations in one walk per strategy) and
+  next to the timings, host-independent counts: ``range_probes``
+  (option-range computations in one walk per strategy), ``bound_probes``
+  (ideal-point computations in one walk per strategy) and
   ``retained_kb_per_result`` (memory one kept result holds);
 * distributed tracing on the same parallel walk — untraced vs traced
   (worker span buffers + deterministic merge) on a warm jobs=4 pool,
@@ -216,9 +217,11 @@ def explore_measurements(num_cores: int = 50000, repeat: int = 3,
         run_parallel()  # warm workers (snapshot hydration)
         parallel_results.clear()
         parallel = _runs(run_parallel, repeat)
-    probes = {"exhaustive": range_probes(problem, "exhaustive"),
-              "bnb": range_probes(problem, "bnb"),
-              "beam": range_probes(problem, "beam", width=2)}
+    strategies = (("exhaustive", {}), ("bnb", {}), ("beam", {"width": 2}))
+    probes = {method: {strategy: index_calls(problem, method, strategy,
+                                             **options)
+                       for strategy, options in strategies}
+              for method in ("merit_ranges_for", "merit_minima")}
     retained_kb = retained_kb_per_result(problem)
     digests = {full.frontier.digest(), bnb.frontier.digest()}
     digests.update(r.frontier.digest() for r in parallel_results)
@@ -236,7 +239,8 @@ def explore_measurements(num_cores: int = 50000, repeat: int = 3,
             "beam": beam.stats.opened,
         },
         "bnb_pruned_by_bound": bnb.stats.pruned.get("bound", 0),
-        "range_probes": probes,
+        "range_probes": probes["merit_ranges_for"],
+        "bound_probes": probes["merit_minima"],
         "retained_kb_per_result": retained_kb,
         "frontier_size": len(full.frontier),
         "digest": full.frontier.digest(),
@@ -246,25 +250,26 @@ def explore_measurements(num_cores: int = 50000, repeat: int = 3,
     }
 
 
-def range_probes(problem, strategy: str, **options) -> int:
-    """``CoreIndex.merit_ranges_for`` calls in one untraced ``explore()``
-    walk: a work count, deterministic on any host.  Exhaustive search
-    never reads an option's ranges, so it makes none."""
+def index_calls(problem, method: str, strategy: str, **options) -> int:
+    """Calls of ``CoreIndex.<method>`` in one untraced ``explore()``
+    walk: a work count, deterministic on any host.  No strategy reads
+    an option's ranges (``merit_ranges_for``); each bounds options and
+    some terminals by their ideal point (``merit_minima``)."""
     from repro.core.explore import explore
     from repro.core.index import CoreIndex
 
-    original = CoreIndex.merit_ranges_for
+    original = getattr(CoreIndex, method)
     calls = [0]
 
     def counting(index, ids, metrics):
         calls[0] += 1
         return original(index, ids, metrics)
 
-    CoreIndex.merit_ranges_for = counting
+    setattr(CoreIndex, method, counting)
     try:
         explore(problem, strategy=strategy, **options)
     finally:
-        CoreIndex.merit_ranges_for = original
+        setattr(CoreIndex, method, original)
     return calls[0]
 
 

@@ -46,12 +46,12 @@ from repro.core.explore.strategies import (
     SearchStrategy,
     make_strategy,
 )
+from repro.core.index import IndexedPruneReport
 from repro.core.layer import DesignSpaceLayer
 from repro.core.obs import events as _ev
 from repro.core.obs.context import TraceContext
 from repro.core.obs.events import TraceEvent
 from repro.core.properties import DesignIssue
-from repro.core.pruning import merit_bounds
 from repro.core.session import ExplorationSession, OptionInfo
 from repro.errors import (
     ConstraintViolation,
@@ -148,6 +148,9 @@ class SearchContext:
         self._recorder = recorder
         #: (issue, id(option)) -> the shared pair; see :meth:`_assignment`.
         self._pairs: Dict[Tuple[str, int], Tuple[str, object]] = {}
+        #: Rendered merits -> the shared point; see :meth:`_point`.
+        self._points: Dict[str, Tuple[Tuple[Tuple[str, float], ...],
+                                      Tuple[float, ...]]] = {}
         session.checkpoint(ROOT_TAG)
 
     @property
@@ -185,9 +188,25 @@ class SearchContext:
         return self.session.available_options(
             issue.name, limit=self.problem.option_limit)
 
+    def screen(self, issue: DesignIssue, info: OptionInfo) -> Optional[str]:
+        """Reason to cut an opened branch before deciding it, or None."""
+        if self.masked(issue, info):
+            # Statically proved dead by the verifier; cut before any
+            # runtime screening.
+            return "proved-dead"
+        if info.eliminated:
+            return "eliminated"
+        if info.candidate_count == 0 and self.problem.estimator is None:
+            # Nothing survives down there and there is no estimation
+            # fallback: the branch cannot produce an outcome.
+            return "empty"
+        return None
+
     def bound(self, info: OptionInfo) -> Tuple[float, ...]:
-        """Optimistic per-metric bound vector of one option's region."""
-        return merit_bounds(info.ranges, self.metrics)
+        """Optimistic per-metric bound vector of one option's region:
+        the ideal point of its candidates (``merit_bounds`` of its
+        ranges, without computing their maxima)."""
+        return info.index.merit_minima(info.candidate_ids, self.metrics)
 
     def masked(self, issue: DesignIssue, info: OptionInfo) -> bool:
         """True when the problem's verifier dead mask proves this option
@@ -291,7 +310,20 @@ class SearchContext:
             out.append(pair)
         return tuple(out)
 
-    def terminal(self) -> List[Outcome]:
+    def _point(self, merits: Tuple[Tuple[str, float], ...],
+               coords: Tuple[float, ...]
+               ) -> Tuple[Tuple[Tuple[str, float], ...], Tuple[float, ...]]:
+        """``(merits, coords)`` shared by every outcome of the walk with the
+        same merits.  A frontier keeps ties, and a kept result holds its
+        members: the 50 of a 50k-core walk have 3 distinct merit vectors.
+        Keyed by rendering, which tells -0.0 from 0.0; a NaN equals
+        nothing, so its holder keeps its own."""
+        if any(value != value for value in coords):
+            return merits, coords
+        return self._points.setdefault(repr(merits), (merits, coords))
+
+    def terminal(self, via: Optional[OptionInfo] = None,
+                 dominated: bool = False) -> List[Outcome]:
         """Collect the current position's outcomes into the frontier.
 
         One outcome per surviving core; when the surviving set is empty
@@ -306,52 +338,74 @@ class SearchContext:
         strictly dominates the survivors' ideal point (each metric's
         minimum over them) it strictly dominates every survivor, so the
         terminal is counted without visiting a core.
+
+        ``via`` is the option a walk decided last to get here, after
+        testing its :meth:`bound` against the frontier (which has not
+        changed since), and ``dominated`` the result, or True anywhere
+        below an option found dominated.  The option's candidates are exactly this
+        position's survivors, so a dominated terminal with candidates is
+        counted from ``via`` without a prune, and a live one skips the
+        ideal-point test its option already failed.
         """
-        session = self.session
         self.stats.terminals += 1
-        added: List[Outcome] = []
-        report = session.prune_report()
-        ids = report.survivor_ids
-        if ids:
-            metrics = self.metrics
-            frontier = self.frontier
-            self.stats.outcomes += len(ids)
-            if frontier.dominates_bound(
-                    report.index.merit_minima(ids, metrics)):
-                return added
-            decisions = self._assignment()
-            cdo = session.current_cdo.qualified_name
-            path_key = render_path(decisions)
-            worst = (math.inf,) * len(metrics)
-            for core in report.survivors:
-                merits = core.merits
-                coords = tuple(map(merits.get, metrics, worst))
-                if frontier.rejects((path_key, core.name), coords):
-                    continue
-                outcome = Outcome(decisions, cdo, core.name,
-                                  tuple((m, value) for m, value
-                                        in zip(metrics, coords)
-                                        if m in merits),
-                                  path_key=path_key)
-                if frontier.add(outcome):
-                    added.append(outcome)
+        if dominated and via.candidate_count:
+            self.stats.outcomes += via.candidate_count
+            return []
+        report = None if dominated else self.session.prune_report()
+        if report is not None and report.survivor_ids:
+            added = self._offer_survivors(report, leaf_bound=via is None)
         elif self.problem.estimator is not None:
-            decisions = self._assignment()
-            cdo = session.current_cdo.qualified_name
-            self.stats.evaluations += 1
-            estimates = dict(self.problem.estimator(session))
-            merits = tuple((m, float(estimates[m]))
-                           for m in self.metrics if m in estimates)
-            outcome = Outcome(decisions, cdo, ESTIMATED, merits,
-                              estimated=True)
-            self.stats.outcomes += 1
-            if self.frontier.add(outcome):
-                added.append(outcome)
+            added = self._estimate()
+        else:
+            added = []
         obs = self._obs
         if added and obs.enabled:
             obs.emit(_ev.FRONTIER_UPDATE, size=len(self.frontier),
                      added=len(added))
         return added
+
+    def _offer_survivors(self, report: IndexedPruneReport,
+                         leaf_bound: bool) -> List[Outcome]:
+        """Count the survivors and offer the ones the frontier would take;
+        with ``leaf_bound``, first test their ideal point."""
+        ids = report.survivor_ids
+        metrics = self.metrics
+        frontier = self.frontier
+        self.stats.outcomes += len(ids)
+        added: List[Outcome] = []
+        if leaf_bound and frontier.dominates_bound(
+                report.index.merit_minima(ids, metrics)):
+            return added
+        decisions = self._assignment()
+        cdo = self.session.current_cdo.qualified_name
+        path_key = render_path(decisions)
+        worst = (math.inf,) * len(metrics)
+        for core in report.survivors:
+            merits = core.merits
+            coords = tuple(map(merits.get, metrics, worst))
+            if frontier.rejects((path_key, core.name), coords):
+                continue
+            shared, coords = self._point(
+                tuple((m, value) for m, value in zip(metrics, coords)
+                      if m in merits), coords)
+            outcome = Outcome(decisions, cdo, core.name, shared,
+                              path_key=path_key)
+            if frontier.add(outcome, coords):
+                added.append(outcome)
+        return added
+
+    def _estimate(self) -> List[Outcome]:
+        """Offer the estimator's outcome for a position with no survivor."""
+        session = self.session
+        self.stats.evaluations += 1
+        estimates = dict(self.problem.estimator(session))
+        merits = tuple((m, float(estimates[m]))
+                       for m in self.metrics if m in estimates)
+        outcome = Outcome(self._assignment(),
+                          session.current_cdo.qualified_name, ESTIMATED,
+                          merits, estimated=True)
+        self.stats.outcomes += 1
+        return [outcome] if self.frontier.add(outcome) else []
 
 
 @dataclass
@@ -600,15 +654,9 @@ class ExplorationEngine:
                 return frontier, stats, {}
             for info in probe.options(issue):
                 opened = probe.branch_open(issue, info, anchor=obs.enabled)
-                if probe.masked(issue, info):
-                    probe.branch_pruned(issue, info, "proved-dead")
-                    continue
-                if info.eliminated:
-                    probe.branch_pruned(issue, info, "eliminated")
-                    continue
-                if info.candidate_count == 0 \
-                        and self.problem.estimator is None:
-                    probe.branch_pruned(issue, info, "empty")
+                reason = probe.screen(issue, info)
+                if reason is not None:
+                    probe.branch_pruned(issue, info, reason)
                     continue
                 branch = self.problem.with_prefix((issue.name, info.option))
                 tasks.append(BranchTask(

@@ -169,15 +169,18 @@ class ParetoFrontier:
                 return True
         return False
 
-    def add(self, outcome: Outcome) -> bool:
+    def add(self, outcome: Outcome,
+            coords: Optional[Tuple[float, ...]] = None) -> bool:
         """Offer an outcome; True when it joined the frontier.
 
         Duplicates (same decision assignment and core) are ignored;
         dominated newcomers are rejected; members the newcomer strictly
-        dominates are evicted.
+        dominates are evicted.  ``coords`` is ``outcome.coords(metrics)``
+        when the caller already holds it.
         """
         key = outcome.key
-        coords = outcome.coords(self.metrics)
+        if coords is None:
+            coords = outcome.coords(self.metrics)
         if self.rejects(key, coords):
             return False
         evict = [k for k, (existing_coords, _) in self._members.items()

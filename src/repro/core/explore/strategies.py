@@ -6,7 +6,8 @@ Every strategy drives a :class:`~repro.core.explore.engine.SearchContext`
 built in:
 
 ``exhaustive``
-    Depth-first enumeration of every feasible decision path.
+    Depth-first enumeration of every feasible decision path; a branch
+    the frontier already dominates is descended in count-only mode.
 ``bnb`` (branch-and-bound)
     Exhaustive plus bound pruning: a branch whose optimistic merit
     bounds (the per-metric minima over its surviving cores, shrinking
@@ -67,44 +68,52 @@ class SearchStrategy:
 
 
 class ExhaustiveStrategy(SearchStrategy):
-    """Depth-first enumeration of every feasible decision path."""
+    """Depth-first enumeration of every feasible decision path.
+
+    Each option that passes screening with candidates gets one bound
+    check before it is decided (:meth:`SearchContext.bound
+    <repro.core.explore.engine.SearchContext.bound>`).  A frontier
+    member strictly dominating the option's ideal point strictly
+    dominates every core below it, and the frontier only improves, so
+    nothing under the option can join: the walk still descends it, with
+    the same decisions and branch accounting, but its terminals count
+    their survivors from the option that led there instead of offering
+    them (see :meth:`SearchContext.terminal
+    <repro.core.explore.engine.SearchContext.terminal>`).
+    """
 
     name = "exhaustive"
+
+    #: Cut a dominated branch (reason ``"bound"``) instead of counting it.
+    cuts_bound = False
 
     def search(self, ctx: "SearchContext") -> None:
         self._descend(ctx, depth=0)
 
-    def _descend(self, ctx: "SearchContext", depth: int) -> None:
+    def _descend(self, ctx: "SearchContext", depth: int,
+                 via: Optional["OptionInfo"] = None,
+                 dominated: bool = False) -> None:
         issue = ctx.next_issue(depth)
         if issue is None:
-            ctx.terminal()
+            ctx.terminal(via, dominated)
             return
         for info in ctx.options(issue):
             ctx.branch_open(issue, info)
-            reason = self._screen(ctx, issue, info)
+            reason = ctx.screen(issue, info)
+            hit = dominated
+            if reason is None and not dominated and info.candidate_count:
+                hit = ctx.frontier.dominates_bound(ctx.bound(info))
+                if hit and self.cuts_bound \
+                        and ctx.problem.estimator is None:
+                    reason = "bound"
             if reason is not None:
                 ctx.branch_pruned(issue, info, reason)
                 continue
             if not ctx.decide(issue, info.option):
                 ctx.branch_pruned(issue, info, "constraint")
                 continue
-            self._descend(ctx, depth + 1)
+            self._descend(ctx, depth + 1, info, hit)
             ctx.undo()
-
-    def _screen(self, ctx: "SearchContext", issue: object,
-                info: "OptionInfo") -> Optional[str]:
-        """Reason to cut the branch before deciding, or None."""
-        if ctx.masked(issue, info):
-            # Statically proved dead by the verifier; cut before any
-            # runtime screening.
-            return "proved-dead"
-        if info.eliminated:
-            return "eliminated"
-        if info.candidate_count == 0 and ctx.problem.estimator is None:
-            # Nothing survives down there and there is no estimation
-            # fallback: the branch cannot produce an outcome.
-            return "empty"
-        return None
 
 
 class BranchAndBoundStrategy(ExhaustiveStrategy):
@@ -115,21 +124,12 @@ class BranchAndBoundStrategy(ExhaustiveStrategy):
     branch are optimistic bounds on every terminal outcome under it;
     and exact (ties preserved) because only *strict* dominance of the
     bound vector prunes.  With an estimator configured the bound no
-    longer covers estimated outcomes, so bound pruning is disabled and
-    the strategy degrades to exhaustive.
+    longer covers estimated outcomes, so a dominated branch is counted
+    as exhaustive counts it, not cut.
     """
 
     name = "bnb"
-
-    def _screen(self, ctx: "SearchContext", issue: object,
-                info: "OptionInfo") -> Optional[str]:
-        reason = super()._screen(ctx, issue, info)
-        if reason is not None:
-            return reason
-        if ctx.problem.estimator is None \
-                and ctx.frontier.dominates_bound(ctx.bound(info)):
-            return "bound"
-        return None
+    cuts_bound = True
 
 
 class BeamStrategy(SearchStrategy):
@@ -170,15 +170,9 @@ class BeamStrategy(SearchStrategy):
                     continue
                 for info in ctx.options(issue):
                     ctx.branch_open(issue, info)
-                    if ctx.masked(issue, info):
-                        ctx.branch_pruned(issue, info, "proved-dead")
-                        continue
-                    if info.eliminated:
-                        ctx.branch_pruned(issue, info, "eliminated")
-                        continue
-                    if info.candidate_count == 0 \
-                            and ctx.problem.estimator is None:
-                        ctx.branch_pruned(issue, info, "empty")
+                    reason = ctx.screen(issue, info)
+                    if reason is not None:
+                        ctx.branch_pruned(issue, info, reason)
                         continue
                     score = weighted_sum(ctx.bound(info), vector)
                     child = path + ((issue.name, info.option),)

@@ -70,20 +70,30 @@ class OptionInfo:
     supplied eagerly, or as ``ranges_factory``: a thunk run on the first
     read of :attr:`ranges`, whose result is kept.  An automated walk
     that only counts candidates never pays for them.
+
+    ``candidate_ids`` is the option's candidate id set in ``index``, the
+    immutable :class:`~repro.core.index.CoreIndex` it was computed over
+    (both None for an eliminated option), so a walk can bound the option
+    without its ranges.
     """
 
     __slots__ = ("option", "eliminated", "elimination_reason",
-                 "candidate_count", "_ranges", "_ranges_factory")
+                 "candidate_count", "candidate_ids", "index", "_ranges",
+                 "_ranges_factory")
 
     def __init__(self, option: object, eliminated: bool,
                  elimination_reason: str, candidate_count: int,
                  ranges: Optional[Dict[str, Tuple[float, float]]] = None,
                  ranges_factory: Optional[
-                     Callable[[], Dict[str, Tuple[float, float]]]] = None):
+                     Callable[[], Dict[str, Tuple[float, float]]]] = None,
+                 candidate_ids: Optional[IdSet] = None,
+                 index: Optional[CoreIndex] = None):
         self.option = option
         self.eliminated = eliminated
         self.elimination_reason = elimination_reason
         self.candidate_count = candidate_count
+        self.candidate_ids = candidate_ids
+        self.index = index
         self._ranges = ranges if ranges is not None else (
             None if ranges_factory is not None else {})
         self._ranges_factory = ranges_factory
@@ -914,7 +924,7 @@ class ExplorationSession:
                 try:
                     child = owner.child_for_option(option)
                 except Exception:
-                    ids: Set[int] = set()
+                    ids = IdSet()
                 else:
                     ids = index.prune_ids(
                         index.subtree_ids(child.qualified_name),
@@ -925,7 +935,8 @@ class ExplorationSession:
             infos.append(OptionInfo(
                 option, False, "", len(ids),
                 ranges_factory=partial(index.merit_ranges_for, ids,
-                                       self.merit_metrics)))
+                                       self.merit_metrics),
+                candidate_ids=ids, index=index))
         return infos
 
     def explain(self, core_name: str) -> str:

@@ -338,8 +338,9 @@ def spec_layer(specs):
     return layer
 
 
-def reference_terminal(ctx):
-    """Every survivor becomes an Outcome offered to ``frontier.add``."""
+def reference_terminal(ctx, via=None, dominated=False):
+    """Every survivor becomes an Outcome offered to ``frontier.add``; the
+    walk's branch check (``via``/``dominated``) is ignored."""
     session = ctx.session
     ctx.stats.terminals += 1
     decisions = tuple(sorted(session.decisions.items(),
@@ -381,9 +382,13 @@ def walk_terminals(ctx, terminal, root_first=True):
 
 
 def reference_run(monkeypatch, problem, **options):
-    """``explore`` with every terminal built by :func:`reference_terminal`."""
+    """``explore`` with every terminal built by :func:`reference_terminal`
+    and every option bound read from its merit ranges, so no terminal is
+    skipped or counted from its option and bnb cuts on the range bound."""
     with monkeypatch.context() as patch:
         patch.setattr(SearchContext, "terminal", reference_terminal)
+        patch.setattr(SearchContext, "bound", lambda ctx, info: merit_bounds(
+            info.ranges, ctx.metrics))
         return explore(problem, **options)
 
 

@@ -1,8 +1,9 @@
 """Facts a walk may never read are computed only when read.
 
 * An option's merit ranges (``OptionInfo.ranges``) are computed on the
-  first read, over the index the options were computed from: an
-  exhaustive walk never reads them, branch-and-bound and beam do.
+  first read, over the index the options were computed from.  No
+  strategy reads them: exhaustive, branch-and-bound and beam bound an
+  option by the ideal point of its candidate ids (``merit_minima``).
 * A prune report names and fingerprints its survivors from the index's
   name list, without building the survivor core list.
 """
@@ -37,30 +38,47 @@ def range_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def bound_calls(monkeypatch):
+    """Counts ``CoreIndex.merit_minima`` calls."""
+    calls = []
+    original = CoreIndex.merit_minima
+
+    def counting(index, ids, metrics):
+        calls.append(1)
+        return original(index, ids, metrics)
+
+    monkeypatch.setattr(CoreIndex, "merit_minima", counting)
+    return calls
+
+
 class TestRangeProbes:
     @pytest.mark.parametrize("seed", [3, 11, 42])
-    def test_exhaustive_computes_no_option_ranges(self, range_calls, seed):
+    def test_exhaustive_computes_no_option_ranges(self, range_calls,
+                                                  bound_calls, seed):
         problem = ExplorationProblem(start="R", metrics=METRICS,
                                      layer=random_hierarchy_layer(seed))
         full = explore(problem, strategy="exhaustive")
         assert full.stats.opened > 0
         assert range_calls == []
         bnb = explore(problem, strategy="bnb")
-        assert len(range_calls) > 0
+        assert range_calls == []
+        assert len(bound_calls) > 0
         assert bnb.frontier.digest() == full.frontier.digest()
 
-    def test_bnb_and_beam_read_ranges(self, range_calls):
+    def test_bnb_and_beam_read_bounds_not_ranges(self, range_calls,
+                                                 bound_calls):
         problem = ExplorationProblem(start="Widget", metrics=METRICS,
                                      layer=build_widget_layer())
         full = explore(problem, strategy="exhaustive")
-        assert range_calls == []
         bnb = explore(problem, strategy="bnb")
-        probes = len(range_calls)
+        probes = len(bound_calls)
         assert probes > 0
         assert bnb.frontier.digest() == full.frontier.digest()
         wide = explore(problem, strategy="beam", width=64)
-        assert len(range_calls) > probes
+        assert len(bound_calls) > probes
         assert wide.frontier.digest() == full.frontier.digest()
+        assert range_calls == []
 
 
 class TestLazyRanges:
