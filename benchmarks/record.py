@@ -211,8 +211,7 @@ def explore_measurements(num_cores: int = 50000, repeat: int = 3,
         parallel_results.append(explore(
             problem, strategy="exhaustive", pool=pool))
 
-    with WorkerPool(jobs=jobs, backend="process",
-                    snapshot=problem.snapshot) as pool:
+    with WorkerPool(jobs=jobs, snapshot=problem.snapshot) as pool:
         pool.warm()
         run_parallel()  # warm workers (snapshot hydration)
         parallel_results.clear()
@@ -332,7 +331,7 @@ def parallel_scaling_measurements(num_cores: int = 50000, repeat: int = 2,
                                        (2, None, "chunked"),
                                        (4, None, "chunked"),
                                        (4, 1, "per-task")):
-        with WorkerPool(jobs=jobs, backend="process", snapshot=snapshot,
+        with WorkerPool(jobs=jobs, snapshot=snapshot,
                         chunk_size=chunk_size) as pool:
             if jobs > 1:
                 pool.warm()
@@ -369,8 +368,8 @@ def parallel_tracing_measurements(num_cores: int = 50000, repeat: int = 3,
     the same warm snapshot-hydrated pool; the min-over-min ratio is the
     CI gate (< :data:`OVERHEAD_BUDGET`).  Also records the merged
     trace's event count, worker-span count, per-branch sampling rate,
-    and the canonical digest — which must match across backends, job
-    counts, and chunk sizes (``test_bench_trace_parallel.py`` pins
+    and the canonical digest — which must match across job counts and
+    chunk sizes (``test_bench_trace_parallel.py`` pins
     that).
     """
     from test_bench_explore import available_cpus, exploration_problem
@@ -382,8 +381,7 @@ def parallel_tracing_measurements(num_cores: int = 50000, repeat: int = 3,
     layer = problem.resolve_layer()
     layer.observe(None)
     explore(problem, strategy="exhaustive")  # warm-up (index build)
-    with WorkerPool(jobs=jobs, backend="process",
-                    snapshot=problem.snapshot) as pool:
+    with WorkerPool(jobs=jobs, snapshot=problem.snapshot) as pool:
         pool.warm()
         explore(problem, pool=pool)  # warm workers (snapshot hydration)
         untraced = _runs(lambda: explore(problem, pool=pool), repeat)

@@ -19,6 +19,7 @@ branch-and-bound has something to prune:
   to ``BENCH_pruning.json``.
 """
 
+import dataclasses
 import os
 import time
 
@@ -42,9 +43,9 @@ from conftest import emit
 
 METRICS = ("area", "latency_ns")
 
-#: Module-global layer cache: the process backend pickles the factory
-#: by reference and forked workers inherit the prebuilt layer
-#: copy-on-write instead of rebuilding 50k cores per worker.
+#: Module-global layer cache: worker processes receive the factory by
+#: reference and forked workers inherit the prebuilt layer copy-on-write
+#: instead of building 50k cores per worker.
 _LAYERS = {}
 #: Snapshot cache: captured once, hydrated once per pool worker.
 _SNAPSHOTS = {}
@@ -110,7 +111,7 @@ def bench_layer(num_cores: int = 50000) -> DesignSpaceLayer:
 
 
 def layer_factory_50k() -> DesignSpaceLayer:
-    """Module-level factory for the process backend (pickled by name)."""
+    """Module-level factory for worker processes (pickled by name)."""
     return bench_layer(50000)
 
 
@@ -183,8 +184,7 @@ def test_bench_parallel_50k(benchmark):
         t0 = time.perf_counter()
         serial = explore(problem, strategy="exhaustive")
         serial_s.append(time.perf_counter() - t0)
-    with WorkerPool(jobs=4, backend="process",
-                    snapshot=problem.snapshot) as pool:
+    with WorkerPool(jobs=4, snapshot=problem.snapshot) as pool:
         pool.warm()
         explore(problem, strategy="exhaustive", pool=pool)  # warm workers
         parallel_s = []
@@ -235,8 +235,10 @@ def test_bench_parallel_scaling():
         assert best >= 3.0, f"expected >= 3x at jobs=4, got x{best:.2f}"
 
 
-def test_bench_parallel_thread_merge_deterministic(problem_5k):
-    serial = explore(problem_5k, strategy="bnb")
-    runs = {explore(problem_5k, strategy="bnb", jobs=3,
-                    backend="thread").frontier.digest() for _ in range(3)}
+def test_bench_parallel_merge_deterministic(problem_5k):
+    problem = dataclasses.replace(problem_5k,
+                                  snapshot=problem_5k.layer.snapshot())
+    serial = explore(problem, strategy="bnb")
+    runs = {explore(problem, strategy="bnb", jobs=3).frontier.digest()
+            for _ in range(3)}
     assert runs == {serial.frontier.digest()}

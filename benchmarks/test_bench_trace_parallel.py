@@ -6,8 +6,8 @@ trace merge enabled must cost less than 10% over the same untraced
 dispatch (best-of-N over best-of-N).  The overhead gate is valid on any
 CPU count — both sides pay the identical dispatch cost — so unlike the
 speedup gates it is not CPU-gated.  The determinism tests pin the
-canonical merged trace byte-identical across backends, job counts, and
-chunk sizes, and the merged trace replayable with every pruning
+canonical merged trace byte-identical across job counts and chunk
+sizes, and the merged trace replayable with every pruning
 checkpoint verifying.  ``benchmarks/record.py`` commits the numbers to
 ``BENCH_pruning.json`` under ``"parallel_tracing"``.
 """
@@ -65,10 +65,10 @@ def test_bench_traced_parallel_within_budget():
 
 def test_merged_trace_byte_identical_across_dispatch(problem_50k):
     configs = (
-        {"jobs": 2, "backend": "thread"},
-        {"jobs": 4, "backend": "thread", "chunk_size": 2},
-        {"jobs": 4, "backend": "process"},
-        {"jobs": 4, "backend": "process", "chunk_size": 1},
+        {"jobs": 2},
+        {"jobs": 4, "chunk_size": 2},
+        {"jobs": 4},
+        {"jobs": 4, "chunk_size": 1},
     )
     outcomes = [traced_events(problem_50k, **config) for config in configs]
     blobs = {canonical_trace_bytes(events) for events, _ in outcomes}
@@ -80,7 +80,7 @@ def test_merged_trace_byte_identical_across_dispatch(problem_50k):
 def test_merged_trace_replays_and_profiles(problem_50k):
     from repro.core.obs import replay
 
-    events, _ = traced_events(problem_50k, jobs=4, backend="process")
+    events, _ = traced_events(problem_50k, jobs=4)
     report = replay.replay_trace(problem_50k.resolve_layer(), events)
     assert report.ok, report.render_text()
     assert report.checks > 0

@@ -78,11 +78,13 @@ def main() -> None:
           "non-dominated ones")
 
     # ------------------------------------------------------------------
-    # Parallel evaluation: same digest, branch per worker.
+    # Parallel evaluation: same digest, one branch per worker process.
+    # The factory-carrying problem (no live layer) ships to the workers.
     # ------------------------------------------------------------------
-    parallel = explore(problem, strategy="exhaustive", jobs=2)
+    parallel = explore(crypto_exploration_problem(), strategy="exhaustive",
+                       jobs=2)
     assert parallel.frontier.digest() == full.frontier.digest()
-    print(f"\njobs=2 (thread) reproduces the frontier: "
+    print(f"\njobs=2 reproduces the frontier: "
           f"digest {parallel.frontier.digest()}")
 
     # ------------------------------------------------------------------

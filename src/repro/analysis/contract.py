@@ -136,9 +136,9 @@ DEFAULT_CONTRACT = ConcurrencyContract(
         "Histogram",
         "_LayerCache",
         "_HydrationLog",
-        # Thread-safe since the distributed-tracing work: thread/async
-        # workers emit into the shared recorder natively, and the engine
-        # absorbs worker buffers into it from the dispatch thread.
+        # Served sessions on concurrent handler threads emit into one
+        # layer's recorder, and the engine absorbs worker buffers into
+        # it from the dispatch thread.
         "TraceRecorder",
         "_InitTraceLog",
         # The service layer (repro.serve): every handler thread of the
@@ -246,7 +246,7 @@ DEFAULT_CONTRACT = ConcurrencyContract(
         # the merged-trace canonical byte stream (PR 8's oracle)
         "repro.core.obs.context:canonical_trace_bytes",
         "repro.core.obs.context:canonical_trace_digest",
-        # frontier/prune digests compared across backends and sessions
+        # frontier/prune digests compared across job counts and sessions
         "repro.core.explore.outcome:ParetoFrontier.digest",
         "repro.core.pruning:PruneReport.digest",
         # worker snapshot capture: identical layers must capture

@@ -2,9 +2,9 @@
 
 A hydrated layer — one obtained from ``LayerSnapshot.hydrate()``, the
 per-process ``_LayerCache``, or the ``_worker_layer`` dispatcher — is
-shared across every task a worker runs (and, under the thread backend,
-across workers).  Worker-side code may *read* it freely; writing to it
-corrupts every sibling task's view and invalidates nothing.
+shared across every task a worker runs.  Worker-side code may *read*
+it freely; writing to it corrupts every sibling task's view and
+invalidates nothing.
 
 The pass tracks, inside each worker-reachable function, which locals
 were assigned from a hydration source (including the first element of a
@@ -69,9 +69,9 @@ def check_snapshots(model: ProjectModel,
                     module.path, call.lineno, fn.qualname,
                     f"worker code installs a recorder on hydrated layer "
                     f"{call.base!r}; TraceRecorder is single-owner",
-                    hint="rebuild the layer per task (layer_factory) when "
-                         "tracing is requested instead of observing the "
-                         "shared hydrated copy"))
+                    hint="emit into the task's WorkerTraceBuffer (the "
+                         "problem's TraceContext) instead of observing "
+                         "the shared hydrated copy"))
             elif call.name in contract.layer_mutators:
                 findings.append(WORKER_MUTATES_HYDRATED_LAYER.make(
                     module.path, call.lineno, fn.qualname,

@@ -231,23 +231,15 @@ def _automated_explore(args: argparse.Namespace) -> int:
                        generations=args.generations)
     elif args.strategy == "beam":
         options["width"] = args.beam_width
-    with ExplorationEngine(problem, strategy=args.strategy,
-                           jobs=args.jobs, backend=args.backend,
-                           strategy_options=options,
-                           chunk_size=getattr(args, "chunk_size", None),
-                           keep_pool=getattr(args, "keep_pool", False),
-                           trace_sample_rate=getattr(args, "trace_sample",
-                                                     None)
-                           ) as engine:
-        result = engine.run()
+    result = ExplorationEngine(
+        problem, strategy=args.strategy, jobs=args.jobs,
+        strategy_options=options,
+        chunk_size=getattr(args, "chunk_size", None),
+        trace_sample_rate=getattr(args, "trace_sample", None)).run()
     if getattr(args, "json", False):
         _emit_json(args, result.to_dict())
     else:
         _emit(args, result.render_text(limit=args.top))
-    if (result.pool or {}).get("rebuilds"):
-        print("note: workers rebuilt the layer per task; attach a "
-              "LayerSnapshot (problem.snapshot) or a cacheable "
-              "layer_factory for one-time hydration", file=sys.stderr)
     if args.trace:
         from repro.core.obs import write_jsonl
         events = layer.observer.events
@@ -462,7 +454,7 @@ def cmd_shell(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import DesignSpaceService, serve
-    service = DesignSpaceService(eol=args.eol, jobs=args.jobs,
+    service = DesignSpaceService(eol=args.eol,
                                  default_layer=args.layer,
                                  session_ttl=args.session_ttl)
 
@@ -560,21 +552,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the exploration engine instead of a "
                              "scripted walk")
     engine.add_argument("--jobs", type=int, default=1,
-                        help="parallel branch evaluators (1 = serial)")
-    engine.add_argument("--backend", default="thread",
-                        choices=("thread", "process", "async"),
-                        help="worker pool backend for --jobs > 1 "
-                             "(async overlaps estimator-bound branches "
-                             "on one event loop)")
+                        help="worker processes evaluating branches "
+                             "(1 = serial)")
     engine.add_argument("--chunk-size", type=int, default=None,
                         metavar="N",
                         help="branches per dispatched chunk (default: "
                              "tasks // (jobs * 4); idle workers steal "
                              "pending chunks)")
-    engine.add_argument("--keep-pool", action="store_true",
-                        help="keep the worker pool (and its hydrated "
-                             "layers) warm until the command exits "
-                             "instead of closing it after the dispatch")
     engine.add_argument("--seed", type=int, default=0,
                         help="evolutionary strategy seed (deterministic)")
     engine.add_argument("--beam-width", type=int, default=4,
@@ -730,9 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="interface to bind (default 127.0.0.1)")
     p.add_argument("--port", type=int, default=8080,
                    help="TCP port (0 picks an ephemeral port)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads of the shared explore pool "
-                        "(1 = serial explores)")
     p.add_argument("--json-logs", action="store_true",
                    help="structured JSON access logs on stderr")
     p.add_argument("--session-ttl", type=float, default=900.0,

@@ -39,7 +39,6 @@ from repro.core.designobject import (
 from repro.core.evaluation import EvaluationPoint, EvaluationSpace, dominates
 from repro.core.explore import (
     BranchAndBoundStrategy,
-    BranchEvaluator,
     BeamStrategy,
     EvolutionaryStrategy,
     ExhaustiveStrategy,
@@ -176,7 +175,7 @@ __all__ = [
     "IssueImpact", "advise", "assess_issue",
     "Diagnostic", "LintConfig", "LintReport", "LintRule", "RuleRegistry",
     "Severity", "SourceLocation", "lint_layer",
-    "BeamStrategy", "BranchAndBoundStrategy", "BranchEvaluator",
+    "BeamStrategy", "BranchAndBoundStrategy",
     "EvolutionaryStrategy", "ExhaustiveStrategy",
     "ExplorationEngine", "ExplorationProblem", "ExplorationResult",
     "ExplorationStats", "Outcome", "ParetoFrontier", "PoolStats",

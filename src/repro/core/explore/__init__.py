@@ -6,8 +6,8 @@ loop and drives those decisions automatically: pluggable search
 strategies (exhaustive, branch-and-bound, beam, evolutionary) walk
 :class:`~repro.core.session.ExplorationSession` objects, terminal
 outcomes accumulate on a :class:`ParetoFrontier`, and independent
-branches can be evaluated in parallel by a persistent, snapshot-hydrated
-:class:`WorkerPool` with chunked work stealing.  See
+branches can be evaluated in parallel by a snapshot-hydrated
+:class:`WorkerPool` of processes with chunked work stealing.  See
 ``docs/exploration.md`` for the strategy catalogue and the parallelism
 model.
 """
@@ -26,8 +26,6 @@ from repro.core.explore.outcome import (
     weighted_sum,
 )
 from repro.core.explore.parallel import (
-    BACKENDS,
-    BranchEvaluator,
     BranchResult,
     BranchTask,
     DispatchStats,
@@ -49,11 +47,9 @@ from repro.core.explore.strategies import (
 )
 
 __all__ = [
-    "BACKENDS",
     "ESTIMATED",
     "BeamStrategy",
     "BranchAndBoundStrategy",
-    "BranchEvaluator",
     "BranchResult",
     "BranchTask",
     "DispatchStats",

@@ -9,15 +9,14 @@ trace events (``explore_start``, ``branch_open``, ``branch_pruned``,
 ``frontier_update``) along the way.
 
 With ``jobs > 1`` the engine fans the root issue's branches out to a
-:class:`~repro.core.explore.parallel.WorkerPool`; each worker searches
-its branch on its own session and the results are merged in dispatch
-order, so the frontier is deterministic and independent of worker
-scheduling.  Strategies whose ``parallel_mode`` is ``"islands"`` (the
-evolutionary one) parallelize as ``jobs`` independent populations seeded
-``seed .. seed+jobs-1`` instead.  Pass a pre-built pool — or set
-``keep_pool=True`` — to reuse warmed workers and their hydrated layers
-across ``run()`` calls; otherwise the engine spins up an ephemeral pool
-per run and closes it afterwards.
+:class:`~repro.core.explore.parallel.WorkerPool` of processes; each
+worker searches its branch on its own session and the results are
+merged in dispatch order, so the frontier is deterministic and
+independent of worker scheduling.  Strategies whose ``parallel_mode`` is
+``"islands"`` (the evolutionary one) parallelize as ``jobs`` independent
+populations seeded ``seed .. seed+jobs-1`` instead.  Lend a pool to
+reuse warmed workers and their hydrated layers across runs; otherwise
+each parallel run starts a pool of its own and closes it afterwards.
 """
 
 from __future__ import annotations
@@ -416,7 +415,6 @@ class ExplorationResult:
     frontier: ParetoFrontier
     stats: ExplorationStats
     jobs: int = 1
-    backend: str = "thread"
     elapsed_s: float = 0.0
     #: Parallel dispatch accounting (chunks, steals, hydrations, worker
     #: utilization) from the pool's last dispatch; None on serial runs.
@@ -426,7 +424,6 @@ class ExplorationResult:
         out: Dict[str, object] = {
             "strategy": self.strategy,
             "jobs": self.jobs,
-            "backend": self.backend,
             "stats": self.stats.to_dict(),
             "frontier": self.frontier.to_dict(),
             "digest": self.frontier.digest(),
@@ -443,8 +440,7 @@ class ExplorationResult:
         Parallel runs append a pool footer whose steal / hydration
         figures depend on worker scheduling.
         """
-        lines = [f"Exploration [{self.strategy}] "
-                 f"jobs={self.jobs} ({self.backend})",
+        lines = [f"Exploration [{self.strategy}] jobs={self.jobs}",
                  f"  {self.stats.describe()}",
                  "  " + self.frontier.render_text(limit).replace(
                      "\n", "\n  ")]
@@ -472,13 +468,9 @@ class ExplorationResult:
                     f" ({p.get('hydrate_ms', 0)} ms)"]
             if num("utilization"):
                 bits.append(f"utilization={num('utilization'):.0%}")
+            if num("restarts"):
+                bits.append(f"restarts={p.get('restarts')}")
             lines.append("  " + " ".join(bits))
-            rebuilds = int(num("rebuilds"))
-            if rebuilds:
-                lines.append(
-                    f"  warning: {rebuilds} per-task layer rebuild(s) — "
-                    "the layer_factory is not cacheable; attach a "
-                    "LayerSnapshot to the problem")
         return "\n".join(lines)
 
 
@@ -487,27 +479,18 @@ class ExplorationEngine:
 
     ``pool`` lends the engine a caller-owned
     :class:`~repro.core.explore.parallel.WorkerPool` (never closed by
-    the engine); ``keep_pool=True`` makes the engine build its own on
-    the first parallel run and keep it warm until :meth:`close` (the
-    engine is a context manager for exactly this).  Without either, each
-    parallel ``run()`` uses an ephemeral pool.
+    the engine, and its ``jobs`` win); without one, each parallel
+    ``run()`` starts a pool of its own and closes it on return.
     """
 
     def __init__(self, problem: ExplorationProblem,
                  strategy: str = "exhaustive", jobs: int = 1,
-                 backend: str = "thread",
                  strategy_options: Optional[Mapping[str, object]] = None,
                  chunk_size: Optional[int] = None,
                  pool: Optional["WorkerPool"] = None,
-                 keep_pool: bool = False,
                  trace_sample_rate: Optional[float] = None):
-        from repro.core.explore.parallel import BACKENDS
-
         if jobs < 1:
             raise ExplorationError(f"jobs must be >= 1, got {jobs}")
-        if backend not in BACKENDS:
-            raise ExplorationError(
-                f"unknown backend {backend!r}; known: {list(BACKENDS)}")
         if chunk_size is not None and chunk_size < 1:
             raise ExplorationError(
                 f"chunk size must be >= 1, got {chunk_size}")
@@ -523,56 +506,15 @@ class ExplorationEngine:
         # construction, not inside a worker.
         self._strategy: SearchStrategy = make_strategy(
             strategy, **self.strategy_options)
-        if pool is not None:
-            # A lent pool defines the parallelism shape; adopting its
-            # jobs/backend keeps the result record honest.
-            jobs, backend = pool.jobs, pool.backend
-        self.jobs = jobs
-        self.backend = backend
+        # A lent pool defines the parallelism shape; adopting its jobs
+        # keeps the result record honest.
+        self.jobs = pool.jobs if pool is not None else jobs
         self.chunk_size = chunk_size
-        self.keep_pool = keep_pool
         #: Per-branch trace sampling rate for parallel runs; None means
         #: the adaptive default (full tracing up to 16 tasks, decaying
         #: beyond — see :func:`repro.core.obs.context.adaptive_sample_rate`).
         self.trace_sample_rate = trace_sample_rate
-        self._lent_pool = pool
-        self._own_pool: Optional["WorkerPool"] = None
-
-    # ------------------------------------------------------------------
-    # pool lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release the engine-owned kept pool (lent pools stay open)."""
-        if self._own_pool is not None:
-            self._own_pool.close()
-            self._own_pool = None
-
-    def __enter__(self) -> "ExplorationEngine":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def _acquire_pool(self, trace: Optional[TraceContext] = None
-                      ) -> Tuple["WorkerPool", bool]:
-        """The pool to dispatch on, plus whether to close it after.
-
-        ``trace`` reaches the process-pool initializer of pools this
-        call creates; lent / already-started pools keep their own.
-        """
-        from repro.core.explore.parallel import WorkerPool
-
-        if self._lent_pool is not None:
-            return self._lent_pool, False
-        if self._own_pool is not None:
-            return self._own_pool, False
-        pool = WorkerPool(jobs=self.jobs, backend=self.backend,
-                          snapshot=self.problem.snapshot,
-                          chunk_size=self.chunk_size, trace=trace)
-        if self.keep_pool:
-            self._own_pool = pool
-            return pool, False
-        return pool, True
+        self.pool = pool
 
     # ------------------------------------------------------------------
     def run(self) -> ExplorationResult:
@@ -594,8 +536,8 @@ class ExplorationEngine:
         elapsed = time.perf_counter() - started
         return ExplorationResult(
             strategy=self._strategy.describe(), frontier=frontier,
-            stats=stats, jobs=self.jobs, backend=self.backend,
-            elapsed_s=elapsed, pool=pool_stats)
+            stats=stats, jobs=self.jobs, elapsed_s=elapsed,
+            pool=pool_stats)
 
     def _run_serial(self, layer: DesignSpaceLayer
                     ) -> Tuple[ParetoFrontier, ExplorationStats]:
@@ -616,7 +558,7 @@ class ExplorationEngine:
     def _run_parallel(self, layer: DesignSpaceLayer
                       ) -> Tuple[ParetoFrontier, ExplorationStats,
                                  Dict[str, object]]:
-        from repro.core.explore.parallel import BranchTask
+        from repro.core.explore.parallel import BranchTask, WorkerPool
 
         frontier = ParetoFrontier(self.problem.metrics)
         stats = ExplorationStats()
@@ -691,11 +633,16 @@ class ExplorationEngine:
                         index,
                         anchor.span if anchor is not None else None))
 
-        pool, ephemeral = self._acquire_pool(trace_base)
+        pool = self.pool
+        if pool is None:
+            # ``trace_base`` reaches the initializer of the pool this run
+            # owns; a lent pool keeps the context it was started with.
+            pool = WorkerPool(jobs=self.jobs, snapshot=self.problem.snapshot,
+                              chunk_size=self.chunk_size, trace=trace_base)
         try:
             results = pool.map(tasks)
         finally:
-            if ephemeral:
+            if pool is not self.pool:
                 pool.close()
         absorb = getattr(obs, "absorb", None)
         for index, result in enumerate(results):
@@ -720,38 +667,35 @@ class ExplorationEngine:
                          seconds=dispatch.hydrate_s,
                          source="snapshot" if self.problem.snapshot
                          is not None else "factory")
-            if dispatch.rebuilds:
-                obs.emit(_ev.WORKER_REBUILD, count=dispatch.rebuilds)
             if dispatch.chunks:
                 obs.emit(_ev.CHUNK_DISPATCH, tasks=dispatch.tasks,
                          chunks=dispatch.chunks,
                          chunk_size=dispatch.chunk_size,
-                         workers=pool.jobs, backend=pool.backend,
+                         workers=pool.jobs,
                          utilization=round(dispatch.utilization, 4))
             if dispatch.steals:
                 obs.emit(_ev.CHUNK_STEAL, count=dispatch.steals)
-        pool_stats: Dict[str, object] = {
-            "workers": pool.jobs, "backend": pool.backend}
+        pool_stats: Dict[str, object] = {"workers": pool.jobs}
         pool_stats.update(dispatch.to_dict())
         return frontier, stats, pool_stats
 
 
 def explore(problem: ExplorationProblem, strategy: str = "exhaustive",
-            jobs: int = 1, backend: str = "thread",
-            chunk_size: Optional[int] = None,
+            jobs: int = 1, chunk_size: Optional[int] = None,
             pool: Optional["WorkerPool"] = None,
             trace_sample_rate: Optional[float] = None,
             **strategy_options: object) -> ExplorationResult:
     """One-call convenience wrapper around :class:`ExplorationEngine`.
 
-    Pass ``pool`` to dispatch on a caller-owned persistent
-    :class:`~repro.core.explore.parallel.WorkerPool` (its jobs/backend
-    take precedence); otherwise an ephemeral pool lives for this call.
+    With ``jobs > 1`` the branches run on worker processes, so the
+    problem needs a picklable ``layer_factory`` or a ``snapshot``.  Pass
+    ``pool`` to dispatch on a caller-owned persistent
+    :class:`~repro.core.explore.parallel.WorkerPool` (its jobs take
+    precedence); otherwise a pool lives for this call only.
     ``trace_sample_rate`` overrides the adaptive per-branch sampling
     rate of traced parallel runs (see ``docs/observability.md``).
     """
     engine = ExplorationEngine(problem, strategy=strategy, jobs=jobs,
-                               backend=backend,
                                strategy_options=strategy_options,
                                chunk_size=chunk_size, pool=pool,
                                trace_sample_rate=trace_sample_rate)

@@ -2,24 +2,21 @@
 
 The unit of distribution is a :class:`BranchTask` — one problem/strategy
 pair, usually one branch of the root issue's fan-out.  A
-:class:`WorkerPool` runs tasks through a persistent ``concurrent.futures``
-executor and returns :class:`BranchResult` records **in task order**, so
-the engine's merge is deterministic no matter how workers were scheduled.
+:class:`WorkerPool` runs tasks on worker processes and returns
+:class:`BranchResult` records **in task order**, so the engine's merge is
+deterministic no matter how workers were scheduled.  Processes are the
+one parallel path: the branch search is pure Python and holds the GIL,
+so only separate interpreters run branches at the same time.
 
-Three things make the pool fast where the naive one-branch-per-submit,
-one-pool-per-call evaluator was not:
-
-* **Snapshot hydration** — process workers hydrate their layer **once**,
-  at pool startup, from a compact :class:`~repro.core.serialize.LayerSnapshot`
-  shipped through the pool initializer, instead of re-running
-  ``layer_factory`` per dispatch.  Hydrated layers live in a small
+* **Snapshot hydration** — workers hydrate their layer **once**, at pool
+  startup, from a compact :class:`~repro.core.serialize.LayerSnapshot`
+  shipped through the pool initializer.  Hydrated layers live in a small
   per-process LRU (:data:`LAYER_CACHE_SIZE`) keyed by snapshot digest or
-  factory identity, so repeated explorations and multiple problems reuse
-  them without leaking.
-* **Persistence** — the pool (and its warmed workers) outlives
-  individual ``explore()`` calls: create it once, pass it to the engine
-  (or use ``keep_pool=True``), and close it explicitly or via the
-  context-manager protocol.
+  by the pickle bytes of the problem's ``layer_factory``, so repeated
+  explorations and multiple problems reuse them without leaking.
+* **Ownership** — a pool is either lent by the caller (``pool=``), and
+  then outlives individual ``explore()`` calls with its warmed workers,
+  or owned by one call, which closes it on return.
 * **Chunked work stealing** — tasks are batched into chunks of
   ``len(tasks) / (jobs * CHUNK_OVERSUBSCRIBE)`` and submitted
   individually; idle workers pull the next pending chunk from the
@@ -27,40 +24,35 @@ one-pool-per-call evaluator was not:
   being handed a fixed ``executor.map`` slice.  Results are re-sorted by
   task index before merging, so frontier digests stay byte-identical to
   serial runs.
+* **Restart** — a worker that dies breaks its executor.  The pool starts
+  a fresh one and re-dispatches the unfinished chunks once, counting the
+  restart; a second break in the same dispatch raises
+  :class:`~repro.errors.ExplorationError`, and the next dispatch starts
+  clean.
 
-A fourth backend, ``async``, drives every branch as an awaitable over a
-shared thread executor inside one event loop — useful for
-estimator-bound problems whose estimation tools block on I/O or external
-processes, where the overlap is real even under the GIL.
+Every ``layer_factory`` that reaches a worker is pickled before
+dispatch; a factory that cannot be pickled (a lambda, a closure) is
+rejected there with an :class:`~repro.errors.ExplorationError`.  With one
+worker or one task, :meth:`WorkerPool.map` evaluates in the calling
+thread instead, and may then search the problem's own live layer.
 
-Tracing crosses the pool boundary without sharing a recorder: when the
-problem carries a sampled :class:`~repro.core.obs.context.TraceContext`,
+Tracing crosses the process boundary without sharing a recorder: when
+the problem carries a sampled :class:`~repro.core.obs.context.TraceContext`,
 each branch evaluation fills a bounded, plain-data
 :class:`~repro.core.obs.context.WorkerTraceBuffer` (a ``worker_task``
 span wrapping hydration and strategy events) that travels back inside
 :class:`BranchResult` for the engine to merge deterministically.
-Workers still prefer an *untraced* layer (hydrated or factory-built) so
-the shared-nothing fast path stays allocation-free, but the thread and
-async backends may share the problem's own traced layer directly —
-:class:`~repro.core.obs.recorder.TraceRecorder` is thread-safe — at the
-cost of nondeterministic interleaving of session events in the parent
-trace.
 """
 
 from __future__ import annotations
 
-import asyncio
-import functools
 import os
+import pickle
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import (
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -74,8 +66,6 @@ from repro.core.obs import events as ev
 from repro.core.obs.context import TraceContext, WorkerTraceBuffer
 from repro.core.serialize import LayerSnapshot
 from repro.errors import ConstraintViolation, ExplorationError, SessionError
-
-BACKENDS = ("thread", "process", "async")
 
 #: Per-process worker layer cache capacity.  Small on purpose: a worker
 #: serves one or two problems at a time, and a 50k-core layer is tens of
@@ -112,10 +102,6 @@ class BranchResult:
     hydrate_s: float = 0.0
     #: The task hydrated/built a fresh layer into the worker cache.
     hydrated: bool = False
-    #: The task rebuilt the layer *without* caching it — the unkeyable
-    #: factory fallback the pool surfaces as a warning (see
-    #: ``dsl_worker_layer_rebuilds_total``).
-    rebuilt: bool = False
     #: Drained :class:`~repro.core.obs.context.WorkerTraceBuffer`
     #: records (plain dicts) when the branch was sampled for tracing.
     trace: List[Dict[str, object]] = field(default_factory=list)
@@ -124,39 +110,32 @@ class BranchResult:
     trace_dropped: int = 0
 
 
-def _factory_key(factory: Callable[[], DesignSpaceLayer]
-                 ) -> Optional[Tuple[object, ...]]:
-    """Hashable identity of a layer factory, for the per-process cache.
+def _factory_key(factory: Callable[[], DesignSpaceLayer]) -> bytes:
+    """The factory's pickle bytes: what a worker receives of it, and so
+    its identity in the per-process layer cache.
 
-    ``functools.partial`` objects hash by instance, which differs in
-    every worker dispatch; key them structurally instead.  Unkeyable
-    factories (unhashable args, callables without a qualified name)
-    return None — the worker then rebuilds per task, which is correct,
-    just slow; the pool counts those rebuilds and the engine emits a
-    ``worker_layer_rebuild`` warning event so the regression is visible
-    rather than silent.
+    Two ``functools.partial`` objects over the same function and
+    arguments pickle alike and share one cached layer.  A factory that
+    does not pickle could never reach a worker; it is rejected here,
+    before anything is dispatched.
     """
     try:
-        if isinstance(factory, functools.partial):
-            key: Tuple[object, ...] = (
-                "partial", factory.func.__module__,
-                factory.func.__qualname__, factory.args,
-                tuple(sorted(factory.keywords.items())))
-        else:
-            key = ("callable", factory.__module__, factory.__qualname__)
-        hash(key)  # unhashable args poison the cache lookup
-        return key
-    except (AttributeError, TypeError):
-        return None
+        return pickle.dumps(factory, protocol=pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise ExplorationError(
+            f"layer_factory {factory!r} cannot be pickled for a worker "
+            f"process ({exc}); use a module-level function (or a "
+            "functools.partial of one), or attach a LayerSnapshot "
+            "(problem.snapshot)") from exc
 
 
 class _LayerCache:
     """A tiny per-process LRU of worker layers.
 
-    Keys are snapshot digests (``("snapshot", digest)``) or structural
-    factory identities (:func:`_factory_key`).  Bounded so a worker that
-    serves many distinct problems does not accumulate every layer it
-    ever built (each can be tens of MB).
+    Keys are snapshot digests (``("snapshot", digest)``) or factory
+    pickle bytes (``("factory", bytes)``, see :func:`_factory_key`).
+    Bounded so a worker that serves many distinct problems does not
+    accumulate every layer it ever built (each can be tens of MB).
     """
 
     def __init__(self, capacity: int = LAYER_CACHE_SIZE):
@@ -165,11 +144,12 @@ class _LayerCache:
         self.capacity = capacity
         self._entries: "OrderedDict[Tuple[object, ...], DesignSpaceLayer]" \
             = OrderedDict()
-        # The thread backend shares this cache across workers; the LRU
-        # bookkeeping (get's move_to_end, put's eviction loop) is a
-        # multi-step read-modify-write that corrupts the OrderedDict or
-        # raises KeyError when interleaved, so all three ops take the
-        # lock.
+        # The in-process dispatch runs in whichever thread calls
+        # WorkerPool.map, so two caller threads can reach the parent's
+        # cache at once; the LRU bookkeeping (get's move_to_end, put's
+        # eviction loop) is a multi-step read-modify-write that corrupts
+        # the OrderedDict or raises KeyError when interleaved, so all
+        # three ops take the lock.
         self._lock = threading.Lock()
 
     def get(self, key: Tuple[object, ...]) -> Optional[DesignSpaceLayer]:
@@ -198,10 +178,10 @@ class _HydrationLog:
     """Initializer hydration timings, drained by the first chunk each
     worker returns (the parent cannot observe initializer work).
 
-    The old module-level list was appended and drained with a bare
-    ``len``/``sum``/``del`` sequence — under the thread backend two
-    workers draining at once could double-count or drop timings.  The
-    log owns a lock so :meth:`drain` is a single atomic take-all.
+    The log owns a lock so :meth:`drain` is a single atomic take-all:
+    :func:`evaluate_chunk` is public and may run in any thread, and two
+    threads draining a bare list at once could double-count or drop
+    timings.
     """
 
     def __init__(self) -> None:
@@ -227,8 +207,9 @@ class _InitTraceLog:
 
     The initializer has no buffer to write into (it runs before any
     task exists) and the parent cannot observe it, so startup hydration
-    spans park here until a traced branch carries them home.  Shared by
-    every worker thread under the thread backend, hence the lock.
+    spans park here until a traced branch carries them home.  In-process
+    evaluations drain it too, in whichever thread calls
+    :meth:`WorkerPool.map`, hence the lock.
     """
 
     def __init__(self) -> None:
@@ -248,7 +229,7 @@ class _InitTraceLog:
 
 
 #: Per-process cache of worker layers: a worker process serves many
-#: tasks and must not rebuild a 50k-core layer for each.
+#: tasks and must not build a 50k-core layer for each.
 _LAYER_CACHE = _LayerCache()
 
 #: Hydration timings recorded by the pool initializer.
@@ -259,26 +240,31 @@ _INIT_HYDRATIONS = _HydrationLog()
 _INIT_TRACE = _InitTraceLog()
 
 
-def _snapshot_key(snapshot: LayerSnapshot) -> Tuple[object, ...]:
-    return ("snapshot", snapshot.digest)
+def _cached_layer(key: Tuple[object, ...],
+                  build: Callable[[], DesignSpaceLayer]
+                  ) -> Tuple[DesignSpaceLayer, float, bool]:
+    """Resolve a worker layer through the per-process cache, building,
+    sealing and caching it on a miss; returns (layer, secs, fresh)."""
+    layer = _LAYER_CACHE.get(key)
+    if layer is not None:
+        return layer, 0.0, False
+    # dsa: allow[DSA040] -- build time feeds dispatch stats, never a digest
+    t0 = time.perf_counter()
+    layer = build()
+    # dsa: allow[DSA040] -- build time feeds dispatch stats, never a digest
+    elapsed = time.perf_counter() - t0
+    # Cached layers are shared by every task this worker runs: seal
+    # before publishing so the sanitizer turns any in-worker mutation
+    # into a hard error.
+    _sanitizer.seal(layer)
+    _LAYER_CACHE.put(key, layer)
+    return layer, elapsed, True
 
 
 def _hydrate_snapshot(snapshot: LayerSnapshot) -> Tuple[DesignSpaceLayer,
                                                         float, bool]:
     """Resolve a snapshot through the cache; returns (layer, secs, fresh)."""
-    key = _snapshot_key(snapshot)
-    layer = _LAYER_CACHE.get(key)
-    if layer is not None:
-        return layer, 0.0, False
-    t0 = time.perf_counter()
-    layer = snapshot.hydrate()
-    elapsed = time.perf_counter() - t0
-    # Cached layers are shared by every task this worker runs (and, on
-    # the thread backend, by all workers): seal before publishing so the
-    # sanitizer turns any in-worker mutation into a hard error.
-    _sanitizer.seal(layer)
-    _LAYER_CACHE.put(key, layer)
-    return layer, elapsed, True
+    return _cached_layer(("snapshot", snapshot.digest), snapshot.hydrate)
 
 
 def _pool_initializer(snapshot: Optional[LayerSnapshot],
@@ -305,58 +291,40 @@ def _pool_initializer(snapshot: Optional[LayerSnapshot],
 
 
 def _worker_layer(problem: ExplorationProblem
-                  ) -> Tuple[DesignSpaceLayer, float, bool, bool]:
+                  ) -> Tuple[DesignSpaceLayer, float, bool]:
     """Resolve the layer a worker should search.
 
-    Returns ``(layer, hydrate_s, hydrated, rebuilt)``.  Preference
-    order: the problem's own untraced layer (thread backend sharing);
-    the problem's snapshot through the per-process cache; the factory
-    through the cache; the factory per task when it cannot be keyed;
-    finally the problem's own *traced* layer — the recorder is
-    thread-safe, so thread/async workers may emit into it directly,
-    though session events then interleave nondeterministically (prefer
-    a snapshot when trace byte-stability matters).
+    Returns ``(layer, hydrate_s, hydrated)``.  Preference order: the
+    problem's own untraced layer; the problem's snapshot through the
+    per-process cache; the factory through the cache, keyed on its
+    pickle bytes; finally the problem's own *traced* layer.  A live
+    layer never crosses a process boundary (the problem drops it when
+    pickled), so the first and last cases arise only when
+    :meth:`WorkerPool.map` evaluates in the calling thread.
     """
     if problem.layer is not None and not problem.layer.observer.enabled:
-        return problem.layer, 0.0, False, False
+        return problem.layer, 0.0, False
     if problem.snapshot is not None:
-        layer, elapsed, fresh = _hydrate_snapshot(problem.snapshot)
-        return layer, elapsed, fresh, False
+        return _hydrate_snapshot(problem.snapshot)
     factory = problem.layer_factory
     if factory is None:
         if problem.layer is not None:
-            return problem.layer, 0.0, False, False
+            return problem.layer, 0.0, False
         raise ExplorationError(
             "worker has neither a layer, a snapshot, nor a layer_factory")
-    key = _factory_key(factory)
-    if key is None:
-        t0 = time.perf_counter()
-        layer = factory()
-        return layer, time.perf_counter() - t0, False, True
-    layer = _LAYER_CACHE.get(key)
-    if layer is None:
-        t0 = time.perf_counter()
-        layer = factory()
-        elapsed = time.perf_counter() - t0
-        # Same sharing contract as the snapshot path: once cached, the
-        # factory-built layer belongs to every task, so it is sealed.
-        _sanitizer.seal(layer)
-        _LAYER_CACHE.put(key, layer)
-        return layer, elapsed, True, False
-    return layer, 0.0, False, False
+    return _cached_layer(("factory", _factory_key(factory)), factory)
 
 
 def _search_branch(task: BranchTask,
                    buffer: Optional[WorkerTraceBuffer]) -> BranchResult:
     """The branch search proper; strategy events route to ``buffer``."""
-    layer, hydrate_s, hydrated, rebuilt = _worker_layer(task.problem)
-    if buffer is not None and (hydrated or rebuilt):
+    layer, hydrate_s, hydrated = _worker_layer(task.problem)
+    if buffer is not None and hydrated:
         buffer.emit_timed(
-            ev.WORKER_REBUILD if rebuilt else ev.WORKER_HYDRATE,
-            hydrate_s,
+            ev.WORKER_HYDRATE, hydrate_s,
             source="snapshot" if task.problem.snapshot is not None
             else "factory",
-            worker=f"{os.getpid()}:{threading.get_ident()}")
+            worker=str(os.getpid()))
     problem = replace(task.problem, layer=layer, _built=None)
     strategy = make_strategy(task.strategy, **task.options)
     stats = ExplorationStats()
@@ -370,21 +338,19 @@ def _search_branch(task: BranchTask,
             buffer.emit(ev.BRANCH_PRUNED, reason="constraint",
                         branch=task.label)
         return BranchResult(label=task.label, stats=stats,
-                            hydrate_s=hydrate_s, hydrated=hydrated,
-                            rebuilt=rebuilt)
+                            hydrate_s=hydrate_s, hydrated=hydrated)
     ctx = SearchContext(problem, session,
                         ParetoFrontier(problem.metrics), stats,
                         recorder=buffer)
     strategy.search(ctx)
     return BranchResult(label=task.label,
                         outcomes=ctx.frontier.outcomes(), stats=stats,
-                        hydrate_s=hydrate_s, hydrated=hydrated,
-                        rebuilt=rebuilt)
+                        hydrate_s=hydrate_s, hydrated=hydrated)
 
 
 def evaluate_branch(task: BranchTask) -> BranchResult:
-    """Search one branch; module-level so the process backend can
-    pickle it by reference.
+    """Search one branch; module-level so the process pool can pickle
+    it by reference.
 
     When the problem carries a sampled
     :class:`~repro.core.obs.context.TraceContext`, the whole evaluation
@@ -400,8 +366,7 @@ def evaluate_branch(task: BranchTask) -> BranchResult:
         buffer = WorkerTraceBuffer(trace)
         with buffer.span(ev.WORKER_TASK, branch=task.label,
                          task=trace.task_index,
-                         worker=f"{os.getpid()}:{threading.get_ident()}"
-                         ) as span:
+                         worker=str(os.getpid())) as span:
             buffer.absorb_init(_INIT_TRACE.drain())
             result = _search_branch(task, buffer)
             span.note(outcomes=len(result.outcomes),
@@ -434,7 +399,7 @@ def evaluate_chunk(chunk: Sequence[Tuple[int, BranchTask]]) -> _ChunkResult:
     init_hydrates, init_hydrate_s = _INIT_HYDRATIONS.drain()
     return _ChunkResult(
         results=results,
-        worker=f"{os.getpid()}:{threading.get_ident()}",
+        worker=str(os.getpid()),
         elapsed_s=time.perf_counter() - t0,
         init_hydrates=init_hydrates,
         init_hydrate_s=init_hydrate_s)
@@ -450,9 +415,10 @@ class DispatchStats:
     steals: int = 0
     hydrates: int = 0
     hydrate_s: float = 0.0
-    rebuilds: int = 0
+    #: Executors replaced after a worker died mid-dispatch.
+    restarts: int = 0
     #: Busy worker-seconds over (workers * dispatch wall time); 0 when
-    #: not measured (serial/async dispatches).
+    #: not measured (in-process dispatches).
     utilization: float = 0.0
 
     def absorb(self, other: "DispatchStats") -> None:
@@ -462,7 +428,7 @@ class DispatchStats:
         self.steals += other.steals
         self.hydrates += other.hydrates
         self.hydrate_s += other.hydrate_s
-        self.rebuilds += other.rebuilds
+        self.restarts += other.restarts
         self.utilization = other.utilization or self.utilization
 
     def to_dict(self) -> Dict[str, object]:
@@ -473,7 +439,7 @@ class DispatchStats:
             "steals": self.steals,
             "hydrates": self.hydrates,
             "hydrate_ms": round(self.hydrate_s * 1e3, 3),
-            "rebuilds": self.rebuilds,
+            "restarts": self.restarts,
             "utilization": round(self.utilization, 4),
         }
 
@@ -483,13 +449,11 @@ class PoolStats(DispatchStats):
     """Lifetime accounting of a :class:`WorkerPool`."""
 
     workers: int = 0
-    backend: str = "thread"
     dispatches: int = 0
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {
             "workers": self.workers,
-            "backend": self.backend,
             "dispatches": self.dispatches,
         }
         out.update(DispatchStats.to_dict(self))
@@ -515,45 +479,41 @@ def chunk_count(tasks: int, jobs: int, chunk_size: Optional[int] = None
 
 
 class WorkerPool:
-    """A persistent, snapshot-hydrated branch-evaluation pool.
+    """A persistent, snapshot-hydrated pool of worker processes.
 
     Unlike a per-call ``with ProcessPoolExecutor(...)`` block, a
     ``WorkerPool`` keeps its workers — and the layers they hydrated —
-    alive across ``explore()`` calls, strategies, and problems.  Process
-    workers hydrate the pool's snapshot exactly once, in the pool
-    initializer, so no task ever pays the layer build.  Close the pool
-    explicitly (:meth:`close`) or use it as a context manager::
+    alive across ``explore()`` calls, strategies, and problems.  Workers
+    hydrate the pool's snapshot exactly once, in the pool initializer,
+    so no task ever pays the layer build.  Close the pool explicitly
+    (:meth:`close`) or use it as a context manager::
 
-        with WorkerPool(jobs=4, backend="process", snapshot=snap) as pool:
-            explore(problem, jobs=4, backend="process", pool=pool)
-            explore(problem, strategy="bnb", jobs=4, pool=pool)
+        with WorkerPool(jobs=4, snapshot=snap) as pool:
+            explore(problem, pool=pool)
+            explore(problem, strategy="bnb", pool=pool)
 
     ``map()`` is order-preserving and deterministic: chunks complete in
     arbitrary order, results are re-sorted by task index.
     """
 
-    def __init__(self, jobs: int = 1, backend: str = "thread",
+    def __init__(self, jobs: int = 1,
                  snapshot: Optional[LayerSnapshot] = None,
                  chunk_size: Optional[int] = None,
                  trace: Optional[TraceContext] = None):
-        if backend not in BACKENDS:
-            raise ExplorationError(
-                f"unknown backend {backend!r}; known: {list(BACKENDS)}")
         if jobs < 1:
             raise ExplorationError(f"jobs must be >= 1, got {jobs}")
         if chunk_size is not None and chunk_size < 1:
             raise ExplorationError(
                 f"chunk size must be >= 1, got {chunk_size}")
         self.jobs = jobs
-        self.backend = backend
         self.snapshot = snapshot
         self.chunk_size = chunk_size
-        #: Base trace context shipped to the process-pool initializer so
-        #: startup hydration lands in the merged trace.
+        #: Base trace context shipped to the pool initializer so startup
+        #: hydration lands in the merged trace.
         self.trace = trace
-        self.stats = PoolStats(workers=jobs, backend=backend)
+        self.stats = PoolStats(workers=jobs)
         self.last_dispatch = DispatchStats()
-        self._executor: Optional[Executor] = None
+        self._executor: Optional[ProcessPoolExecutor] = None
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -565,7 +525,7 @@ class WorkerPool:
 
     @property
     def started(self) -> bool:
-        """True once worker processes/threads exist (first dispatch or
+        """True once worker processes exist (first dispatch or
         :meth:`warm`)."""
         return self._executor is not None
 
@@ -575,28 +535,25 @@ class WorkerPool:
         self._ensure_executor()
         return self
 
-    def _ensure_executor(self) -> Executor:
+    def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._closed:
             raise ExplorationError("worker pool is closed")
         if self._executor is None:
-            if self.backend == "process":
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.jobs,
-                    initializer=_pool_initializer,
-                    initargs=(self.snapshot, self.trace))
-            else:
-                # thread and async backends share a thread executor.
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.jobs,
-                    thread_name_prefix="dsl-worker")
+            self._executor = ProcessPoolExecutor(
+                max_workers=self.jobs,
+                initializer=_pool_initializer,
+                initargs=(self.snapshot, self.trace))
         return self._executor
+
+    def _discard_executor(self) -> None:
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
 
     def close(self) -> None:
         """Shut the workers down; idempotent.  Further dispatches raise."""
         self._closed = True
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        self._discard_executor()
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -610,24 +567,28 @@ class WorkerPool:
     def map(self, tasks: Sequence[BranchTask]) -> List[BranchResult]:
         """Evaluate every task; results come back in task order.
 
-        A worker returning an error result raises here — a crashed
+        Each task's ``layer_factory`` is pickled first, so a factory no
+        worker could receive fails here, before anything is dispatched.
+        A worker returning an error result raises here too — a crashed
         branch must not be silently dropped from the frontier.
         """
         if self._closed:
             raise ExplorationError("worker pool is closed")
         tasks = list(tasks)
+        for task in tasks:
+            # Raises for a factory no worker could receive.
+            if task.problem.layer_factory is not None:
+                _factory_key(task.problem.layer_factory)
         dispatch = DispatchStats(tasks=len(tasks))
-        started = time.perf_counter()
         if self.jobs == 1 or len(tasks) <= 1:
             results = [evaluate_branch(task) for task in tasks]
-            self._absorb_results(dispatch, results)
-        elif self.backend == "async":
-            self._check_shippable(tasks)
-            results = self._map_async(tasks)
-            self._absorb_results(dispatch, results)
         else:
             self._check_shippable(tasks)
-            results = self._map_chunked(tasks, dispatch, started)
+            results = self._map_chunked(tasks, dispatch)
+        for result in results:
+            dispatch.hydrate_s += result.hydrate_s
+            if result.hydrated:
+                dispatch.hydrates += 1
         self.last_dispatch = dispatch
         self.stats.dispatches += 1
         self.stats.absorb(dispatch)
@@ -638,119 +599,74 @@ class WorkerPool:
         return results
 
     def _map_chunked(self, tasks: List[BranchTask],
-                     dispatch: DispatchStats,
-                     started: float) -> List[BranchResult]:
-        size, n_chunks = chunk_count(len(tasks), self.jobs, self.chunk_size)
+                     dispatch: DispatchStats) -> List[BranchResult]:
+        # dsa: allow[DSA040] -- utilization telemetry; never digested
+        started = time.perf_counter()
+        size, _ = chunk_count(len(tasks), self.jobs, self.chunk_size)
         indexed = list(enumerate(tasks))
-        chunks = [indexed[i:i + size] for i in range(0, len(indexed), size)]
-        executor = self._ensure_executor()
-        # One future per chunk: the executor's shared queue IS the
-        # work-stealing deque — a worker that drains its chunk pulls the
-        # next pending one, however slow its peers are.
-        futures = [executor.submit(evaluate_chunk, chunk)
-                   for chunk in chunks]
+        pending = {start: indexed[start:start + size]
+                   for start in range(0, len(indexed), size)}
+        dispatch.chunks = len(pending)
+        dispatch.chunk_size = size
         out: List[Optional[BranchResult]] = [None] * len(tasks)
         per_worker: Dict[str, int] = {}
         busy_s = 0.0
-        for future in as_completed(futures):
-            chunk_result = future.result()
-            per_worker[chunk_result.worker] = \
-                per_worker.get(chunk_result.worker, 0) + 1
-            busy_s += chunk_result.elapsed_s
-            dispatch.hydrates += chunk_result.init_hydrates
-            dispatch.hydrate_s += chunk_result.init_hydrate_s
-            for index, result in chunk_result.results:
-                out[index] = result
+        while pending:
+            executor = self._ensure_executor()
+            try:
+                # One future per chunk: the executor's shared queue IS
+                # the work-stealing deque — a worker that drains its
+                # chunk pulls the next pending one, however slow its
+                # peers are.
+                futures: Dict[Future, int] = {
+                    executor.submit(evaluate_chunk, chunk): start
+                    for start, chunk in pending.items()}
+                for future in as_completed(futures):
+                    chunk_result = future.result()
+                    del pending[futures[future]]
+                    per_worker[chunk_result.worker] = \
+                        per_worker.get(chunk_result.worker, 0) + 1
+                    busy_s += chunk_result.elapsed_s
+                    dispatch.hydrates += chunk_result.init_hydrates
+                    dispatch.hydrate_s += chunk_result.init_hydrate_s
+                    for index, result in chunk_result.results:
+                        out[index] = result
+            except BrokenProcessPool as exc:
+                # A worker died (os._exit, a signal, the OOM killer) and
+                # took the executor with it.  Start a fresh one for the
+                # chunks still pending, once per dispatch.
+                self._discard_executor()
+                if dispatch.restarts:
+                    raise ExplorationError(
+                        f"worker pool broke again after a restart, with "
+                        f"{len(pending)} of {dispatch.chunks} chunk(s) "
+                        f"unfinished: {exc}") from exc
+                dispatch.restarts += 1
+        # dsa: allow[DSA040] -- utilization telemetry; never digested
         elapsed = time.perf_counter() - started
-        results = [result for result in out if result is not None]
         # Deterministic merge: `out` is indexed by task position, so the
         # arbitrary completion order above cannot reorder outcomes.
-        self._absorb_results(dispatch, results)
-        dispatch.chunks = len(chunks)
-        dispatch.chunk_size = size
+        results = [result for result in out if result is not None]
         # A worker's first chunk is its fair share; every further chunk
         # it completed was stolen from the shared queue.
         dispatch.steals = sum(n - 1 for n in per_worker.values() if n > 1)
-        if elapsed > 0 and self.jobs > 0:
+        if elapsed > 0:
             dispatch.utilization = min(
                 1.0, busy_s / (elapsed * self.jobs))
         return results
 
-    def _map_async(self, tasks: List[BranchTask]) -> List[BranchResult]:
-        """Asyncio dispatch for estimator-bound problems.
-
-        Every branch evaluation becomes an awaitable over the pool's
-        thread executor; blocking estimation-tool calls (I/O, external
-        processes) overlap while the event loop coordinates.  Task
-        granularity stays at one branch — chunking would serialize the
-        overlap this backend exists for.
-        """
-        executor = self._ensure_executor()
-
-        async def drive() -> List[BranchResult]:
-            loop = asyncio.get_running_loop()
-            futures = [loop.run_in_executor(executor, evaluate_branch, task)
-                       for task in tasks]
-            return list(await asyncio.gather(*futures))
-
-        return asyncio.run(drive())
-
     @staticmethod
-    def _absorb_results(dispatch: DispatchStats,
-                        results: Sequence[BranchResult]) -> None:
-        for result in results:
-            dispatch.hydrate_s += result.hydrate_s
-            if result.hydrated:
-                dispatch.hydrates += 1
-            if result.rebuilt:
-                dispatch.rebuilds += 1
-
-    def _check_shippable(self, tasks: Sequence[BranchTask]) -> None:
-        if self.backend != "process":
-            return
+    def _check_shippable(tasks: Sequence[BranchTask]) -> None:
         for task in tasks:
             if task.problem.layer_factory is None \
                     and task.problem.snapshot is None:
                 raise ExplorationError(
-                    "the process backend needs a picklable layer_factory "
-                    "or a LayerSnapshot on the problem (a live "
+                    "worker processes need a picklable layer_factory or "
+                    "a LayerSnapshot on the problem (a live "
                     "DesignSpaceLayer cannot cross process boundaries)")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else (
             "warm" if self.started else "cold")
-        return (f"<WorkerPool jobs={self.jobs} backend={self.backend} "
-                f"{state} dispatches={self.stats.dispatches}>")
-
-
-class BranchEvaluator:
-    """Compatibility facade: an ephemeral pool per ``map()`` call.
-
-    Prefer a :class:`WorkerPool` (persistent workers, snapshot
-    hydration) — this class keeps the original one-shot surface for
-    callers that evaluate a single batch and exposes the same stats.
-    """
-
-    def __init__(self, jobs: int = 1, backend: str = "thread",
-                 snapshot: Optional[LayerSnapshot] = None,
-                 chunk_size: Optional[int] = None):
-        # Validate eagerly through the pool's constructor.
-        pool = WorkerPool(jobs=jobs, backend=backend, snapshot=snapshot,
-                          chunk_size=chunk_size)
-        pool.close()
-        self.jobs = jobs
-        self.backend = backend
-        self.snapshot = snapshot
-        self.chunk_size = chunk_size
-        self.last_dispatch = DispatchStats()
-
-    def map(self, tasks: Sequence[BranchTask]) -> List[BranchResult]:
-        with WorkerPool(jobs=self.jobs, backend=self.backend,
-                        snapshot=self.snapshot,
-                        chunk_size=self.chunk_size) as pool:
-            results = pool.map(tasks)
-            self.last_dispatch = pool.last_dispatch
-            return results
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<BranchEvaluator jobs={self.jobs} backend={self.backend}>"
+        return (f"<WorkerPool jobs={self.jobs} {state} "
+                f"dispatches={self.stats.dispatches}>")

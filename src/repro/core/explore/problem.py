@@ -3,10 +3,10 @@
 An :class:`ExplorationProblem` is the declarative input to the
 :class:`~repro.core.explore.engine.ExplorationEngine`: a start position,
 the metrics to optimize, requirement values from the system
-specification, an optional pre-applied decision prefix, and either a
-layer instance or a picklable ``layer_factory`` (the process-backed
-worker pool ships the problem to workers, which rebuild — or inherit —
-the layer there; a live :class:`DesignSpaceLayer` is not picklable).
+specification, an optional pre-applied decision prefix, and a layer
+instance, a picklable ``layer_factory`` or a ``snapshot`` (the worker
+pool ships the problem to worker processes, which build or hydrate the
+layer there; a live :class:`DesignSpaceLayer` is not picklable).
 """
 
 from __future__ import annotations
@@ -131,14 +131,14 @@ class ExplorationProblem:
                        _built=None)
 
     # ------------------------------------------------------------------
-    # pickling (process-backed parallelism)
+    # pickling (worker processes)
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, object]:
         state = dict(self.__dict__)
         if self.layer_factory is not None or self.snapshot is not None:
-            # Workers rebuild (or inherit, under fork) the layer from the
-            # factory or hydrate it from the snapshot; a live layer full
-            # of closures does not pickle.
+            # Workers build the layer from the factory or hydrate it
+            # from the snapshot; a live layer full of closures does not
+            # pickle.
             state["layer"] = None
             state["_built"] = None
         return state

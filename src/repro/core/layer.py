@@ -350,20 +350,20 @@ class DesignSpaceLayer:
     def explore(self, start: str, strategy: str = "exhaustive",
                 metrics: Sequence[str] = ("area", "latency_ns"),
                 requirements: object = (), decisions: object = (),
-                issues: Optional[Sequence[str]] = None, jobs: int = 1,
-                backend: str = "thread", chunk_size: Optional[int] = None,
+                issues: Optional[Sequence[str]] = None,
                 estimator: Optional[Callable] = None,
                 **strategy_options: object):
-        """Run an automated search over this layer; returns an
+        """Run a serial automated search over this layer; returns an
         :class:`~repro.core.explore.engine.ExplorationResult`.
 
         Convenience wrapper: builds an
         :class:`~repro.core.explore.problem.ExplorationProblem` bound to
         this layer and hands it to the
         :class:`~repro.core.explore.engine.ExplorationEngine`.  See
-        ``docs/exploration.md`` for the strategy catalogue; note the
-        process backend needs a problem with a picklable
-        ``layer_factory``, so it is not reachable through this shortcut.
+        ``docs/exploration.md`` for the strategy catalogue; a parallel
+        search ships its problem to worker processes, which need a
+        picklable ``layer_factory`` or a ``snapshot``, so it is not
+        reachable through this shortcut.
         """
         from repro.core.explore import ExplorationEngine, ExplorationProblem
         problem = ExplorationProblem(
@@ -371,11 +371,8 @@ class DesignSpaceLayer:
             requirements=requirements, decisions=decisions,
             issues=tuple(issues) if issues is not None else None,
             layer=self, estimator=estimator)
-        engine = ExplorationEngine(problem, strategy=strategy, jobs=jobs,
-                                   backend=backend,
-                                   strategy_options=strategy_options,
-                                   chunk_size=chunk_size)
-        return engine.run()
+        return ExplorationEngine(problem, strategy=strategy,
+                                 strategy_options=strategy_options).run()
 
     def snapshot(self, hydrators: Sequence[str] = (),
                  lenient: bool = False):

@@ -21,8 +21,8 @@ process* survive that boundary anyway:
   merged trace.  Raw events carry wall-clock timestamps, worker ids,
   and scheduling-dependent hydration/chunking records; the canonical
   form strips exactly those volatile parts so the remainder is
-  byte-identical across backends, job counts, and chunk sizes — the
-  trace-level analogue of the frontier digest.
+  byte-identical across job counts, chunk sizes and the in-process
+  dispatch — the trace-level analogue of the frontier digest.
 
 Sampling is deterministic: the decision for branch *i* is a pure
 function of ``(trace_id, i)``, and the adaptive default rate depends
@@ -54,7 +54,7 @@ MIN_SAMPLE_RATE = 0.02
 #: chunks were cut/stolen) and are therefore excluded from the
 #: canonical byte form of a trace.
 VOLATILE_KINDS = frozenset({
-    ev.WORKER_HYDRATE, ev.WORKER_REBUILD, ev.CHUNK_DISPATCH, ev.CHUNK_STEAL,
+    ev.WORKER_HYDRATE, ev.CHUNK_DISPATCH, ev.CHUNK_STEAL,
 })
 
 #: Payload keys whose values are timing- or placement-dependent
@@ -62,7 +62,7 @@ VOLATILE_KINDS = frozenset({
 #: initializer records drained by whichever sampled task ran first).
 VOLATILE_PAYLOAD_KEYS = frozenset({
     "worker", "seconds", "utilization", "hydrate_s", "elapsed_ms",
-    "events", "dropped", "jobs", "backend", "chunk_size",
+    "events", "dropped", "jobs", "chunk_size",
 })
 
 
@@ -74,7 +74,7 @@ def adaptive_sample_rate(tasks: int) -> float:
     :data:`MIN_SAMPLE_RATE`) so the expected number of traced branches
     stays roughly constant and the overhead budget holds no matter how
     wide the root fan-out grows.  The result depends only on the task
-    count — identical across job counts and backends.
+    count — identical across job counts.
     """
     if tasks <= FULL_TRACE_TASKS:
         return 1.0
@@ -332,8 +332,8 @@ def canonical_trace_events(events: Iterable[EventLike]
     kinds that exist only because of scheduling
     (:data:`VOLATILE_KINDS`); renumbers ``seq`` densely and remaps
     span ids to their first-appearance order.  Two traces of the same
-    exploration — any backend, any job count, any chunk size — project
-    to the same list.
+    exploration — any job count, any chunk size — project to the same
+    list.
     """
     rows = sorted((_event_row(e) for e in events),
                   key=lambda r: int(r.get("seq", 0)))

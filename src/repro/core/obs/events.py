@@ -62,11 +62,8 @@ FRONTIER_UPDATE = "frontier_update"
 #: Worker(s) hydrated / built a layer for parallel evaluation (payload:
 #: count, seconds, source = ``snapshot`` | ``factory``).
 WORKER_HYDRATE = "worker_hydrate"
-#: Workers rebuilt the layer per task because the layer factory could
-#: not be cached (payload: count) — a performance warning.
-WORKER_REBUILD = "worker_layer_rebuild"
 #: One chunked parallel dispatch completed (payload: tasks, chunks,
-#: chunk_size, workers, backend, utilization).
+#: chunk_size, workers, utilization).
 CHUNK_DISPATCH = "chunk_dispatch"
 #: Idle workers stole pending chunks from slower peers (payload: count).
 CHUNK_STEAL = "chunk_steal"
@@ -89,7 +86,7 @@ EVENT_KINDS = frozenset({
     ACKNOWLEDGE, CONSTRAINT_FIRED, PRUNE, CACHE_HIT, CACHE_MISS,
     ESTIMATE_INVOKED, INDEX_REBUILD, LINT_RUN,
     EXPLORE_START, BRANCH_OPEN, BRANCH_PRUNED, FRONTIER_UPDATE,
-    WORKER_HYDRATE, WORKER_REBUILD, CHUNK_DISPATCH, CHUNK_STEAL,
+    WORKER_HYDRATE, CHUNK_DISPATCH, CHUNK_STEAL,
     WORKER_TASK, VERIFY_RUN, DEAD_BRANCH_PROVED, UNSAT_CORE_FOUND,
 })
 

@@ -12,10 +12,10 @@ Two implementations share one duck-typed surface:
 
 The trace recorder is safe under concurrent emitters: one lock guards
 the sequence counter and event list, and span nesting stacks are kept
-per thread, so sessions running on the thread/async exploration
-backends can share the layer's recorder without corrupting the stream
-(events interleave in emission order; per-thread parentage stays
-correct).  Cross-*process* tracing instead travels through
+per thread, so sessions running in several threads (served sessions on
+their handler threads) can share the layer's recorder without
+corrupting the stream (events interleave in emission order; per-thread
+parentage stays correct).  Parallel exploration instead travels through
 :class:`~repro.core.obs.context.WorkerTraceBuffer` objects that the
 engine merges deterministically via :meth:`TraceRecorder.absorb`.
 
@@ -127,9 +127,9 @@ class TraceRecorder:
 
     Safe under concurrent emitters: ``_lock`` serializes sequence
     assignment and list appends, and span nesting is tracked per thread
-    (keyed on ``threading.get_ident()``), so concurrent sessions on the
-    thread/async backends interleave whole events without tearing and
-    keep correct per-thread parentage.  The hot path stays one lock
+    (keyed on ``threading.get_ident()``), so sessions on concurrent
+    threads interleave whole events without tearing and keep correct
+    per-thread parentage.  The hot path stays one lock
     acquisition per event — the traced 50k-core walk holds its x1.10
     overhead budget (``benchmarks/test_bench_obs.py``).
     """
@@ -440,10 +440,6 @@ class TraceRecorder:
                 m.histogram("dsl_worker_hydrate_seconds",
                             "wall time workers spent hydrating layers"
                             ).observe(float(seconds))
-        elif kind == ev.WORKER_REBUILD:
-            m.counter("dsl_worker_layer_rebuilds_total",
-                      "per-task worker layer rebuilds (uncacheable factory)"
-                      ).inc(int(payload.get("count", 1)))
         elif kind == ev.CHUNK_DISPATCH:
             m.counter("dsl_explore_chunks_total",
                       "chunks dispatched to parallel workers"

@@ -92,8 +92,8 @@ def crypto_exploration_problem(
     """The Sec 5 case study as an automated exploration problem.
 
     Without ``layer`` the problem carries a picklable factory
-    (``functools.partial(build_crypto_layer, eol)``), making it directly
-    usable with the process-backed :class:`BranchEvaluator`.
+    (``functools.partial(build_crypto_layer, eol)``), so ``explore(...,
+    jobs=N)`` can ship it to worker processes.
     ``with_estimator`` enables the conceptual-design fallback; note that
     branch-and-bound then disables bound pruning to stay exact.
     """

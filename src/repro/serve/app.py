@@ -11,8 +11,9 @@ port.
 Determinism contract: every payload is rendered with
 :func:`canonical_json` (sorted keys, tight separators) and contains no
 wall-clock or scheduling data — the load benchmark asserts the served
-bytes equal a direct in-process library call byte for byte.  That is why
-served explore results drop the ``pool`` dispatch-accounting key.
+bytes equal a direct in-process library call byte for byte.  Served
+explores therefore run serially and carry no ``pool`` dispatch
+accounting.
 """
 
 from __future__ import annotations
@@ -158,20 +159,17 @@ class DesignSpaceService:
     :class:`~repro.core.layer.DesignSpaceLayer` instances or zero-arg
     factories (the bundled ``crypto``/``idct`` factories by default).
     Each layer gets one :class:`~repro.serve.snapshots.SnapshotManager`;
-    sessions, batching and metrics are service-wide.  ``jobs > 1`` lends
-    explore requests one shared thread-backend
-    :class:`~repro.core.explore.parallel.WorkerPool`.
+    sessions, batching and metrics are service-wide.  Explore requests
+    run serially in the handler thread.
     """
 
     def __init__(self, layers: Optional[Mapping[str, object]] = None,
-                 eol: int = 768, jobs: int = 1,
+                 eol: int = 768,
                  default_layer: str = "crypto",
                  session_ttl: float = DEFAULT_TTL,
                  max_sessions: int = DEFAULT_MAX_SESSIONS,
                  clock: Callable[[], float] = time.monotonic,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        if jobs < 1:
-            raise ServiceError(f"jobs must be >= 1, got {jobs}")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._lock = threading.RLock()
         self._factories: Dict[str, object] = dict(
@@ -186,8 +184,6 @@ class DesignSpaceService:
                                        max_sessions=max_sessions,
                                        clock=clock, metrics=self.metrics)
         self.batcher = PruneBatcher(metrics=self.metrics)
-        self.jobs = int(jobs)
-        self._worker_pool: Optional[object] = None
         self._closed = False
         self._routes: Dict[str, Callable[[Params], Payload]] = {
             "query": self._handle_query,
@@ -239,29 +235,12 @@ class DesignSpaceService:
                     len(self._managers))
             return manager
 
-    def _explore_pool(self):
-        """The shared lent worker pool (``jobs > 1`` only)."""
-        if self.jobs <= 1:
-            return None
-        with self._lock:
-            if self._closed:
-                raise ServiceError("service is shutting down",
-                                   status=503, code="shutting-down")
-            if self._worker_pool is None:
-                from repro.core.explore.parallel import WorkerPool
-                self._worker_pool = WorkerPool(jobs=self.jobs,
-                                              backend="thread")
-            return self._worker_pool
-
     def close(self) -> None:
-        """Release owned resources: worker pool, sessions, batch cache."""
+        """Release owned resources: sessions, batch cache."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            pool, self._worker_pool = self._worker_pool, None
-        if pool is not None:
-            pool.close()
         self.sessions.close_all()
         self.batcher.invalidate()
 
@@ -388,7 +367,7 @@ class DesignSpaceService:
             f"{manager.layer.name!r} has {len(roots)} roots)")
 
     def _handle_explore(self, params: Params) -> Payload:
-        from repro.core.explore import ExplorationProblem, explore
+        from repro.core.explore import ExplorationEngine, ExplorationProblem
         manager = self.manager(_get_str(params, "layer"))
         start = self._start_name(manager, params)
         strategy = _get_str(params, "strategy", "exhaustive") or "exhaustive"
@@ -411,14 +390,10 @@ class DesignSpaceService:
             issues=tuple(issues) if issues is not None else None,
             missing_policy=_policy(params),
             layer=manager.layer)
-        pool = self._explore_pool()
-        result = explore(problem, strategy=strategy, pool=pool,
-                         **dict(options))
-        payload = result.to_dict()
-        # Dispatch accounting (steals, hydration timings) is scheduling-
-        # dependent; serving it would break the byte-equality oracle.
-        payload.pop("pool", None)
-        return {"layer": manager.layer.name, "result": payload}
+        engine = ExplorationEngine(problem, strategy=strategy,
+                                   strategy_options=options)
+        return {"layer": manager.layer.name,
+                "result": engine.run().to_dict()}
 
     # ------------------------------------------------------------------
     # session verbs

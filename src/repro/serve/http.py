@@ -18,7 +18,7 @@ of its headers.
 Shutdown is graceful by construction: handler threads are non-daemon
 and ``server_close`` blocks on them (``block_on_close``), so a SIGTERM
 stops the accept loop, *drains every in-flight request*, then closes the
-service's owned worker pool and sessions.  Idle kept-alive connections
+service's sessions.  Idle kept-alive connections
 do not stall the drain: ``server_close`` shuts the read side of every
 connection waiting for a request line, and a response written while the
 server drains carries ``Connection: close``.
@@ -231,7 +231,7 @@ def serve(service: DesignSpaceService, host: str = "127.0.0.1",
     ``ready`` fires after the socket is bound (the CLI prints the
     resolved URL there; tests grab the ephemeral port).  The drain
     order on shutdown: stop accepting, join in-flight handlers, then
-    close the service (owned pool, sessions, batch cache).
+    close the service (sessions, batch cache).
     """
     server = DesignSpaceServer((host, port), service, json_logs=json_logs)
 

@@ -1,23 +1,19 @@
-"""The single epoch/snapshot source of truth for a served layer.
+"""The epoch checkout of a served layer.
 
-Before the service layer, three epoch-keyed caches lived side by side:
-the federation rebuilds its :class:`~repro.core.index.CoreIndex` when
-``epoch`` moves, :func:`repro.core.verify.engine.analyze_layer` keeps a
-per-layer ``(epoch, requirements, start)`` analysis cache, and
-:class:`~repro.core.serialize.LayerSnapshot` captures are taken ad hoc.
-:class:`SnapshotManager` unifies them: it checks the layer's epoch out
-once per access, and the moment the epoch moves it drops the cached
-index reference, every cached verify report, and the cached layer
-snapshot *together*, bumping one monotonic :attr:`generation` counter.
-One layer mutation therefore invalidates everything derived from the old
-layer state through a single observable bump (the ROADMAP's "unify them
-behind one snapshot/epoch manager" item).
+The federation rebuilds its :class:`~repro.core.index.CoreIndex` when
+the layer epoch moves, and :func:`repro.core.verify.engine.analyze_layer`
+keeps a per-layer ``(epoch, requirements, start)`` analysis cache.
+:class:`SnapshotManager` adds the served verify *report* cache on top
+and checks the layer's epoch out once per access: the moment the epoch
+moves it drops every cached report, bumping one monotonic
+:attr:`generation` counter, so one layer mutation shows up as exactly
+one observable bump.
 
 The manager is shared by every server thread, so all attribute writes
-sit under ``self._lock`` (see ``repro.analysis`` DSA001).  Expensive
-recomputation (verify runs, snapshot captures) happens *outside* the
-lock with a compare-epoch-then-publish step: a concurrent mutation
-between compute and publish simply discards the stale result.
+sit under ``self._lock`` (see ``repro.analysis`` DSA001).  Verify runs
+happen *outside* the lock with a compare-epoch-then-publish step: a
+concurrent mutation between compute and publish simply discards the
+stale result.
 """
 
 from __future__ import annotations
@@ -26,14 +22,13 @@ import threading
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.layer import DesignSpaceLayer
-from repro.core.serialize import LayerSnapshot
 
 #: Cache key of one verify request: canonical requirements + start CDO.
 VerifyKey = Tuple[Tuple[Tuple[str, object], ...], Optional[str]]
 
 
 class SnapshotManager:
-    """Epoch-checked facade over one layer's derived, cacheable state.
+    """Epoch-checked facade over one served layer's verify reports.
 
     ``generation`` counts invalidations (not layer epochs — the layer's
     derived epoch is a signature, not a counter), so tests and metrics
@@ -51,9 +46,7 @@ class SnapshotManager:
         #: epoch is an opaque signature, so start from a sentinel no
         #: real epoch equals: the first checkout always invalidates.
         self._cached_epoch: object = object()
-        self._index: Optional[object] = None
         self._verify_cache: Dict[VerifyKey, object] = {}
-        self._snapshot: Optional[LayerSnapshot] = None
         if metrics is not None:
             self._invalidations = metrics.counter(
                 "dsl_snapshot_invalidations_total",
@@ -93,9 +86,7 @@ class SnapshotManager:
             epoch = self._layer.epoch
             if epoch != self._cached_epoch:
                 self._cached_epoch = epoch
-                self._index = None
                 self._verify_cache = {}
-                self._snapshot = None
                 self._generation += 1
                 if self._invalidations is not None:
                     self._invalidations.inc()
@@ -111,17 +102,6 @@ class SnapshotManager:
         with self._lock:
             return self._checkout()
 
-    def index(self):
-        """The federation :class:`~repro.core.index.CoreIndex` for the
-        current epoch (delegates the rebuild to the federation, which is
-        itself epoch-keyed — the manager pins the reference so one
-        invalidation covers index and verify alike)."""
-        with self._lock:
-            self._checkout()
-            if self._index is None:
-                self._index = self._layer.libraries.index()
-            return self._index
-
     def verify(self, requirements: Sequence[Tuple[str, object]] = (),
                start: Optional[str] = None):
         """An epoch-cached :class:`~repro.core.verify.report.VerifyReport`.
@@ -129,8 +109,7 @@ class SnapshotManager:
         The underlying :func:`~repro.core.verify.engine.analyze_layer`
         keeps its own epoch cache for the analysis half; this cache
         covers the *full report* (diagnostics included) and is dropped
-        by the same invalidation that drops the index, so both caches
-        move through one generation bump.
+        by the checkout that sees the epoch move.
         """
         try:
             given = tuple(sorted(dict(requirements).items(),
@@ -153,21 +132,3 @@ class SnapshotManager:
             if key is not None and self._checkout() == epoch:
                 self._verify_cache[key] = report
         return report
-
-    def layer_snapshot(self, hydrators: Sequence[str] = ()) -> LayerSnapshot:
-        """An epoch-cached :class:`~repro.core.serialize.LayerSnapshot`.
-
-        Worker pools hydrate from this capture; caching it means a
-        thousand explore requests against an unchanged layer pay the
-        pickle+compress cost once.
-        """
-        with self._lock:
-            epoch = self._checkout()
-            if self._snapshot is not None:
-                return self._snapshot
-        snapshot = LayerSnapshot.capture(self._layer,
-                                         hydrators=tuple(hydrators))
-        with self._lock:
-            if self._checkout() == epoch:
-                self._snapshot = snapshot
-            return snapshot

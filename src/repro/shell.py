@@ -197,7 +197,8 @@ class ExplorationShell(cmd.Cmd):
 
         STRATEGY is exhaustive, bnb (default), beam or evolutionary;
         key=value pairs become strategy options (width=2, seed=7,
-        population=16, ...) with 'jobs' controlling parallelism."""
+        population=16, ...).  The search runs serially on the shell's
+        own layer."""
         from repro.core.explore import ExplorationEngine, ExplorationProblem
         from repro.core.properties import DesignIssue
 
@@ -223,9 +224,8 @@ class ExplorationShell(cmd.Cmd):
                 requirements=tuple(session.requirement_values.items()),
                 decisions=tuple(decisions),
                 layer=session.layer)
-            jobs = int(options.pop("jobs", 1))  # type: ignore[call-overload]
             engine = ExplorationEngine(problem, strategy=strategy,
-                                       jobs=jobs, strategy_options=options)
+                                       strategy_options=options)
             self._say(engine.run().render_text())
         self._guard(action)
 

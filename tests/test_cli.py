@@ -408,7 +408,7 @@ class TestAutomatedExplore:
         code, out, _err = run_cli(
             capsys, "explore", "--layer", "idct",
             "--strategy", "exhaustive", "--metrics", "area,latency_ns",
-            "--jobs", "2", "--chunk-size", "1", "--keep-pool", "--json")
+            "--jobs", "2", "--chunk-size", "1", "--json")
         assert code == 0
         payload = json.loads(out)
         pool = payload["pool"]
@@ -420,7 +420,7 @@ class TestAutomatedExplore:
     def test_parallel_digest_matches_serial(self, capsys):
         digests = {}
         for argv in (("--jobs", "1"),
-                     ("--jobs", "2", "--backend", "async"),
+                     ("--jobs", "2"),
                      ("--jobs", "2", "--chunk-size", "1")):
             _code, out, _err = run_cli(
                 capsys, "explore", "--layer", "idct",

@@ -1,13 +1,14 @@
 """Parallel branch evaluation: determinism and worker-pool policy."""
 
 import functools
+import pickle
 
 import pytest
 
 from repro.core import ExplorationProblem
 from repro.core.explore import (
-    BranchEvaluator,
     BranchTask,
+    WorkerPool,
     evaluate_branch,
     explore,
 )
@@ -28,22 +29,26 @@ def widget_problem(**overrides):
 
 class TestDeterministicMerge:
     def test_thread_jobs_match_serial(self, widget_layer):
-        problem = widget_problem(layer=widget_layer, layer_factory=None)
+        # A live layer for the parent's fan-out, the factory for the
+        # workers.
+        problem = widget_problem(layer=widget_layer)
         serial = explore(problem, strategy="exhaustive")
-        threaded = explore(problem, strategy="exhaustive", jobs=2)
-        assert threaded.frontier.digest() == serial.frontier.digest()
-        assert threaded.stats.terminals == serial.stats.terminals
+        for jobs in (2, 4):
+            parallel = explore(problem, strategy="exhaustive", jobs=jobs)
+            assert parallel.frontier.digest() == serial.frontier.digest()
+            assert parallel.stats.terminals == serial.stats.terminals
 
     def test_process_backend_matches_serial(self, idct_layer):
         problem = idct_exploration_problem(layer=idct_layer)
         serial = explore(problem, strategy="bnb")
-        # Strip the live layer: workers rebuild from the factory.
+        # Without the live layer, the parent and the workers build the
+        # layer from the factory.
         parallel = explore(idct_exploration_problem(), strategy="bnb",
-                           jobs=2, backend="process")
+                           jobs=2)
         assert parallel.frontier.digest() == serial.frontier.digest()
 
     def test_evolutionary_islands_are_deterministic(self, widget_layer):
-        problem = widget_problem(layer=widget_layer, layer_factory=None)
+        problem = widget_problem(layer=widget_layer)
         first = explore(problem, strategy="evolutionary", jobs=2,
                         seed=5, population=6, generations=3)
         second = explore(problem, strategy="evolutionary", jobs=2,
@@ -89,39 +94,49 @@ class TestEvaluateBranch:
             strategy="exhaustive", label="sw-branch")
         result = evaluate_branch(task)
         assert result.error is not None and "cobol" in result.error
-        with pytest.raises(ExplorationError, match="sw-branch"):
-            BranchEvaluator(jobs=1).map([task])
+        with WorkerPool(jobs=1) as pool:
+            with pytest.raises(ExplorationError, match="sw-branch"):
+                pool.map([task])
 
 
 class TestPolicy:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ExplorationError):
-            BranchEvaluator(jobs=2, backend="mpi")
-
     def test_jobs_must_be_positive(self):
         with pytest.raises(ExplorationError):
-            BranchEvaluator(jobs=0)
+            WorkerPool(jobs=0)
+        with pytest.raises(ExplorationError):
+            explore(widget_problem(), jobs=0)
 
     def test_process_backend_requires_factory(self, widget_layer):
-        evaluator = BranchEvaluator(jobs=2, backend="process")
         problem = widget_problem(layer=widget_layer, layer_factory=None)
         tasks = [BranchTask(problem=problem, strategy="exhaustive"),
                  BranchTask(problem=problem, strategy="exhaustive")]
-        with pytest.raises(ExplorationError):
-            evaluator.map(tasks)
+        with WorkerPool(jobs=2) as pool:
+            with pytest.raises(ExplorationError, match="layer_factory"):
+                pool.map(tasks)
+            assert not pool.started
+        with pytest.raises(ExplorationError, match="layer_factory"):
+            explore(problem, strategy="exhaustive", jobs=2)
 
     def test_traced_layer_without_factory_shares_layer(self):
-        # The recorder is thread-safe: with neither a factory nor a
-        # snapshot, thread workers now share the traced layer natively
-        # instead of refusing, and the frontier is unchanged.
+        # With neither a factory nor a snapshot, the in-process dispatch
+        # searches the traced live layer itself, and the frontier is
+        # unchanged.
+        def tasks(layer):
+            problem = widget_problem(layer=layer, layer_factory=None)
+            return [BranchTask(problem=problem.with_prefix(("Style", style)),
+                               strategy="exhaustive", label=style)
+                    for style in ("hw", "sw")]
+
         layer = build_widget_layer()
         layer.observe()
-        problem = widget_problem(layer=layer, layer_factory=None)
-        result = explore(problem, strategy="exhaustive", jobs=2)
-        untraced = explore(widget_problem(layer=build_widget_layer(),
-                                          layer_factory=None),
-                           strategy="exhaustive")
-        assert result.frontier.digest() == untraced.frontier.digest()
+        with WorkerPool(jobs=1) as pool:
+            results = pool.map(tasks(layer))
+        assert any(event.kind == "prune"
+                   for event in layer.observer.events)
+        untraced = [evaluate_branch(task)
+                    for task in tasks(build_widget_layer())]
+        assert [r.outcomes for r in results] == \
+            [r.outcomes for r in untraced]
 
     def test_traced_layer_with_factory_runs(self):
         layer = build_widget_layer()
@@ -141,4 +156,7 @@ class TestPolicy:
         a = functools.partial(build_widget_layer)
         b = functools.partial(build_widget_layer)
         assert _factory_key(a) == _factory_key(b)
-        assert _factory_key(build_widget_layer) is not None
+        assert _factory_key(build_widget_layer) == pickle.dumps(
+            build_widget_layer, protocol=pickle.HIGHEST_PROTOCOL)
+        with pytest.raises(ExplorationError, match="cannot be pickled"):
+            _factory_key(lambda: build_widget_layer())

@@ -1,14 +1,18 @@
-"""WorkerPool lifecycle, chunked work stealing, and the layer cache.
+"""WorkerPool lifecycle, chunked work stealing, the layer cache, and
+worker deaths.
 
 What must hold regardless of scheduling: ``map()`` returns results in
 task order, chunked and unchunked dispatches produce identical frontier
-digests, the per-process layer cache stays bounded, and closing the
-pool is final.  Stats (steals, hydrations, utilization) are checked for
-plausibility, not exact values — they legitimately vary with worker
-timing.
+digests, the per-process layer cache stays bounded, closing the pool is
+final, a factory that cannot reach a worker is refused before dispatch,
+and one dead worker costs one restart rather than the pool.  Stats
+(steals, hydrations, utilization) are checked for plausibility, not
+exact values — they legitimately vary with worker timing.
 """
 
 import functools
+import os
+import pickle
 
 import pytest
 
@@ -52,7 +56,7 @@ def result_digests(results):
 
 class TestLifecycle:
     def test_pool_persists_across_dispatches(self):
-        with WorkerPool(jobs=2, backend="thread") as pool:
+        with WorkerPool(jobs=2) as pool:
             pool.map(widget_tasks(4))
             first = pool._executor
             pool.map(widget_tasks(4))
@@ -61,7 +65,7 @@ class TestLifecycle:
             assert pool.stats.tasks == 8
 
     def test_close_is_final_and_idempotent(self):
-        pool = WorkerPool(jobs=2, backend="thread")
+        pool = WorkerPool(jobs=2)
         pool.warm()
         assert pool.started and not pool.closed
         pool.close()
@@ -71,13 +75,11 @@ class TestLifecycle:
             pool.map(widget_tasks(2))
 
     def test_context_manager_closes(self):
-        with WorkerPool(jobs=2, backend="thread") as pool:
+        with WorkerPool(jobs=2) as pool:
             pool.map(widget_tasks(2))
         assert pool.closed
 
     def test_constructor_validates(self):
-        with pytest.raises(ExplorationError, match="backend"):
-            WorkerPool(jobs=2, backend="mpi")
         with pytest.raises(ExplorationError, match="jobs"):
             WorkerPool(jobs=0)
         with pytest.raises(ExplorationError, match="chunk"):
@@ -86,31 +88,22 @@ class TestLifecycle:
     def test_snapshot_pool_serves_snapshot_problems(self):
         snap = build_widget_layer().snapshot()
         problem = widget_problem(layer_factory=None, snapshot=snap)
-        with WorkerPool(jobs=2, backend="process", snapshot=snap) as pool:
+        with WorkerPool(jobs=2, snapshot=snap) as pool:
             a = explore(problem, pool=pool)
             b = explore(problem, strategy="bnb", pool=pool)
         assert a.frontier.digest() == b.frontier.digest()
         assert pool.stats.dispatches == 2
 
     def test_engine_does_not_close_lent_pool(self):
-        with WorkerPool(jobs=2, backend="thread") as pool:
+        with WorkerPool(jobs=2) as pool:
             problem = widget_problem()
-            with ExplorationEngine(problem, jobs=4, pool=pool) as engine:
-                # The lent pool defines the parallelism shape.
-                assert engine.jobs == 2
-                engine.run()
+            engine = ExplorationEngine(problem, jobs=4, pool=pool)
+            # The lent pool defines the parallelism shape.
+            assert engine.jobs == 2
+            engine.run()
+            engine.run()
             assert not pool.closed
-
-    def test_keep_pool_reuses_engine_owned_pool(self):
-        problem = widget_problem()
-        with ExplorationEngine(problem, jobs=2, keep_pool=True) as engine:
-            engine.run()
-            kept = engine._own_pool
-            assert kept is not None and not kept.closed
-            engine.run()
-            assert engine._own_pool is kept
-            assert kept.stats.dispatches == 2
-        assert kept.closed
+            assert pool.stats.dispatches == 2
 
 
 class TestChunking:
@@ -128,15 +121,14 @@ class TestChunking:
         with WorkerPool(jobs=1) as serial_pool:
             expect = result_digests(serial_pool.map(tasks))
         for chunk_size in (1, 2, len(tasks)):
-            with WorkerPool(jobs=3, backend="thread",
-                            chunk_size=chunk_size) as pool:
+            with WorkerPool(jobs=3, chunk_size=chunk_size) as pool:
                 results = pool.map(tasks)
             assert result_digests(results) == expect
             assert [r.label for r in results] == [t.label for t in tasks]
 
     def test_dispatch_stats_are_plausible(self):
         tasks = widget_tasks(8)
-        with WorkerPool(jobs=2, backend="thread", chunk_size=1) as pool:
+        with WorkerPool(jobs=2, chunk_size=1) as pool:
             pool.map(tasks)
             d = pool.last_dispatch
         assert d.tasks == 8 and d.chunks == 8 and d.chunk_size == 1
@@ -148,18 +140,12 @@ class TestChunking:
         assert d.to_dict()["chunks"] == 8
 
     def test_explore_chunk_size_keeps_digest(self, widget_layer):
-        problem = widget_problem(layer=widget_layer, layer_factory=None)
+        problem = widget_problem(layer=widget_layer)
         serial = explore(problem)
         chunked = explore(problem, jobs=2, chunk_size=1)
         assert chunked.frontier.digest() == serial.frontier.digest()
         assert chunked.pool is not None
         assert chunked.pool["chunk_size"] == 1
-
-    def test_async_backend_keeps_digest(self, widget_layer):
-        problem = widget_problem(layer=widget_layer, layer_factory=None)
-        serial = explore(problem)
-        asynced = explore(problem, jobs=2, backend="async")
-        assert asynced.frontier.digest() == serial.frontier.digest()
 
 
 class TestLayerCache:
@@ -185,25 +171,28 @@ class TestLayerCache:
         # problems cannot accumulate one multi-MB layer each.
         assert _LAYER_CACHE.capacity <= 8
 
-    def test_unkeyable_factory_rebuilds_are_counted(self):
-        # A partial over a dict argument has no hashable identity; the
-        # worker must rebuild per task and say so.
+    def test_dict_partial_is_cached_under_its_pickle_key(self):
+        # A partial over a dict argument is unhashable, but it pickles:
+        # its bytes key the cache, so the second task hydrates nothing.
         factory = functools.partial(_layer_with_config,
                                     config={"mutable": True})
         problem = widget_problem(layer_factory=factory)
-        result = evaluate_branch(BranchTask(problem=problem,
-                                            strategy="exhaustive"))
-        assert result.error is None
-        assert result.rebuilt and not result.hydrated
-        assert result.hydrate_s > 0.0
-
-    def test_rebuilds_surface_in_result_and_render(self):
-        factory = functools.partial(_layer_with_config,
-                                    config={"mutable": True})
-        problem = widget_problem(layer_factory=factory)
-        result = explore(problem, jobs=2)
-        assert result.pool["rebuilds"] >= 1
-        assert "rebuild" in result.render_text()
+        key = ("factory", pickle.dumps(factory,
+                                       protocol=pickle.HIGHEST_PROTOCOL))
+        _LAYER_CACHE.clear()
+        try:
+            first = evaluate_branch(BranchTask(problem=problem,
+                                               strategy="exhaustive"))
+            cached = _LAYER_CACHE.get(key)
+            second = evaluate_branch(BranchTask(problem=problem,
+                                                strategy="exhaustive"))
+        finally:
+            _LAYER_CACHE.clear()
+        assert first.error is None and second.error is None
+        assert first.hydrated and first.hydrate_s > 0.0
+        assert cached is not None
+        assert not second.hydrated and second.hydrate_s == 0.0
+        assert second.outcomes == first.outcomes
 
     def test_keyed_factory_hydrates_once_per_worker(self):
         snap = build_widget_layer().snapshot()
@@ -217,6 +206,69 @@ class TestLayerCache:
 
 def _layer_with_config(config):
     return build_widget_layer()
+
+
+def _exit_once_in_worker(marker, parent_pid):
+    """The widget layer, except that the first worker process to build
+    it dies instead."""
+    if os.getpid() != parent_pid:
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            pass
+        else:
+            os._exit(1)
+    return build_widget_layer()
+
+
+def _exit_in_worker(parent_pid):
+    """The widget layer in this process; death in any worker process."""
+    if os.getpid() != parent_pid:
+        os._exit(1)
+    return build_widget_layer()
+
+
+class TestFactoryShipping:
+    def test_unpicklable_factory_is_refused_before_dispatch(self):
+        problem = widget_problem(layer_factory=lambda: build_widget_layer())
+        with WorkerPool(jobs=2) as pool:
+            with pytest.raises(ExplorationError,
+                               match="cannot be pickled.*module-level"):
+                explore(problem, pool=pool)
+            assert not pool.started
+        with pytest.raises(ExplorationError, match="snapshot"):
+            explore(problem, jobs=2)
+
+
+class TestWorkerDeath:
+    def test_one_dead_worker_costs_one_restart(self, tmp_path):
+        factory = functools.partial(_exit_once_in_worker,
+                                    str(tmp_path / "died"), os.getpid())
+        serial = explore(widget_problem())
+        clean = explore(widget_problem(), jobs=2, chunk_size=1)
+        with WorkerPool(jobs=2, chunk_size=1) as pool:
+            result = explore(widget_problem(layer_factory=factory),
+                             pool=pool)
+            assert pool.stats.restarts == 1
+        assert (tmp_path / "died").exists()
+        assert result.pool["restarts"] == 1
+        assert result.frontier.digest() == serial.frontier.digest()
+        assert result.frontier.outcomes() == clean.frontier.outcomes()
+        assert result.stats.to_dict() == clean.stats.to_dict()
+
+    def test_a_second_death_raises_and_the_pool_serves_on(self):
+        dying = widget_problem(layer_factory=functools.partial(
+            _exit_in_worker, os.getpid()))
+        serial = explore(widget_problem())
+        clean = explore(widget_problem(), jobs=2)
+        with WorkerPool(jobs=2) as pool:
+            with pytest.raises(ExplorationError, match="after a restart"):
+                explore(dying, pool=pool)
+            assert not pool.closed
+            result = explore(widget_problem(), pool=pool)
+            assert pool.last_dispatch.restarts == 0
+        assert result.frontier.digest() == serial.frontier.digest()
+        assert result.stats.to_dict() == clean.stats.to_dict()
 
 
 class TestObsEvents:

@@ -94,18 +94,26 @@ class TestStatelessVerbs:
             {"layer": layer.name, "result": direct})
 
     def test_explore_payload_never_carries_pool_accounting(self, layer):
-        with DesignSpaceService(layers={"widgets": layer}, jobs=2) as svc:
+        with DesignSpaceService(layers={"widgets": layer}) as svc:
             served = ok(svc, "explore", layer="widgets", start="Widget")
             assert "pool" not in served["result"]
-            assert served["result"]["jobs"] == 2
+            assert served["result"]["jobs"] == 1
+            # Served explores run serially: a jobs option is refused,
+            # not honoured.
+            status, payload = svc.handle(
+                "explore", {"layer": "widgets", "start": "Widget",
+                            "options": {"jobs": 2}})
+            assert status == 400
+            assert payload["error"]["code"] == "ExplorationError"
 
     def test_parallel_explore_digest_equals_serial(self, layer):
-        serial = ok(DesignSpaceService(layers={"w": layer}),
-                    "explore", layer="w", start="Widget")
-        with DesignSpaceService(layers={"w": layer}, jobs=4) as svc:
-            parallel = ok(svc, "explore", layer="w", start="Widget")
-        assert parallel["result"]["digest"] == serial["result"]["digest"]
-        assert parallel["result"]["frontier"] == serial["result"]["frontier"]
+        with DesignSpaceService(layers={"w": layer}) as svc:
+            served = ok(svc, "explore", layer="w", start="Widget")
+        problem = ExplorationProblem(start="Widget", layer=layer,
+                                     layer_factory=build_widget_layer)
+        parallel = explore(problem, jobs=4).to_dict()
+        assert served["result"]["digest"] == parallel["digest"]
+        assert served["result"]["frontier"] == parallel["frontier"]
 
 
 class TestSessionVerbs:

@@ -395,10 +395,11 @@ class TestKeptAliveClient:
 class TestCli:
     def test_serve_parser_defaults_and_flags(self):
         parser = cli.build_parser()
-        args = parser.parse_args(["serve", "--port", "0", "--jobs", "3",
+        args = parser.parse_args(["serve", "--port", "0",
                                   "--json-logs", "--session-ttl", "60"])
         assert args.fn is cli.cmd_serve
-        assert (args.host, args.port, args.jobs) == ("127.0.0.1", 0, 3)
+        assert (args.host, args.port) == ("127.0.0.1", 0)
+        assert not hasattr(args, "jobs")
         assert args.json_logs is True
         assert args.session_ttl == 60.0
         assert args.layer == "crypto"  # shared layer-args parent
@@ -414,12 +415,11 @@ class TestCli:
         import repro.serve as serve_module
         monkeypatch.setattr(serve_module, "serve", fake_serve)
         rc = cli.main(["serve", "--host", "0.0.0.0", "--port", "0",
-                       "--jobs", "2", "--json-logs", "--layer", "idct"])
+                       "--json-logs", "--layer", "idct"])
         assert rc == 0
         assert captured["host"] == "0.0.0.0"
         assert captured["json_logs"] is True
         service = captured["service"]
-        assert service.jobs == 2
         assert service.default_layer == "idct"
         service.close()
 

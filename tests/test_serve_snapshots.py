@@ -1,10 +1,8 @@
-"""SnapshotManager: one epoch bump invalidates every derived cache.
+"""SnapshotManager: one epoch bump invalidates the served verify cache.
 
-The regression the manager exists for: before it, the index cache and
-the verify cache invalidated independently (each watching the layer
-epoch on its own).  The manager is the single source of truth — these
-tests pin that one library mutation moves index, verify report and
-layer snapshot together through exactly one generation bump.
+The manager checks the layer epoch out once per access; these tests pin
+that one library mutation drops every cached verify report through
+exactly one generation bump.
 """
 
 import pytest
@@ -27,9 +25,6 @@ def manager(layer):
 
 
 class TestCaching:
-    def test_index_is_cached_between_accesses(self, manager):
-        assert manager.index() is manager.index()
-
     def test_verify_report_is_cached_between_accesses(self, manager):
         first = manager.verify(requirements=(("Width", 64),))
         assert manager.verify(requirements=(("Width", 64),)) is first
@@ -44,51 +39,45 @@ class TestCaching:
         b = manager.verify(requirements=(("MaxDelay", 50), ("Width", 64)))
         assert a is b
 
-    def test_layer_snapshot_is_cached_between_accesses(self, manager):
-        assert manager.layer_snapshot() is manager.layer_snapshot()
-
-    def test_snapshot_hydrates_an_equivalent_layer(self, layer, manager):
-        hydrated = manager.layer_snapshot().hydrate()
-        assert hydrated.name == layer.name
-        assert len(hydrated.libraries) == len(layer.libraries)
-
     def test_repeated_access_does_not_bump_generation(self, manager):
-        manager.index()
+        manager.checkout()
         manager.verify()
         generation = manager.generation
-        manager.index()
+        manager.checkout()
         manager.verify()
-        manager.layer_snapshot()
         assert manager.generation == generation
 
 
 class TestUnifiedInvalidation:
     def test_one_mutation_invalidates_both_caches_in_one_bump(self, layer,
                                                               manager):
-        """The satellite regression: index + verify caches move through
-        a single epoch bump when the library mutates once."""
-        index_before = manager.index()
+        """One library mutation drops the cached verify reports through
+        a single epoch bump."""
         verify_before = manager.verify(requirements=(("Width", 64),))
-        snapshot_before = manager.layer_snapshot()
+        base_before = manager.verify()
         generation = manager.generation
 
         layer.libraries.library("lib-a").add(DesignObject(
             "h4", "Widget.hw", {"Tech": "t35", "Pipeline": 4, "Width": 128},
             {"area": 90.0, "latency_ns": 3.0, "MaxDelay": 3.0}))
 
-        assert manager.index() is not index_before
         assert manager.verify(
             requirements=(("Width", 64),)) is not verify_before
-        assert manager.layer_snapshot() is not snapshot_before
-        # All three refreshed through exactly one generation bump.
+        assert manager.verify() is not base_before
+        # Both refreshed through exactly one generation bump.
         assert manager.generation == generation + 1
 
     def test_fresh_index_sees_the_mutation(self, layer, manager):
-        before = len(manager.index().subtree_ids("Widget"))
+        manager.checkout()
+        before = len(manager.layer.libraries.index().subtree_ids("Widget"))
         layer.libraries.library("lib-a").add(DesignObject(
             "h5", "Widget.hw", {"Tech": "t70", "Pipeline": 2, "Width": 16},
             {"area": 10.0, "latency_ns": 50.0, "MaxDelay": 50.0}))
-        assert len(manager.index().subtree_ids("Widget")) == before + 1
+        generation = manager.generation
+        manager.checkout()
+        assert manager.generation == generation + 1
+        assert len(manager.layer.libraries.index().subtree_ids("Widget")) \
+            == before + 1
 
     def test_checkout_reports_the_current_epoch(self, layer, manager):
         first = manager.checkout()
@@ -101,11 +90,11 @@ class TestUnifiedInvalidation:
     def test_invalidation_metric_counts_bumps(self, layer):
         registry = MetricsRegistry()
         manager = SnapshotManager(layer, metrics=registry)
-        manager.index()
+        manager.checkout()
         layer.libraries.library("lib-a").add(DesignObject(
             "h7", "Widget.hw", {"Tech": "t35", "Pipeline": 1, "Width": 8},
             {"area": 5.0, "latency_ns": 80.0, "MaxDelay": 80.0}))
-        manager.index()
+        manager.checkout()
         counter = registry.counter("dsl_snapshot_invalidations_total",
                                    layer=layer.name)
         assert counter.value == 2.0  # initial checkout + the mutation

@@ -1,12 +1,12 @@
-"""Multi-threaded exploration stress under the mutation sanitizer.
+"""Parallel exploration stress under the mutation sanitizer.
 
-The thread backend makes every worker share one hydrated layer out of
-the per-process cache — the exact sharing the analyzer's snapshot pass
-and the runtime sanitizer exist to police.  These tests run that path
-hot (many branches, several workers, randomized layers) with the
-sanitizer active, asserting both that nothing trips the seal (workers
-really are read-only) and that results stay byte-identical to serial
-evaluation.
+Every task a worker process runs shares one hydrated layer out of the
+per-process cache — the exact sharing the analyzer's snapshot pass and
+the runtime sanitizer exist to police.  These tests run that path hot
+(many branches, several workers, randomized layers) with the sanitizer
+armed (forked workers inherit it), asserting both that nothing trips
+the seal (workers really are read-only) and that results stay
+byte-identical to serial evaluation.
 """
 
 import sys
@@ -38,13 +38,17 @@ def _sanitized_and_tight():
 
 @pytest.mark.parametrize("seed", [0, 3, 17])
 def test_threaded_pool_matches_serial_under_sanitizer(seed):
-    """Snapshot-hydrated thread pool: many workers, one sealed layer,
-    results byte-identical to one-by-one serial evaluation."""
+    """Snapshot-hydrated process pool: many tasks per worker, one sealed
+    layer each, results byte-identical to one-by-one serial
+    evaluation."""
     tasks = stress_branch_tasks(seed, branches=12, with_snapshot=True)
     serial = [evaluate_branch(task) for task in tasks]
     _LAYER_CACHE.clear()
-    with WorkerPool(jobs=4, backend="thread", chunk_size=1) as pool:
+    with WorkerPool(jobs=4, chunk_size=1) as pool:
         parallel = pool.map(tasks)
+        # Each worker hydrates the snapshot once; its other tasks hit
+        # the sealed cached layer.
+        assert 1 <= pool.last_dispatch.hydrates <= pool.jobs
     assert [r.label for r in parallel] == [r.label for r in serial]
     for s, p in zip(serial, parallel):
         assert p.outcomes == s.outcomes
@@ -53,13 +57,13 @@ def test_threaded_pool_matches_serial_under_sanitizer(seed):
 
 @pytest.mark.parametrize("strategy", ["exhaustive", "bnb"])
 def test_threaded_explore_digest_equals_serial(strategy):
-    """Full engine fan-out on the thread backend, sanitizer active:
+    """Full engine fan-out on worker processes, sanitizer active:
     frontier digests must match the serial run exactly."""
     problem = random_exploration_problem(29, with_snapshot=True)
     serial = explore(problem, strategy=strategy)
-    threaded = explore(problem, strategy=strategy, jobs=4, backend="thread")
-    assert threaded.frontier.digest() == serial.frontier.digest()
-    assert threaded.frontier.outcomes() == serial.frontier.outcomes()
+    parallel = explore(problem, strategy=strategy, jobs=4)
+    assert parallel.frontier.digest() == serial.frontier.digest()
+    assert parallel.frontier.outcomes() == serial.frontier.outcomes()
 
 
 def test_sealed_hydrated_layer_rejects_mutation():

@@ -3,8 +3,9 @@ suite.
 
 The load-bearing property mirrors the snapshot suite
 (:mod:`test_explore_snapshot`): the engine's merged trace of a parallel
-exploration projects to **byte-identical canonical form** no matter the
-backend, the job count, or the chunk size — exactly like the frontier
+exploration projects to **byte-identical canonical form** no matter the job
+count, the chunk size, or whether the branches ran in worker processes
+or in the calling thread — exactly like the frontier
 digest it travels with.  Hypothesis probes the property over randomized
 hierarchies; a second property replays every merged trace against a
 fresh layer and demands every pruning checkpoint verifies.
@@ -15,7 +16,7 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ExplorationProblem
-from repro.core.explore import explore
+from repro.core.explore import ExplorationEngine, WorkerPool, explore
 from repro.core.obs import (
     WORKER_TASK,
     canonical_trace_bytes,
@@ -42,17 +43,34 @@ def traced_run(layer, problem, **options):
     return list(recorder.events), result.frontier.digest()
 
 
+def in_process_run(layer, problem):
+    """:func:`traced_run` with the engine's parallel fan-out dispatched
+    on a one-worker pool, which evaluates every branch in the calling
+    thread."""
+    engine = ExplorationEngine(problem, jobs=2)
+    # Lent after construction, so the engine keeps its jobs=2 fan-out.
+    engine.pool = WorkerPool(jobs=1)
+    recorder = layer.observe()
+    recorder.clear()
+    try:
+        result = engine.run()
+    finally:
+        layer.observe(None)
+    return list(recorder.events), result.frontier.digest()
+
+
 def parallel_problem(layer):
-    """The problem the engine dispatches: live layer + snapshot so every
-    backend (thread, process, chunked) hydrates identically."""
+    """The problem the engine dispatches: live layer + snapshot, so
+    every configuration (processes, chunked, in-process) hydrates
+    identically."""
     return ExplorationProblem(start="R", metrics=METRICS, layer=layer,
                               snapshot=layer.snapshot())
 
 
 CONFIGS = (
-    {"jobs": 2, "backend": "thread"},
-    {"jobs": 3, "backend": "thread", "chunk_size": 1},
-    {"jobs": 4, "backend": "thread", "chunk_size": 2},
+    {"jobs": 2},
+    {"jobs": 3, "chunk_size": 1},
+    {"jobs": 4, "chunk_size": 2},
 )
 
 
@@ -65,30 +83,32 @@ class TestMergedTraceDeterminism:
         explore(problem, jobs=2)  # warm: indexes built before tracing
         outcomes = [traced_run(layer, problem, **config)
                     for config in CONFIGS]
+        outcomes.append(in_process_run(layer, problem))
         blobs = {canonical_trace_bytes(events) for events, _ in outcomes}
         fronts = {digest for _, digest in outcomes}
         assert len(blobs) == 1
         assert len(fronts) == 1
 
     def test_canonical_bytes_identical_across_backends(self):
-        # Process pools are too slow for a hypothesis sweep; one
-        # non-hypothesis case pins thread/process equivalence.
+        # Worker processes and the in-process dispatch merge the same
+        # canonical trace, and it holds the worker spans.
         layer = random_layer(7)
         problem = parallel_problem(layer)
         explore(problem, jobs=2)
-        outcomes = [traced_run(layer, problem, jobs=jobs, backend=backend,
-                               chunk_size=chunk)
-                    for jobs, backend, chunk in (
-                        (2, "thread", None), (2, "process", None),
-                        (4, "process", 2))]
+        outcomes = [traced_run(layer, problem, jobs=jobs, chunk_size=chunk)
+                    for jobs, chunk in ((2, None), (4, 2))]
+        outcomes.append(in_process_run(layer, problem))
         assert len({canonical_trace_bytes(e) for e, _ in outcomes}) == 1
+        assert len({digest for _, digest in outcomes}) == 1
+        assert all(any(e.kind == WORKER_TASK for e in events)
+                   for events, _ in outcomes)
 
     def test_merged_trace_contains_worker_spans(self):
         layer = build_widget_layer()
         problem = ExplorationProblem(start="Widget", layer=layer,
                                      snapshot=layer.snapshot())
         explore(problem, jobs=2)
-        events, _ = traced_run(layer, problem, jobs=2, backend="thread")
+        events, _ = traced_run(layer, problem, jobs=2)
         tasks = [e for e in events if e.kind == WORKER_TASK]
         assert tasks
         # Every worker span is reparented under a root branch_open
@@ -106,12 +126,13 @@ class TestMergedTraceDeterminism:
         problem = ExplorationProblem(start="Widget", layer=layer,
                                      snapshot=layer.snapshot())
         explore(problem, jobs=2)
-        events, _ = traced_run(layer, problem, jobs=2, backend="thread",
-                               chunk_size=1)
+        events, _ = traced_run(layer, problem, jobs=2, chunk_size=1)
+        assert {"chunk_dispatch", "worker_hydrate"} <= \
+            {e.kind for e in events}
         kinds = {row["kind"] for row in canonical_trace_events(events)}
         assert "worker_task" in kinds
-        assert kinds.isdisjoint({"worker_hydrate", "worker_layer_rebuild",
-                                 "chunk_dispatch", "chunk_steal"})
+        assert kinds.isdisjoint({"worker_hydrate", "chunk_dispatch",
+                                 "chunk_steal"})
 
 
 class TestMergedTraceReplay:
@@ -121,7 +142,7 @@ class TestMergedTraceReplay:
         layer = random_layer(seed)
         problem = parallel_problem(layer)
         explore(problem, jobs=2)
-        events, _ = traced_run(layer, problem, jobs=3, backend="thread")
+        events, _ = traced_run(layer, problem, jobs=3)
         report = replay_trace(layer, events)
         assert report.ok
         assert report.checks > 0
@@ -131,7 +152,7 @@ class TestMergedTraceReplay:
         problem = ExplorationProblem(start="Widget", layer=layer,
                                      snapshot=layer.snapshot())
         explore(problem, jobs=2)
-        events, _ = traced_run(layer, problem, jobs=2, backend="thread")
+        events, _ = traced_run(layer, problem, jobs=2)
         tampered = [
             replace(e, payload={**e.payload, "survivors":
                                 e.payload["survivors"] + 1})
