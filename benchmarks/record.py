@@ -16,7 +16,8 @@
   sweep (chunked vs per-task dispatch, snapshot capture/hydrate cost);
   next to the timings, host-independent counts: ``range_probes``
   (option-range computations in one walk per strategy), ``bound_probes``
-  (ideal-point computations in one walk per strategy) and
+  (ideal-point computations in one walk per strategy), ``frontier_adds``
+  (outcomes offered to the frontier in one walk per strategy) and
   ``retained_kb_per_result`` (memory one kept result holds);
 * distributed tracing on the same parallel walk — untraced vs traced
   (worker span buffers + deterministic merge) on a warm jobs=4 pool,
@@ -196,7 +197,8 @@ def explore_measurements(num_cores: int = 50000, repeat: int = 3,
     """
     from test_bench_explore import available_cpus, exploration_problem
 
-    from repro.core.explore import WorkerPool, explore
+    from repro.core.explore import ParetoFrontier, WorkerPool, explore
+    from repro.core.index import CoreIndex
 
     problem = exploration_problem(num_cores)
     explore(problem, strategy="exhaustive")  # warm-up (index build)
@@ -217,10 +219,12 @@ def explore_measurements(num_cores: int = 50000, repeat: int = 3,
         parallel_results.clear()
         parallel = _runs(run_parallel, repeat)
     strategies = (("exhaustive", {}), ("bnb", {}), ("beam", {"width": 2}))
-    probes = {method: {strategy: index_calls(problem, method, strategy,
-                                             **options)
+    probes = {method: {strategy: walk_calls(owner, method, problem,
+                                            strategy, **options)
                        for strategy, options in strategies}
-              for method in ("merit_ranges_for", "merit_minima")}
+              for owner, method in ((CoreIndex, "merit_ranges_for"),
+                                    (CoreIndex, "merit_minima"),
+                                    (ParetoFrontier, "add"))}
     retained_kb = retained_kb_per_result(problem)
     digests = {full.frontier.digest(), bnb.frontier.digest()}
     digests.update(r.frontier.digest() for r in parallel_results)
@@ -240,6 +244,7 @@ def explore_measurements(num_cores: int = 50000, repeat: int = 3,
         "bnb_pruned_by_bound": bnb.stats.pruned.get("bound", 0),
         "range_probes": probes["merit_ranges_for"],
         "bound_probes": probes["merit_minima"],
+        "frontier_adds": probes["add"],
         "retained_kb_per_result": retained_kb,
         "frontier_size": len(full.frontier),
         "digest": full.frontier.digest(),
@@ -249,26 +254,27 @@ def explore_measurements(num_cores: int = 50000, repeat: int = 3,
     }
 
 
-def index_calls(problem, method: str, strategy: str, **options) -> int:
-    """Calls of ``CoreIndex.<method>`` in one untraced ``explore()``
-    walk: a work count, deterministic on any host.  No strategy reads
-    an option's ranges (``merit_ranges_for``); each bounds options and
-    some terminals by their ideal point (``merit_minima``)."""
+def walk_calls(owner: type, method: str, problem, strategy: str,
+               **options) -> int:
+    """Calls of ``owner.<method>`` in one untraced ``explore()`` walk: a
+    work count, deterministic on any host.  No strategy reads an
+    option's ranges (``CoreIndex.merit_ranges_for``); each bounds options
+    and some terminals by their ideal point (``CoreIndex.merit_minima``);
+    ``ParetoFrontier.add`` counts the outcomes a walk builds and offers."""
     from repro.core.explore import explore
-    from repro.core.index import CoreIndex
 
-    original = getattr(CoreIndex, method)
+    original = getattr(owner, method)
     calls = [0]
 
-    def counting(index, ids, metrics):
+    def counting(*args, **kwargs):
         calls[0] += 1
-        return original(index, ids, metrics)
+        return original(*args, **kwargs)
 
-    setattr(CoreIndex, method, counting)
+    setattr(owner, method, counting)
     try:
         explore(problem, strategy=strategy, **options)
     finally:
-        setattr(CoreIndex, method, original)
+        setattr(owner, method, original)
     return calls[0]
 
 
@@ -571,6 +577,8 @@ def collect(repeat: int, num_cores: int) -> Dict[str, object]:
             "branches_opened": exploration["branches_opened"],
             "bnb_pruned_by_bound": exploration["bnb_pruned_by_bound"],
             "range_probes": exploration["range_probes"],
+            "bound_probes": exploration["bound_probes"],
+            "frontier_adds": exploration["frontier_adds"],
             "retained_kb_per_result": round(
                 exploration["retained_kb_per_result"], 1),
             "frontier_size": exploration["frontier_size"],

@@ -25,19 +25,9 @@ import time
 
 import pytest
 
-from repro.core import (
-    ClassOfDesignObjects,
-    DesignIssue,
-    DesignObject,
-    DesignSpaceLayer,
-    EnumDomain,
-    ExplorationProblem,
-    IntRange,
-    Requirement,
-    RequirementSense,
-    ReuseLibrary,
-)
+from repro.core import DesignSpaceLayer, ExplorationProblem
 from repro.core.explore import WorkerPool, explore
+from repro.testing import dominance_gradient_layer
 
 from conftest import emit
 
@@ -58,54 +48,10 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def build_explore_layer(num_cores: int,
-                        num_families: int = 8) -> DesignSpaceLayer:
-    """A three-issue-deep synthetic layer with a dominance gradient.
-
-    Family ``f0`` carries the best merits and each later family is
-    offset strictly worse on both metrics, so a frontier seeded from an
-    early family strictly dominates the optimistic bounds of most later
-    branches — the structure branch-and-bound exploits.
-    """
-    layer = DesignSpaceLayer("explore-bench",
-                             f"synthetic exploration layer, "
-                             f"{num_cores} cores")
-    root = ClassOfDesignObjects("Design", "synthetic design family")
-    root.add_property(Requirement(
-        "Width", IntRange(1), "width",
-        sense=RequirementSense.AT_LEAST_SUPPORT))
-    root.add_property(DesignIssue(
-        "Family", EnumDomain([f"f{i}" for i in range(num_families)]),
-        "family split", generalized=True))
-    layer.add_root(root)
-    for i in range(num_families):
-        child = root.specialize(f"f{i}")
-        child.add_property(DesignIssue(
-            "Pipeline", EnumDomain([1, 2, 4, 8]), "pipeline depth"))
-        child.add_property(DesignIssue(
-            "Unroll", EnumDomain([1, 2, 4, 8]), "unroll factor"))
-        child.add_property(DesignIssue(
-            "Banks", EnumDomain([1, 2]), "memory banks"))
-    library = ReuseLibrary("explore-bench", "generated cores")
-    for i in range(num_cores):
-        family = i % num_families
-        library.add(DesignObject(
-            f"core{i}", f"Design.f{family}",
-            {"Pipeline": 1 << ((i // 8) % 4),
-             "Unroll": 1 << ((i // 32) % 4),
-             "Banks": 1 + ((i // 128) % 2),
-             "Width": 8 << (i % 5)},
-            {"area": 100.0 + 700.0 * family + (i * 37) % 500,
-             "latency_ns": 1.0 + 50.0 * family + (i * 61) % 300}))
-    layer.attach_library(library)
-    layer.validate()
-    return layer
-
-
 def bench_layer(num_cores: int = 50000) -> DesignSpaceLayer:
     layer = _LAYERS.get(num_cores)
     if layer is None:
-        layer = build_explore_layer(num_cores)
+        layer = dominance_gradient_layer(num_cores)
         _LAYERS[num_cores] = layer
     return layer
 

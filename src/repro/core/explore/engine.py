@@ -21,7 +21,6 @@ each parallel run starts a pool of its own and closes it afterwards.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -328,15 +327,16 @@ class SearchContext:
         One outcome per surviving core; when the surviving set is empty
         and the problem has an estimator, one estimated outcome (the
         paper's conceptual-design fallback).  Returns the outcomes that
-        joined the frontier.
+        joined the frontier and are still members when it returns.
 
-        Every survivor counts as an offered outcome, but only those the
-        frontier does not reject on their coordinates become
-        :class:`Outcome` objects: nearly all of a terminal's cores are
-        dominated, and a rejected offer changes nothing.  When a member
-        strictly dominates the survivors' ideal point (each metric's
-        minimum over them) it strictly dominates every survivor, so the
-        terminal is counted without visiting a core.
+        Every survivor counts as an offered outcome, but only those on
+        the survivors' skyline that the frontier does not reject on
+        their coordinates become :class:`Outcome` objects: nearly all of
+        a terminal's cores are dominated, and a rejected offer changes
+        nothing.  When a member strictly dominates the survivors' ideal
+        point (each metric's minimum over them) it strictly dominates
+        every survivor, so the terminal is counted without visiting a
+        core.
 
         ``via`` is the option a walk decided last to get here, after
         testing its :meth:`bound` against the frontier (which has not
@@ -366,31 +366,44 @@ class SearchContext:
     def _offer_survivors(self, report: IndexedPruneReport,
                          leaf_bound: bool) -> List[Outcome]:
         """Count the survivors and offer the ones the frontier would take;
-        with ``leaf_bound``, first test their ideal point."""
+        with ``leaf_bound``, first test their ideal point.
+
+        Only the survivors' skyline is offered, in id order.  A survivor
+        left out is strictly dominated by a skyline one, which either
+        joins or is itself dominated by a member that then dominates the
+        survivor too; so the frontier ends exactly as if every survivor
+        had been offered.  Two survivors with one name share an outcome
+        key, and the first offered claims it, so then every survivor is
+        offered in id order."""
         ids = report.survivor_ids
+        index = report.index
         metrics = self.metrics
         frontier = self.frontier
         self.stats.outcomes += len(ids)
         added: List[Outcome] = []
         if leaf_bound and frontier.dominates_bound(
-                report.index.merit_minima(ids, metrics)):
+                index.merit_minima(ids, metrics)):
             return added
         decisions = self._assignment()
         cdo = self.session.current_cdo.qualified_name
         path_key = render_path(decisions)
-        worst = (math.inf,) * len(metrics)
-        for core in report.survivors:
-            merits = core.merits
-            coords = tuple(map(merits.get, metrics, worst))
-            if frontier.rejects((path_key, core.name), coords):
+        repeated = bool(ids & index.repeated_names)
+        offered = list(ids) if repeated else index.skyline(ids, metrics)
+        for i in offered:
+            name = index.names[i]
+            coords = index.merit_coords(i, metrics)
+            if frontier.rejects((path_key, name), coords):
                 continue
+            core = index.cores[i]
             shared, coords = self._point(
                 tuple((m, value) for m, value in zip(metrics, coords)
-                      if m in merits), coords)
-            outcome = Outcome(decisions, cdo, core.name, shared,
+                      if core.has_merit(m)), coords)
+            outcome = Outcome(decisions, cdo, name, shared,
                               path_key=path_key)
             if frontier.add(outcome, coords):
                 added.append(outcome)
+        if repeated:  # a later survivor may have evicted an earlier one
+            added = [outcome for outcome in added if outcome in frontier]
         return added
 
     def _estimate(self) -> List[Outcome]:
@@ -604,7 +617,7 @@ class ExplorationEngine:
                 tasks.append(BranchTask(
                     problem=branch, strategy=self.strategy_name,
                     options=dict(self.strategy_options),
-                    label=f"{issue.name}={info.option!r}"))
+                    label=f"{issue.name}={info.option!r}", fanout=True))
                 anchors.append(opened)
 
         trace_base: Optional[TraceContext] = None

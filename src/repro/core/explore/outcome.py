@@ -145,12 +145,19 @@ class ParetoFrontier:
             raise ValueError("a frontier needs at least one metric")
         self.metrics: Tuple[str, ...] = tuple(metrics)
         self._members: Dict[Tuple[str, str], Tuple[Tuple[float, ...], Outcome]] = {}
+        #: Members per distinct coordinate tuple.  A frontier keeps ties,
+        #: so it holds far fewer points than members, and dominance
+        #: depends on the point alone.
+        self._points: Dict[Tuple[float, ...], int] = {}
 
     def __len__(self) -> int:
         return len(self._members)
 
     def __contains__(self, outcome: Outcome) -> bool:
-        return outcome.key in self._members
+        """True when a member equals ``outcome``, not merely shares its
+        key (two cores of one name reached by one path share a key)."""
+        member = self._members.get(outcome.key)
+        return member is not None and member[1] == outcome
 
     def rejects(self, key: Tuple[str, str],
                 coords: Sequence[float]) -> bool:
@@ -164,10 +171,7 @@ class ParetoFrontier:
         """
         if key in self._members:
             return True
-        for existing_coords, _ in self._members.values():
-            if dominates(existing_coords, coords):
-                return True
-        return False
+        return any(dominates(point, coords) for point in self._points)
 
     def add(self, outcome: Outcome,
             coords: Optional[Tuple[float, ...]] = None) -> bool:
@@ -183,11 +187,19 @@ class ParetoFrontier:
             coords = outcome.coords(self.metrics)
         if self.rejects(key, coords):
             return False
-        evict = [k for k, (existing_coords, _) in self._members.items()
-                 if dominates(coords, existing_coords)]
-        for k in evict:
-            del self._members[k]
+        points = self._points
+        if any(dominates(coords, point) for point in points):
+            # Rebuilt, not deleted from: a kept result holds its frontier,
+            # and a dict never shrinks.
+            self._points = points = {
+                point: count for point, count in points.items()
+                if not dominates(coords, point)}
+            members = self._members
+            for k in [k for k, (existing, _) in members.items()
+                      if dominates(coords, existing)]:
+                del members[k]
         self._members[key] = (coords, outcome)
+        points[coords] = points.get(coords, 0) + 1
         return True
 
     def dominates_bound(self, bound: Sequence[float]) -> bool:
@@ -196,8 +208,7 @@ class ParetoFrontier:
         strictly dominated too, so the region can be pruned without
         losing any frontier member (ties included)."""
         bound = tuple(bound)
-        return any(dominates(coords, bound)
-                   for coords, _ in self._members.values())
+        return any(dominates(point, bound) for point in self._points)
 
     def outcomes(self) -> List[Outcome]:
         """Members in a canonical, insertion-order-independent order:

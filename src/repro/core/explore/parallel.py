@@ -87,6 +87,9 @@ class BranchTask:
     strategy: str
     options: Dict[str, object] = field(default_factory=dict)
     label: str = ""
+    #: One branch of the root fan-out: the last decision of its prefix
+    #: is the descent a serial walk counts in ``stats.expanded``.
+    fanout: bool = False
 
 
 @dataclass
@@ -339,6 +342,8 @@ def _search_branch(task: BranchTask,
                         branch=task.label)
         return BranchResult(label=task.label, stats=stats,
                             hydrate_s=hydrate_s, hydrated=hydrated)
+    if task.fanout:
+        stats.expanded += 1
     ctx = SearchContext(problem, session,
                         ParetoFrontier(problem.metrics), stats,
                         recorder=buffer)

@@ -49,6 +49,21 @@ def _option_sort_key(option: object) -> Tuple[str, str]:
     return (type(option).__name__, repr(option))
 
 
+def _weights(weights: Optional[Mapping[str, float]]) -> Dict[str, float]:
+    """Scalarization weights by metric, each finite and non-negative:
+    only then does an outcome that another dominates never score below
+    it, so a score does not hang on which dominated outcomes a terminal
+    happened to return."""
+    weights = dict(weights) if weights else {}
+    for metric, weight in weights.items():
+        if not (isinstance(weight, (int, float)) and math.isfinite(weight)
+                and weight >= 0):
+            raise ExplorationError(
+                f"weight of {metric!r} must be a finite number >= 0, "
+                f"got {weight!r}")
+    return weights
+
+
 class SearchStrategy:
     """Base class: a strategy is a callable policy over a SearchContext."""
 
@@ -149,7 +164,7 @@ class BeamStrategy(SearchStrategy):
         if width < 1:
             raise ExplorationError(f"beam width must be >= 1, got {width}")
         self.width = width
-        self.weights = dict(weights) if weights else {}
+        self.weights = _weights(weights)
 
     def describe(self) -> str:
         return f"{self.name}(width={self.width})"
@@ -203,7 +218,8 @@ class EvolutionaryStrategy(SearchStrategy):
     the gene ``genome[d % len(genome)]`` selects one of the issue's
     viable options by modulo.  Fitness is the best weighted-sum score
     among the outcomes the decoded terminal contributes (lower is
-    better); infeasible genomes score ``inf``.  All randomness flows
+    better; a NaN score counts as none); a genome that is infeasible or
+    contributes no scored outcome scores ``inf``.  All randomness flows
     from ``random.Random(seed)``, so equal seeds give byte-identical
     frontiers.
     """
@@ -228,7 +244,7 @@ class EvolutionaryStrategy(SearchStrategy):
         self.elite = max(0, min(elite, population - 1))
         self.tournament = max(2, tournament)
         self.gene_space = max(2, gene_space)
-        self.weights = dict(weights) if weights else {}
+        self.weights = _weights(weights)
 
     def describe(self) -> str:
         return (f"{self.name}(seed={self.seed}, population="
@@ -265,10 +281,12 @@ class EvolutionaryStrategy(SearchStrategy):
             if feasible:
                 added = ctx.terminal()
                 ctx.stats.evaluations += 1
+                # A NaN score is unordered: ``min`` would then depend
+                # on the order of the outcomes.
                 scores = [weighted_sum(o.coords(ctx.metrics), vector)
                           for o in added]
-                if scores:
-                    score = min(scores)
+                score = min((s for s in scores if s == s),
+                            default=math.inf)
         memo[genome] = score
         return score
 

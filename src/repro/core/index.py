@@ -8,9 +8,11 @@ a :class:`CoreIndex` precomputes, over a snapshot of a core collection,
   at or below ``Operator.Modular.Multiplier``" is a lookup instead of a
   string-prefix scan over the whole federation;
 * **posting sets** per (property, value), so design-decision filtering is
-  set intersection instead of per-core predicate evaluation; and
+  set intersection instead of per-core predicate evaluation;
 * **per-merit sorted arrays**, so threshold requirements bisect and
-  figure-of-merit ranges probe instead of scanning.
+  figure-of-merit ranges probe instead of scanning; and
+* **per-merit columns** (value by core id), so a terminal sorts its
+  survivors' points and offers only their skyline.
 
 Every id set is an :class:`IdSet`: an ``int`` bitmask whose bit ``i`` is
 core ``i``.  The index builds all of them once, so a prune is a chain of
@@ -32,13 +34,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import abc
+from collections import Counter, abc
 from itertools import chain, compress
 from typing import (AbstractSet, Callable, Dict, Iterable, Iterator, List,
                     Mapping, Optional, Sequence, Tuple)
 
 from repro.core.cdo import QNAME_SEP
 from repro.core.designobject import DesignObject
+from repro.core.evaluation import dominates
 from repro.core.properties import Requirement, RequirementSense
 from repro.core.pruning import (
     MissingPolicy,
@@ -180,6 +183,14 @@ def _is_plain_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _repeated(names: Sequence[str]) -> int:
+    """Mask of the ids whose name occurs more than once in ``names``."""
+    counts = Counter(names)
+    if len(counts) == len(names):
+        return 0
+    return _mask_of(i for i, name in enumerate(names) if counts[name] > 1)
+
+
 def _masks(postings: Mapping[object, List[int]]) -> Dict[object, int]:
     return {key: _mask_of(ids) for key, ids in postings.items()}
 
@@ -197,6 +208,8 @@ class CoreIndex:
         #: core name by id, so a report can name its survivors without
         #: touching the cores.
         self.names: List[str] = [core.name for core in self.cores]
+        #: ids of the cores whose name another core shares.
+        self.repeated_names = IdSet(_repeated(self.names))
         by_exact: Dict[str, List[int]] = {}
         by_prop: Dict[str, Dict[object, List[int]]] = {}
         odd_prop: Dict[str, List[int]] = {}
@@ -239,8 +252,15 @@ class CoreIndex:
         #: merit key -> (B, masks of the ids ranked below 0, B, 2B, ...
         #: and finally all holders of a number).
         self._merit_prefixes: Dict[str, Tuple[int, List[int]]] = {}
+        #: merit key -> value by core id: the core's own value object, or
+        #: ``inf`` where it lacks the merit (its outcome coordinate).
+        self._merit_columns: Dict[str, List[float]] = {}
         for key, ids in merit_ids.items():
             merits = [self.cores[i]._merits[key] for i in ids]
+            column = [math.inf] * len(self.cores)
+            for i, value in zip(ids, merits):
+                column[i] = value
+            self._merit_columns[key] = column
             # A sum is NaN when a term is (or when inf meets -inf), so
             # only then are the values searched.
             if math.isnan(sum(merits)):
@@ -461,6 +481,49 @@ class CoreIndex:
                 minima.append(math.inf)
         return tuple(minima)
 
+    def merit_coords(self, i: int, metrics: Sequence[str]
+                     ) -> Tuple[float, ...]:
+        """Core ``i``'s point in the evaluation space over ``metrics``,
+        as :meth:`Outcome.coords <repro.core.explore.outcome.Outcome.coords>`
+        reads it: ``inf`` where the core documents no such merit."""
+        columns = self._merit_columns
+        return tuple(columns[metric][i] if metric in columns else math.inf
+                     for metric in metrics)
+
+    def skyline(self, ids: Iterable[int], metrics: Sequence[str]
+                ) -> List[int]:
+        """The ids in ``ids`` whose :meth:`merit_coords` no other id in
+        ``ids`` strictly dominates (all metrics minimized), ascending.
+
+        Only strict dominance rejects, so every id tied at a skyline
+        point is kept.  A NaN coordinate neither dominates nor is
+        dominated, so its holders are always kept.  The others are
+        sorted by ``(coords..., id)``, where any strict dominator of a
+        point sorts before it: two metrics then take one sweep (the
+        maxima sweep of Kung, Luccio & Preparata), any other number
+        compares each point with the points kept so far (the skyline
+        operator of Börzsönyi et al.), which is exact because a dropped
+        dominator is itself dominated by a kept one."""
+        mask = _mask_of(ids)
+        nan = 0
+        for metric in metrics:
+            nan |= self._merit_nan.get(metric, 0)
+        nan &= mask
+        rest = _bits(mask & ~nan if nan else mask)
+        # A metric no core documents reads inf everywhere: it ties every
+        # pair of points, so it decides no dominance.
+        columns = [self._merit_columns[metric] for metric in metrics
+                   if metric in self._merit_columns]
+        kept = rest
+        if len(rest) > 1 and columns:
+            points = sorted(zip(*[[column[i] for i in rest]
+                                  for column in columns], rest))
+            kept = (_sweep_2d(points) if len(columns) == 2
+                    else _sweep(points))
+        if nan:
+            kept = sorted(kept + _bits(nan))
+        return kept
+
     def _bytes(self, mask: int) -> bytes:
         """``mask`` little-endian, long enough to probe any core id."""
         return mask.to_bytes(max(mask.bit_length(), len(self.cores)) // 8 + 1,
@@ -486,6 +549,43 @@ class CoreIndex:
         descending = range(min(last * block, len(ordered)) - 1,
                            (last - 1) * block - 1, -1)
         return values[_first_member(ordered, descending, bits)]
+
+
+def _sweep_2d(points: Sequence[Tuple[float, float, int]]) -> List[int]:
+    """Ids of the non-dominated ``(x, y, id)`` points, sorted ascending.
+
+    A point is dominated by a point of a strictly smaller ``x`` with a
+    ``y`` no larger, or by one of its own ``x`` with a smaller ``y``: so
+    it is kept when its ``y`` is the least of its ``x`` group (the
+    group's first) and below the least of every earlier group.  ``best`` starts at None, not
+    ``inf``, so an ``inf`` with no earlier group stays."""
+    kept: List[int] = []
+    best: Optional[float] = None
+    group_x: Optional[float] = None
+    group_y: Optional[float] = None
+    for x, y, i in points:
+        if x != group_x:
+            if group_y is not None and (best is None or group_y < best):
+                best = group_y
+            group_x, group_y = x, y
+        if y == group_y and (best is None or y < best):
+            kept.append(i)
+    kept.sort()
+    return kept
+
+
+def _sweep(points: Sequence[Tuple]) -> List[int]:
+    """Ids of the non-dominated ``(coords..., id)`` points, sorted
+    ascending: each point is tested against the points kept before it."""
+    kept: List[Tuple[float, ...]] = []
+    ids: List[int] = []
+    for point in points:
+        coords = point[:-1]
+        if not any(dominates(other, coords) for other in kept):
+            kept.append(coords)
+            ids.append(point[-1])
+    ids.sort()
+    return ids
 
 
 def _first_member(ordered: Sequence[int], positions: Iterable[int],

@@ -16,6 +16,7 @@ All generators are deterministic in their seed.
 """
 
 from repro.testing.stress import (
+    dominance_gradient_layer,
     random_core_population_layer,
     random_exploration_problem,
     random_hierarchy_layer,
@@ -23,6 +24,7 @@ from repro.testing.stress import (
 )
 
 __all__ = [
+    "dominance_gradient_layer",
     "random_core_population_layer",
     "random_exploration_problem",
     "random_hierarchy_layer",

@@ -13,7 +13,8 @@ Two layer shapes, promoted from the private helpers in
   pruning equivalence and federation-order determinism.
 
 Both are deterministic in their seed, so a failing stress run reproduces
-from the seed alone.  :func:`random_exploration_problem` and
+from the seed alone.  :func:`dominance_gradient_layer` is the fixed
+shape the exploration benchmarks and tests walk at scale.  :func:`random_exploration_problem` and
 :func:`stress_branch_tasks` wrap them into ready-to-dispatch exploration
 work for pool/sanitizer stress tests.
 """
@@ -136,6 +137,52 @@ def random_core_population_layer(seed: int,
     for library in libraries:
         if len(library):
             layer.attach_library(library)
+    layer.validate()
+    return layer
+
+
+def dominance_gradient_layer(num_cores: int,
+                             num_families: int = 8) -> DesignSpaceLayer:
+    """A three-issue-deep synthetic layer with a dominance gradient.
+
+    A generalized ``Family`` split over ``Pipeline``, ``Unroll`` and
+    ``Banks``, with a ``Width`` requirement at the root.  Family ``f0``
+    carries the best merits and each later family is offset strictly
+    worse on both metrics, so a frontier seeded from an early family
+    strictly dominates the optimistic bounds of most later branches —
+    the structure branch-and-bound exploits.
+    """
+    layer = DesignSpaceLayer("explore-bench",
+                             f"synthetic exploration layer, "
+                             f"{num_cores} cores")
+    root = ClassOfDesignObjects("Design", "synthetic design family")
+    root.add_property(Requirement(
+        "Width", IntRange(1), "width",
+        sense=RequirementSense.AT_LEAST_SUPPORT))
+    root.add_property(DesignIssue(
+        "Family", EnumDomain([f"f{i}" for i in range(num_families)]),
+        "family split", generalized=True))
+    layer.add_root(root)
+    for i in range(num_families):
+        child = root.specialize(f"f{i}")
+        child.add_property(DesignIssue(
+            "Pipeline", EnumDomain([1, 2, 4, 8]), "pipeline depth"))
+        child.add_property(DesignIssue(
+            "Unroll", EnumDomain([1, 2, 4, 8]), "unroll factor"))
+        child.add_property(DesignIssue(
+            "Banks", EnumDomain([1, 2]), "memory banks"))
+    library = ReuseLibrary("explore-bench", "generated cores")
+    for i in range(num_cores):
+        family = i % num_families
+        library.add(DesignObject(
+            f"core{i}", f"Design.f{family}",
+            {"Pipeline": 1 << ((i // 8) % 4),
+             "Unroll": 1 << ((i // 32) % 4),
+             "Banks": 1 + ((i // 128) % 2),
+             "Width": 8 << (i % 5)},
+            {"area": 100.0 + 700.0 * family + (i * 37) % 500,
+             "latency_ns": 1.0 + 50.0 * family + (i * 61) % 300}))
+    layer.attach_library(library)
     layer.validate()
     return layer
 

@@ -80,3 +80,15 @@ def build_widget_layer() -> DesignSpaceLayer:
 @pytest.fixture()
 def widget_layer() -> DesignSpaceLayer:
     return build_widget_layer()
+
+
+#: Frontier digest of an exhaustive walk of the explore layer from
+#: ``Design`` with ``Width`` 16 required (the explore benchmark's).
+EXPLORE_DIGEST = "730389f4139eff59"
+
+
+@pytest.fixture(scope="session")
+def explore_layer() -> DesignSpaceLayer:
+    """The explore benchmark's 50k-core layer."""
+    from repro.testing import dominance_gradient_layer
+    return dominance_gradient_layer(50000)

@@ -24,12 +24,13 @@ from repro.core.explore import (
     explore,
     weighted_sum,
 )
+from repro.core.evaluation import dominates
 from repro.core.explore.engine import SearchContext
-from repro.core.index import CoreIndex
+from repro.core.index import CoreIndex, IndexedPruneReport
 from repro.core.pruning import merit_bounds
 from repro.domains.idct import idct_exploration_problem
 
-from conftest import build_widget_layer
+from conftest import EXPLORE_DIGEST, build_widget_layer
 
 
 def out(core, merits, decisions=(("Style", "hw"),), cdo="Widget.hw",
@@ -268,14 +269,35 @@ MAYBE_MERIT = st.one_of(st.none(), MERIT_VALUES)
 MAYBE_MERIT_OR_NAN = st.one_of(MAYBE_MERIT, st.just(math.nan))
 
 
-def random_outcome():
+def random_outcome(values=MAYBE_MERIT):
     return st.builds(
         lambda core, option, area, latency: out(
             core, {m: v for m, v in (("area", area), ("latency_ns", latency))
                    if v is not None},
             decisions=(("Style", option),)),
         st.sampled_from(["a", "b", "c"]), st.sampled_from(["hw", "sw"]),
-        MAYBE_MERIT, MAYBE_MERIT)
+        values, values)
+
+
+class MemberScanFrontier:
+    """A frontier that compares a newcomer with every member."""
+
+    def __init__(self):
+        self.members = {}
+
+    def dominates_bound(self, bound):
+        return any(dominates(coords, bound)
+                   for coords, _ in self.members.values())
+
+    def add(self, outcome):
+        coords = outcome.coords(METRICS)
+        if outcome.key in self.members or self.dominates_bound(coords):
+            return False
+        for key in [key for key, (member, _) in self.members.items()
+                    if dominates(coords, member)]:
+            del self.members[key]
+        self.members[outcome.key] = (coords, outcome)
+        return True
 
 
 class TestRejects:
@@ -292,6 +314,20 @@ class TestRejects:
         assert rejected == (not probe.add(candidate))
         if rejected:
             assert probe.outcomes() == frontier.outcomes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(random_outcome(MAYBE_MERIT_OR_NAN),
+                              st.tuples(MERIT_VALUES, MERIT_VALUES)),
+                    max_size=16))
+    def test_distinct_points_match_a_member_scan(self, offers):
+        frontier, reference = ParetoFrontier(METRICS), MemberScanFrontier()
+        for outcome, bound in offers:
+            assert frontier.add(outcome) == reference.add(outcome)
+            assert list(frontier._members.items()) \
+                == list(reference.members.items())
+            assert sum(frontier._points.values()) == len(frontier)
+            assert frontier.dominates_bound(bound) \
+                == reference.dominates_bound(bound)
 
     def test_duplicate_key_rejected(self):
         f = ParetoFrontier(METRICS)
@@ -368,6 +404,15 @@ def reference_terminal(ctx, via=None, dominated=False):
     return added
 
 
+def still_members(terminal):
+    """``terminal`` returning only the outcomes that are still members
+    when it returns: a reference terminal also returns those a later
+    survivor of the same terminal evicted."""
+    def kept(ctx, *args):
+        return [o for o in terminal(ctx, *args) if o in ctx.frontier]
+    return kept
+
+
 def walk_terminals(ctx, terminal, root_first=True):
     """Terminals under each option of ``I`` and at the root (every key a
     duplicate the second time); the root comes first and last, or only
@@ -410,7 +455,8 @@ class TestLazyTerminal:
         lazy = SearchContext(problem, problem.open_session(layer))
         eager = SearchContext(problem, problem.open_session(layer))
         got = walk_terminals(lazy, SearchContext.terminal, root_first)
-        want = walk_terminals(eager, reference_terminal, root_first)
+        want = walk_terminals(eager, still_members(reference_terminal),
+                              root_first)
         assert got == want
         assert [[o.path_key for o in batch] for batch in got] \
             == [[o.path_key for o in batch] for batch in want]
@@ -429,14 +475,88 @@ class TestLazyTerminal:
         assert ctx.stats.outcomes == 2
         assert len(ctx.frontier) == 1
 
+    @pytest.mark.parametrize("specs,member", [
+        ([(0, "c0", 0, 2.0, 2.0), (1, "c0", 0, 1.0, 1.0)], 2.0),
+        ([(0, "c0", 0, 2.0, 2.0), (0, "c1", 0, 1.5, 1.5),
+          (1, "c0", 0, 1.0, 1.0)], 1.0),
+    ], ids=["first-claims-the-key", "evicted-then-claimed-again"])
+    def test_one_name_with_different_merits(self, specs, member):
+        # Both c0 share the key: the first offered claims it even where
+        # the second dominates it, so the skyline alone would differ.
+        layer = spec_layer(specs)
+        problem = ExplorationProblem(start="R", metrics=METRICS, layer=layer)
+        lazy = SearchContext(problem, problem.open_session(layer))
+        eager = SearchContext(problem, problem.open_session(layer))
+        got = walk_terminals(lazy, SearchContext.terminal)
+        want = walk_terminals(eager, still_members(reference_terminal))
+        assert got == want
+        assert list(lazy.frontier._members.items()) \
+            == list(eager.frontier._members.items())
+        assert [(o.core, o.merits) for o in got[0]] == [
+            ("c0", (("area", member), ("latency_ns", member)))]
+        assert lazy.stats.to_dict() == eager.stats.to_dict()
+
+    def test_live_terminals_offer_only_their_skyline(self, monkeypatch,
+                                                     explore_layer):
+        problem = ExplorationProblem(start="Design", metrics=METRICS,
+                                     requirements={"Width": 16},
+                                     layer=explore_layer)
+        explore(problem)  # index built before the spies go in
+        skylines, screened, reads, adding = [], [], [], []
+        skyline, rejects, add = (CoreIndex.skyline, ParetoFrontier.rejects,
+                                 ParetoFrontier.add)
+        survivors = IndexedPruneReport.survivors
+
+        def spy_skyline(index, ids, metrics):
+            kept = skyline(index, ids, metrics)
+            skylines.append([index.names[i] for i in kept])
+            return kept
+
+        def spy_rejects(frontier, key, coords):
+            if not adding:  # add() screens the newcomer again
+                screened.append(key[1])
+            return rejects(frontier, key, coords)
+
+        def spy_add(frontier, outcome, coords=None):
+            adding.append(outcome)
+            try:
+                return add(frontier, outcome, coords)
+            finally:
+                adding.pop()
+
+        monkeypatch.setattr(CoreIndex, "skyline", spy_skyline)
+        monkeypatch.setattr(ParetoFrontier, "rejects", spy_rejects)
+        monkeypatch.setattr(ParetoFrontier, "add", spy_add)
+        monkeypatch.setattr(IndexedPruneReport, "survivors", property(
+            lambda report: reads.append(report) or survivors.fget(report),
+            survivors.fset))
+        result = explore(problem)
+        assert result.frontier.digest() == EXPLORE_DIGEST
+        assert result.stats.outcomes == 40000
+        assert reads == []
+        assert len(skylines) == 32
+        assert screened == [name for names in skylines for name in names]
+        assert len(screened) == 169
+
     def test_missing_metric_and_documented_inf_keep_merits(self):
+        # One point, (1, inf), so both join and stay.
         layer = spec_layer([(0, "c0", 0, 1.0, None),
-                            (0, "c1", 0, 0.5, math.inf)])
+                            (0, "c1", 0, 1.0, math.inf)])
         problem = ExplorationProblem(start="R", metrics=METRICS, layer=layer)
         ctx = SearchContext(problem, problem.open_session(layer))
         added = ctx.terminal()
         assert [(o.core, o.merits) for o in added] == [
             ("c0", (("area", 1.0),)),
+            ("c1", (("area", 1.0), ("latency_ns", math.inf)))]
+
+    def test_a_survivor_evicted_by_a_later_one_is_not_returned(self):
+        # c1's (0.5, inf) dominates c0's (1, inf): a per-survivor loop
+        # adds c0 and then evicts it, the skyline never offers it.
+        layer = spec_layer([(0, "c0", 0, 1.0, None),
+                            (0, "c1", 0, 0.5, math.inf)])
+        problem = ExplorationProblem(start="R", metrics=METRICS, layer=layer)
+        ctx = SearchContext(problem, problem.open_session(layer))
+        assert [(o.core, o.merits) for o in ctx.terminal()] == [
             ("c1", (("area", 0.5), ("latency_ns", math.inf)))]
 
     def test_member_equal_to_the_ideal_point_does_not_skip(self):

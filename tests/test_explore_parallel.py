@@ -12,10 +12,11 @@ from repro.core.explore import (
     evaluate_branch,
     explore,
 )
+from repro.domains.crypto import crypto_exploration_problem
 from repro.domains.idct import idct_exploration_problem
 from repro.errors import ExplorationError
 
-from conftest import build_widget_layer
+from conftest import EXPLORE_DIGEST, build_widget_layer
 
 METRICS = ("area", "latency_ns")
 
@@ -60,6 +61,36 @@ class TestDeterministicMerge:
         assert first.stats.evaluations >= solo.stats.evaluations
 
 
+def explore_problem(layer):
+    """The 50k explore layer's benchmark problem; workers hydrate its
+    snapshot."""
+    return ExplorationProblem(start="Design", metrics=METRICS,
+                              requirements={"Width": 16}, layer=layer,
+                              snapshot=layer.snapshot())
+
+
+class TestParallelStats:
+    @pytest.mark.parametrize("name", ["widget", "idct", "crypto", "50k"])
+    def test_exhaustive_stats_equal_serial(self, name, request):
+        # Every root branch a worker opens is one descent, counted once
+        # as the serial walk counts it.
+        if name == "50k":
+            problem = explore_problem(request.getfixturevalue(
+                "explore_layer"))
+        else:
+            problem = {"widget": widget_problem,
+                       "idct": idct_exploration_problem,
+                       "crypto": crypto_exploration_problem}[name]()
+        serial = explore(problem, strategy="exhaustive")
+        parallel = explore(problem, strategy="exhaustive", jobs=2,
+                           chunk_size=1)
+        assert parallel.frontier.digest() == serial.frontier.digest()
+        assert parallel.stats.to_dict() == serial.stats.to_dict()
+        if name == "50k":
+            assert serial.frontier.digest() == EXPLORE_DIGEST
+            assert serial.stats.expanded == 424
+
+
 class TestEvaluateBranch:
     def test_single_branch(self):
         task = BranchTask(problem=widget_problem(
@@ -79,11 +110,23 @@ class TestEvaluateBranch:
             decisions=((v.IMPLEMENTATION_STYLE, v.HARDWARE),
                        (v.ALGORITHM, v.MONTGOMERY)),
             layer=crypto_layer)
-        result = evaluate_branch(
-            BranchTask(problem=problem, strategy="exhaustive"))
-        assert result.error is None
-        assert result.outcomes == []
-        assert result.stats.pruned.get("constraint", 0) == 1
+        for fanout in (False, True):
+            result = evaluate_branch(BranchTask(
+                problem=problem, strategy="exhaustive", fanout=fanout))
+            assert result.error is None
+            assert result.outcomes == []
+            # Cut before any descent, as the serial walk cuts it.
+            assert result.stats.pruned == {"constraint": 1}
+            assert result.stats.expanded == 0
+
+    def test_a_fanout_branch_counts_its_root_decision(self):
+        problem = widget_problem(decisions=(("Style", "hw"),))
+        plain, fanout = (
+            evaluate_branch(BranchTask(problem=problem,
+                                       strategy="exhaustive",
+                                       fanout=fanout)).stats
+            for fanout in (False, True))
+        assert fanout.expanded == plain.expanded + 1
 
     def test_invalid_option_is_an_error_not_a_prune(self):
         # A typo'd option in a task is a bug in the caller: the worker

@@ -6,9 +6,18 @@ return byte-for-byte the same Pareto frontier as exhaustive
 enumeration.  Hypothesis generates small random layers to probe it.
 """
 
+import math
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ExplorationProblem
+from repro.core import (
+    ClassOfDesignObjects,
+    DesignObject,
+    DesignSpaceLayer,
+    ExplorationProblem,
+    ReuseLibrary,
+)
 from repro.core.explore import (
     STRATEGIES,
     BeamStrategy,
@@ -18,6 +27,8 @@ from repro.core.explore import (
     explore,
     make_strategy,
 )
+from repro.core.explore.engine import SearchContext
+from repro.errors import ExplorationError
 
 from conftest import build_widget_layer
 from repro.testing import random_hierarchy_layer as random_layer
@@ -90,6 +101,45 @@ class TestEvolutionary:
             assert outcome.core in {"h1", "h2", "h3", "s1", "s2"}
             if outcome.key in full_keys:
                 assert outcome in full.frontier
+
+    @pytest.mark.parametrize("order", [("n", "f"), ("f", "n")])
+    def test_a_nan_score_never_wins_a_genome(self, order):
+        # n's NaN area neither dominates f nor is dominated, so the
+        # terminal returns both; the genome scores f's 2 + 3 whichever
+        # comes first.
+        merits = {"n": {"area": math.nan, "latency_ns": 1.0},
+                  "f": {"area": 2.0, "latency_ns": 3.0}}
+        layer = DesignSpaceLayer("nan", "one terminal")
+        layer.add_root(ClassOfDesignObjects("R", "root"))
+        library = ReuseLibrary("lib", "cores")
+        for name in order:
+            library.add(DesignObject(name, "R", {}, merits[name]))
+        layer.attach_library(library)
+        layer.validate()
+        problem = ExplorationProblem(start="R", metrics=METRICS, layer=layer)
+        ctx = SearchContext(problem, problem.open_session(layer))
+        score = EvolutionaryStrategy()._evaluate(ctx, (0,), (1.0, 1.0), {})
+        assert score == 5.0
+        assert len(ctx.frontier) == 2
+
+
+class TestWeights:
+    @pytest.mark.parametrize("weight", [-1.0, -0.5, math.nan, math.inf,
+                                        "1"])
+    @pytest.mark.parametrize("name", ["beam", "evolutionary"])
+    def test_negative_or_non_finite_weights_are_rejected(self, name,
+                                                         weight):
+        # A negative weight could score an outcome that another
+        # dominates below it.
+        with pytest.raises(ExplorationError, match="weight of 'area'"):
+            make_strategy(name, weights={"area": weight})
+        with pytest.raises(ExplorationError, match="weight of 'area'"):
+            STRATEGIES[name](weights={"latency_ns": 1.0, "area": weight})
+
+    @pytest.mark.parametrize("name", ["beam", "evolutionary"])
+    def test_zero_and_positive_weights_are_accepted(self, name):
+        strategy = make_strategy(name, weights={"area": 0, "latency_ns": 2.5})
+        assert strategy.weights == {"area": 0, "latency_ns": 2.5}
 
 
 class TestRegistry:

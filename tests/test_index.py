@@ -342,3 +342,76 @@ def test_bits_match_a_naive_scan_at_random_densities(seed, size, density):
     rnd = random.Random(seed)
     mask = sum(1 << i for i in range(size) if rnd.random() < density)
     assert _bits(mask) == _naive_bits(mask)
+
+
+#: Merit values with ties, both zeros, inf and NaN; None leaves the
+#: merit undocumented.
+SKYLINE_VALUES = st.sampled_from(
+    [None, 0.0, -0.0, 1.0, 1.0, 2.0, 3.0, math.inf, math.nan])
+
+#: ``z`` is a metric no core documents.
+SKYLINE_METRICS = st.lists(st.sampled_from(["a", "b", "c", "z"]),
+                           min_size=1, max_size=3, unique=True)
+
+
+def _naive_skyline(cores, ids, metrics):
+    """Ids that no other id strictly dominates, by ``dominates``."""
+    from repro.core.evaluation import dominates
+
+    def coords(i):
+        merits = cores[i].merits
+        return tuple(merits.get(m, math.inf) for m in metrics)
+    return [i for i in sorted(ids)
+            if not any(dominates(coords(j), coords(i)) for j in ids)]
+
+
+class TestSkyline:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(SKYLINE_VALUES, SKYLINE_VALUES,
+                              SKYLINE_VALUES), max_size=24),
+           SKYLINE_METRICS, st.data())
+    def test_matches_a_brute_force_filter(self, values, metrics, data):
+        cores = [DesignObject(f"c{i}", "R", {},
+                              {m: v for m, v in zip("abc", row)
+                               if v is not None})
+                 for i, row in enumerate(values)]
+        index = CoreIndex(cores)
+        ids = data.draw(st.sets(st.integers(0, len(cores) - 1))
+                        if cores else st.just(set()))
+        assert index.skyline(ids, metrics) \
+            == _naive_skyline(cores, ids, metrics)
+
+    def test_ties_zeros_and_inf(self):
+        cores = [DesignObject("p", "R", {}, {"a": 1.0, "b": math.inf}),
+                 DesignObject("q", "R", {}, {"a": 2.0, "b": 0.0}),
+                 DesignObject("r", "R", {}, {"a": 2.0, "b": -0.0}),
+                 DesignObject("s", "R", {}, {"a": 2.0, "b": 1.0}),
+                 DesignObject("t", "R", {}, {"a": 1.0})]
+        index = CoreIndex(cores)
+        # p and t tie at (1, inf), which an earlier group must not
+        # reject; q and r tie at (2, 0); s is dominated by q.
+        assert index.skyline(index.all_ids, ("a", "b")) == [0, 1, 2, 4]
+        assert index.skyline(index.all_ids, ("b",)) == [1, 2]
+        assert index.skyline(index.all_ids, ("z",)) == [0, 1, 2, 3, 4]
+
+    def test_nan_holders_are_always_kept(self):
+        cores = [DesignObject("p", "R", {}, {"a": 0.0, "b": 0.0}),
+                 DesignObject("q", "R", {}, {"a": math.nan, "b": 5.0}),
+                 DesignObject("r", "R", {}, {"a": 1.0, "b": 1.0})]
+        index = CoreIndex(cores)
+        assert index.skyline(index.all_ids, ("a", "b")) == [0, 1]
+        assert index.skyline(index.all_ids, ("b",)) == [0]
+
+    def test_coords_read_inf_for_undocumented_merits(self):
+        cores = [DesignObject("p", "R", {}, {"a": 1.0}),
+                 DesignObject("q", "R", {}, {"b": 2.0})]
+        index = CoreIndex(cores)
+        assert index.merit_coords(0, ("a", "b", "z")) == (1.0, math.inf,
+                                                          math.inf)
+        assert index.merit_coords(1, ("a", "b")) == (math.inf, 2.0)
+
+    def test_repeated_names(self):
+        index = CoreIndex([DesignObject(name, "R", {}, {})
+                           for name in ("p", "q", "p", "r")])
+        assert index.repeated_names == {0, 2}
+        assert not CoreIndex(make_cores()).repeated_names
