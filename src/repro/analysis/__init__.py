@@ -1,7 +1,7 @@
 """Static concurrency/invariant analysis over the repo's own source.
 
 Five passes — shared-state race detection (DSA001/DSA002), epoch-bump
-verification (DSA010–DSA012), snapshot immutability (DSA020/DSA021),
+verification (DSA010/DSA011), snapshot immutability (DSA020/DSA021),
 deadlock detection over the lock-acquisition graph (DSA030–DSA032) and
 digest-path determinism (DSA040–DSA043) — plus a suppression audit
 (DSA003/DSA004), driven by the reified concurrency contract in

@@ -12,11 +12,9 @@ layer) shares state across threads and processes under three rules:
 
 2. **Epoch-guarded stores always move their epoch.**  The epoch
    contracts pair each mutable store with the invalidation that keeps
-   the index/verify/prune caches honest: either an explicit bump
-   (``_bump()`` / ``_touch()`` / ``self._epoch += 1``) or — for *derived*
-   epochs computed from store lengths — an insert-only discipline
-   (membership guard that raises on duplicates, so a write always
-   changes ``len``).
+   the index/verify/prune caches honest: an explicit bump
+   (``_bump()`` / ``_touch()`` / ``_touch_structure()`` /
+   ``self._epoch += 1``) in every method that writes the store.
 
 3. **Hydrated layers are frozen.**  Worker-side code may read a layer
    obtained from a snapshot/cache (``_hydrate_snapshot``,
@@ -39,18 +37,12 @@ from typing import FrozenSet, Mapping, Tuple
 
 @dataclass(frozen=True)
 class EpochContract:
-    """Pairs one class's mutable stores with its epoch invalidation.
-
-    ``derived`` epochs are computed from store sizes/versions (the layer
-    signature), so instead of a bump call the contract demands an
-    insert-only guard on subscript writes.
-    """
+    """Pairs one class's mutable stores with its epoch invalidation."""
 
     class_name: str
     stores: Tuple[str, ...]
     bump_methods: Tuple[str, ...] = ()
     epoch_attrs: Tuple[str, ...] = ()
-    derived: bool = False
 
 
 @dataclass(frozen=True)
@@ -189,14 +181,18 @@ DEFAULT_CONTRACT = ConcurrencyContract(
                       epoch_attrs=("_epoch",)),
         EpochContract("LibraryFederation",
                       stores=("_libraries",),
+                      bump_methods=("_bump",),
                       epoch_attrs=("_epoch",)),
         EpochContract("DesignSpaceLayer",
                       stores=("_roots", "_aliases", "_tools"),
-                      epoch_attrs=("_epoch",),
-                      derived=True),
+                      bump_methods=("_bump",),
+                      epoch_attrs=("_epoch",)),
         EpochContract("ConstraintSet",
                       stores=("_constraints",),
-                      derived=True),
+                      bump_methods=("_bump",)),
+        EpochContract("ClassOfDesignObjects",
+                      stores=("_children", "_properties"),
+                      bump_methods=("_touch_structure",)),
     ),
     hydration_functions=frozenset({"_hydrate_snapshot", "_worker_layer"}),
     hydration_methods=frozenset({"hydrate"}),

@@ -1,28 +1,20 @@
-"""Epoch-bump verifier (DSA010/DSA011/DSA012).
+"""Epoch-bump verifier (DSA010/DSA011).
 
 Every epoch-keyed cache in the repo (library indexes, the verify
 engine's layer cache, pruning frontiers) trusts one invariant: *a store
 never changes without its epoch moving*.  The contract's
 :class:`~repro.analysis.contract.EpochContract` entries pin down, per
 class, which attributes are the stores and what counts as the paired
-invalidation:
+invalidation.
 
-* **Counter epochs** (``ReuseLibrary._epoch`` via ``_bump()``,
-  ``DesignObject`` via ``_touch()``, ``LibraryFederation._epoch`` via an
-  augmented assignment): a method that writes a store must call a bump
-  method or increment the counter in the same body, else **DSA010**.
-  Re-*assigning* the counter outside ``__init__`` breaks monotonicity —
-  a rebound counter can collide with an epoch a cache already keyed —
-  so that is **DSA011** regardless of store writes.
-
-* **Derived epochs** (``DesignSpaceLayer``'s signature over store
-  lengths and root versions, ``ConstraintSet`` keyed by ``len``): a
-  plain deletion moves ``len`` and therefore the epoch, but an in-place
-  *replacement* (``self._store[k] = v`` over an existing key, or a bulk
-  ``update``) keeps ``len`` constant and the epoch stale.  Writes must
-  therefore be insert-only: the method needs a membership guard that
-  raises on duplicates (``if k in self._store: raise`` or the
-  ``.get(...) is not None -> raise`` form), else **DSA012**.
+Every epoch is a counter (``ReuseLibrary``, ``LibraryFederation``,
+``DesignSpaceLayer`` via ``_bump()``; ``DesignObject``,
+``ClassOfDesignObjects`` and ``ConstraintSet`` push to the counters
+that index them): a method that writes a store must call a bump method
+or increment the counter in the same body, else **DSA010**.
+Re-*assigning* the counter outside ``__init__`` breaks monotonicity —
+a rebound counter can collide with an epoch a cache already keyed — so
+that is **DSA011** regardless of store writes.
 """
 
 from __future__ import annotations
@@ -30,18 +22,9 @@ from __future__ import annotations
 from typing import List
 
 from repro.analysis.contract import ConcurrencyContract, EpochContract
-from repro.analysis.inventory import ClassInfo, FunctionInfo, ProjectModel
+from repro.analysis.inventory import ClassInfo, ProjectModel
 from repro.analysis.model import Finding
-from repro.analysis.registry import (DERIVED_EPOCH_BLIND_WRITE,
-                                     EPOCH_COUNTER_REBOUND,
-                                     MISSING_EPOCH_BUMP)
-
-
-def _has_insert_guard(fn: FunctionInfo, store: str) -> bool:
-    """Membership-guard-that-raises recognition for derived epochs."""
-    if not fn.raises:
-        return False
-    return store in fn.membership_tests or store in fn.get_guard_attrs
+from repro.analysis.registry import EPOCH_COUNTER_REBOUND, MISSING_EPOCH_BUMP
 
 
 def _check_class(ec: EpochContract, cls: ClassInfo, path: str,
@@ -67,37 +50,20 @@ def _check_class(ec: EpochContract, cls: ClassInfo, path: str,
         if not store_writes:
             continue
 
-        if ec.derived:
-            guarded = _has_insert_guard
-            for write in store_writes:
-                if write.kind in ("delete",) or (
-                        write.kind == "call" and write.detail in
-                        ("pop", "popitem", "clear", "remove", "discard")):
-                    continue  # size-changing: the derived epoch moves
-                if guarded(fn, write.target):
-                    continue
-                findings.append(DERIVED_EPOCH_BLIND_WRITE.make(
-                    path, write.lineno, fn.qualname,
-                    f"write to {write.target!r} may replace an existing "
-                    f"entry in place; {ec.class_name}'s epoch derives "
-                    f"from sizes and would not move",
-                    hint="make the write insert-only: check membership "
-                         "and raise on duplicates before storing"))
-        else:
-            bumped = any(b in fn.self_calls for b in ec.bump_methods) or \
-                any(attr in fn.self_augassigns for attr in ec.epoch_attrs)
-            if bumped:
-                continue
-            for write in store_writes:
-                bump_desc = " or ".join(
-                    [f"{b}()" for b in ec.bump_methods]
-                    + [f"{a} += 1" for a in ec.epoch_attrs])
-                findings.append(MISSING_EPOCH_BUMP.make(
-                    path, write.lineno, fn.qualname,
-                    f"store {write.target!r} of {ec.class_name} is "
-                    f"mutated without the paired epoch invalidation",
-                    hint=f"pair the write with {bump_desc} so epoch-keyed "
-                         f"caches invalidate"))
+        bumped = any(b in fn.self_calls for b in ec.bump_methods) or \
+            any(attr in fn.self_augassigns for attr in ec.epoch_attrs)
+        if bumped:
+            continue
+        for write in store_writes:
+            bump_desc = " or ".join(
+                [f"{b}()" for b in ec.bump_methods]
+                + [f"{a} += 1" for a in ec.epoch_attrs])
+            findings.append(MISSING_EPOCH_BUMP.make(
+                path, write.lineno, fn.qualname,
+                f"store {write.target!r} of {ec.class_name} is "
+                f"mutated without the paired epoch invalidation",
+                hint=f"pair the write with {bump_desc} so epoch-keyed "
+                     f"caches invalidate"))
 
 
 def check_epochs(model: ProjectModel,

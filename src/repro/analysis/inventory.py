@@ -173,9 +173,6 @@ class FunctionInfo:
     calls: List[CallSite] = field(default_factory=list)
     self_calls: Set[str] = field(default_factory=set)
     self_augassigns: Set[str] = field(default_factory=set)
-    raises: bool = False
-    membership_tests: Set[str] = field(default_factory=set)
-    get_guard_attrs: Set[str] = field(default_factory=set)
     local_call_assigns: List[LocalCallAssign] = field(default_factory=list)
     lock_scopes: List[LockScope] = field(default_factory=list)
     set_iterations: List[SetIterSite] = field(default_factory=list)
@@ -397,18 +394,6 @@ class _FunctionScanner(ast.NodeVisitor):
                 self._record_write(node.lineno, target.value, "delete")
         self.generic_visit(node)
 
-    def visit_Raise(self, node: ast.Raise) -> None:
-        self.info.raises = True
-        self.generic_visit(node)
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        if any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops):
-            for comparator in node.comparators:
-                attr = _self_attr(comparator)
-                if attr is not None:
-                    self.info.membership_tests.add(attr)
-        self.generic_visit(node)
-
     def visit_With(self, node: ast.With) -> None:
         identities = [identity for item in node.items
                       for identity in [self._lock_identity(item.context_expr)]
@@ -488,8 +473,6 @@ class _FunctionScanner(ast.NodeVisitor):
                 if func.attr in MUTATING_CALLS:
                     self._record_write(node.lineno, base, "call",
                                        detail=func.attr)
-                if func.attr == "get" and base_attr is not None:
-                    self.info.get_guard_attrs.add(base_attr)
                 if func.attr == "join" and len(node.args) == 1 and \
                         self._is_set_expr(node.args[0]):
                     self._note_set_iter(node.args[0], "join", node.lineno)

@@ -151,12 +151,6 @@ EPOCH_COUNTER_REBOUND = _stock(
     "__init__, breaking the monotonicity every epoch-keyed cache "
     "depends on")
 
-DERIVED_EPOCH_BLIND_WRITE = _stock(
-    "DSA012", "derived-epoch-blind-write", "epochs", Severity.ERROR,
-    "a store whose epoch derives from its length is written in place "
-    "without an insertion guard, so the mutation may not move the "
-    "layer epoch")
-
 WORKER_MUTATES_HYDRATED_LAYER = _stock(
     "DSA020", "worker-mutates-hydrated-layer", "snapshots", Severity.ERROR,
     "worker-reachable code calls a representation mutator on a "

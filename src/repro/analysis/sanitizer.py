@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, List, Tuple
 
 from repro.errors import SanitizerError
 
@@ -39,8 +39,14 @@ _STATE_LOCK = threading.Lock()
 
 #: Attribute set on sealed objects; absent means writable.
 SEAL_ATTR = "_dsl_sealed"
-#: Layer epoch recorded at seal time, for :func:`assert_unchanged`.
-SEAL_EPOCH_ATTR = "_dsl_sealed_epoch"
+#: Layer epoch and store sizes recorded at seal time, for
+#: :func:`assert_unchanged`.
+SEAL_STATE_ATTR = "_dsl_sealed_state"
+
+#: The stores whose sizes :func:`seal` records on each :func:`_targets`
+#: object that has them.
+_STORES = ("_roots", "_aliases", "_tools", "_constraints", "_libraries",
+           "_cores", "_properties", "_merits", "_views")
 
 
 def enabled() -> bool:
@@ -107,6 +113,20 @@ def _targets(layer: Any) -> Iterator[Any]:
                         yield core
 
 
+def _state(layer: Any) -> Tuple[Any, List[int]]:
+    """The layer's epoch plus the size of every store :func:`_targets`
+    reaches.  Epochs are pushed by the owned mutators, so a direct poke
+    (``layer._aliases[k] = v``) leaves the epoch alone; the sizes catch
+    it."""
+    sizes: List[int] = []
+    for obj in _targets(layer):
+        for attr in _STORES:
+            store = getattr(obj, attr, None)
+            if isinstance(store, dict):
+                sizes.append(len(store))
+    return getattr(layer, "epoch", None), sizes
+
+
 def seal(layer: Any) -> Any:
     """Mark a hydrated layer (and its reachable structures) read-only.
 
@@ -120,7 +140,7 @@ def seal(layer: Any) -> Any:
         except (AttributeError, TypeError):  # __slots__ / frozen objects
             continue
     try:
-        setattr(layer, SEAL_EPOCH_ATTR, getattr(layer, "epoch", None))
+        setattr(layer, SEAL_STATE_ATTR, _state(layer))
     except (AttributeError, TypeError):
         pass
     return layer
@@ -141,19 +161,19 @@ def is_sealed(obj: Any) -> bool:
 
 
 def assert_unchanged(layer: Any) -> None:
-    """Raise if a sealed layer's epoch moved since :func:`seal`.
+    """Raise if a sealed layer's epoch or store sizes moved since
+    :func:`seal`.
 
     Catches mutations that bypassed the hooks entirely (direct attribute
-    pokes): the derived epoch signature shifts even when no owned
-    mutator ran."""
+    pokes), which move no epoch but do change a store's size."""
     if not _ACTIVE:
         return
-    sealed_epoch: Optional[int] = getattr(layer, SEAL_EPOCH_ATTR, None)
-    if sealed_epoch is None:
+    sealed = getattr(layer, SEAL_STATE_ATTR, None)
+    if sealed is None:
         return
-    current = getattr(layer, "epoch", None)
-    if current != sealed_epoch:
+    current = _state(layer)
+    if current != sealed:
         raise SanitizerError(
-            f"sealed {type(layer).__name__} epoch moved "
-            f"{sealed_epoch} -> {current}: something mutated a hydrated "
+            f"sealed {type(layer).__name__} changed since seal (epoch "
+            f"{sealed[0]} -> {current[0]}): something mutated a hydrated "
             f"layer behind the sanitizer's hooks")

@@ -55,31 +55,29 @@ class ClassOfDesignObjects:
             raise HierarchyError(f"CDO {name!r} needs a documentation string")
         self.doc = doc
         self.parent = parent
+        #: Dotted path from the root, e.g. ``Operator.Modular.Multiplier``;
+        #: fixed here, since no CDO is renamed or re-parented.
+        self.qualified_name = (self.name if parent is None else
+                               parent.qualified_name + QNAME_SEP + self.name)
         #: Which option of the parent's generalized issue this class refines.
         self.option_of_parent = option_of_parent
         self._children: Dict[object, "ClassOfDesignObjects"] = {}
         self._properties: Dict[str, Property] = {}
         self._generalized_issue: Optional[DesignIssue] = None
-        #: Structural generation counter: bumped (here and up the parent
-        #: chain) whenever the sub-hierarchy gains a property or a child,
-        #: so layer-level caches keyed on the root's version expire.
-        self._version = 0
+        #: Layers this CDO is a root of; a property or child gained
+        #: anywhere in the sub-hierarchy is pushed to them.
+        self._watchers: list = []
 
     def _touch_structure(self) -> None:
-        node: Optional["ClassOfDesignObjects"] = self
-        while node is not None:
-            node._version += 1
-            node = node.parent
+        root = self
+        while root.parent is not None:
+            root = root.parent
+        for watcher in root._watchers:
+            watcher._bump()
 
     # ------------------------------------------------------------------
     # identity and navigation
     # ------------------------------------------------------------------
-    @property
-    def qualified_name(self) -> str:
-        """Dotted path from the root, e.g. ``Operator.Modular.Multiplier``."""
-        parts = [cdo.name for cdo in self.path_from_root()]
-        return QNAME_SEP.join(parts)
-
     def path_from_root(self) -> List["ClassOfDesignObjects"]:
         """Root-first chain of CDOs ending at ``self``."""
         chain: List[ClassOfDesignObjects] = []

@@ -178,6 +178,8 @@ class ConstraintSet:
 
     def __init__(self, constraints: Sequence[ConsistencyConstraint] = ()):
         self._constraints: Dict[str, ConsistencyConstraint] = {}
+        #: Layers this set belongs to; every addition is pushed to them.
+        self._watchers: list = []
         for constraint in constraints:
             self.add(constraint)
 
@@ -195,7 +197,12 @@ class ConstraintSet:
                 f"registered: {existing.doc!r}); constraint names are "
                 f"unique within a layer")
         self._constraints[constraint.name] = constraint
+        self._bump()
         return constraint
+
+    def _bump(self) -> None:
+        for watcher in self._watchers:
+            watcher._bump()
 
     def get(self, name: str) -> ConsistencyConstraint:
         try:

@@ -55,20 +55,23 @@ class DesignSpaceLayer:
         #: default is the shared no-op (see :meth:`observe`).
         self.observer = NULL_RECORDER
         self._epoch = 0
-        self._epoch_signature: object = None
         self._cdo_cache: Dict[str, ClassOfDesignObjects] = {}
         self._cdo_cache_epoch = -1
         self._all_cdos_cache: Optional[List[ClassOfDesignObjects]] = None
-        #: Guards the derived-epoch recomputation and the hierarchy
-        #: caches.  The signature compare-then-bump in :attr:`epoch` is
-        #: a classic lost-update window: a reader that publishes the new
-        #: signature before the increment lands lets a concurrent reader
-        #: key fresh state under the old epoch — stale forever after.
+        #: Guards the epoch increment and the hierarchy caches.
         self._cache_lock = threading.RLock()
+        # Constraint additions and library mutations are pushed here
+        # (see repro.core.library for the ordering rules of a bump).
+        self.constraints._watchers.append(self)
+        self.libraries._watchers.append(self)
 
     # ------------------------------------------------------------------
     # epoch machinery
     # ------------------------------------------------------------------
+    def _bump(self) -> None:
+        with self._cache_lock:
+            self._epoch += 1
+
     @property
     def epoch(self) -> int:
         """Monotonic generation counter covering hierarchy edits, alias /
@@ -78,17 +81,7 @@ class DesignSpaceLayer:
         session memoization) key on this value, so they expire lazily and
         no mutation site ever has to flush them explicitly.
         """
-        with self._cache_lock:
-            signature = (self.libraries.epoch,
-                         len(self._aliases),
-                         len(self.constraints),
-                         len(self._tools),
-                         tuple(root._version
-                               for root in self._roots.values()))
-            if signature != self._epoch_signature:
-                self._epoch_signature = signature
-                self._epoch += 1
-            return self._epoch
+        return self._epoch
 
     # ------------------------------------------------------------------
     # observability
@@ -125,7 +118,7 @@ class DesignSpaceLayer:
 
     def _hierarchy_caches(self) -> Dict[str, ClassOfDesignObjects]:
         with self._cache_lock:
-            epoch = self.epoch
+            epoch = self._epoch
             if epoch != self._cdo_cache_epoch:
                 self._cdo_cache = {}
                 self._all_cdos_cache = None
@@ -143,6 +136,8 @@ class DesignSpaceLayer:
         if cdo.name in self._roots:
             raise HierarchyError(f"duplicate root CDO {cdo.name!r}")
         self._roots[cdo.name] = cdo
+        cdo._watchers.append(self)
+        self._bump()
         return cdo
 
     @property
@@ -203,6 +198,7 @@ class DesignSpaceLayer:
         # Fail fast if the target does not exist.
         self.cdo(qualified_name)
         self._aliases[alias] = qualified_name
+        self._bump()
 
     @property
     def aliases(self) -> Mapping[str, str]:
@@ -222,6 +218,7 @@ class DesignSpaceLayer:
         if name in self._tools:
             raise HierarchyError(f"estimation tool {name!r} already registered")
         self._tools[name] = tool
+        self._bump()
 
     @property
     def tools(self) -> Mapping[str, Callable]:

@@ -13,6 +13,20 @@ Both classes answer subtree queries through a lazily (re)built
 themselves) bumps an epoch counter, and the index rebuilds on the next
 query whenever its epoch is behind.  Correctness therefore never depends
 on callers remembering to flush anything.
+
+Epochs are *pushed*: a core bumps the libraries holding it, a library
+bumps the federations it is attached to, and a federation bumps the
+layers it serves, so reading an epoch is a plain attribute read.  Every
+``_bump`` keeps two ordering rules:
+
+* the caller writes the store first and bumps after, so a reader that
+  keyed a cache on the epoch it read before the bump only rebuilds once
+  more; it is never left stale;
+* the increment runs under the owner's own lock (unlocked, concurrent
+  writers can move a counter backwards: read 5, ..., write 6 over 7),
+  and the push to the watchers runs after that lock is released, so no
+  library -> federation -> layer edge runs against the contract's
+  ``lock_order``.
 """
 
 from __future__ import annotations
@@ -44,10 +58,14 @@ class ReuseLibrary:
         self.doc = doc
         self._cores: Dict[str, DesignObject] = {}
         self._epoch = 0
+        #: Federations this library is attached to; every bump is pushed
+        #: to them.
+        self._watchers: list = []
         self._index = None
         self._index_epoch = -1
-        #: Guards the lazy index rebuild: concurrent readers must agree
-        #: on one index object instead of each building their own.
+        #: Guards the epoch increment and the lazy index rebuild:
+        #: concurrent readers must agree on one index object instead of
+        #: each building their own.
         self._lock = threading.RLock()
         #: Trace recorder index rebuilds report to; installed by
         #: :meth:`repro.core.layer.DesignSpaceLayer.observe`.
@@ -57,7 +75,10 @@ class ReuseLibrary:
     # epoch / index machinery
     # ------------------------------------------------------------------
     def _bump(self) -> None:
-        self._epoch += 1
+        with self._lock:
+            self._epoch += 1
+        for watcher in self._watchers:
+            watcher._bump()
 
     @property
     def epoch(self) -> int:
@@ -156,18 +177,13 @@ class LibraryFederation:
     def __init__(self, libraries: Sequence[ReuseLibrary] = ()):
         self._libraries: Dict[str, ReuseLibrary] = {}
         self._epoch = 0
-        #: Last-seen per-library epochs, so the federation's own epoch
-        #: stays monotonic even across detach/re-attach cycles.
-        self._library_epochs: Dict[str, int] = {}
+        #: Layers this federation serves; every bump is pushed to them.
+        self._watchers: list = []
         self._index = None
         self._index_epoch = -1
         self._bare_names: Optional[Dict[str, List[ReuseLibrary]]] = None
         self._bare_names_epoch = -1
-        #: Guards the epoch recomputation and both lazy caches.  Without
-        #: it, two readers can interleave the check-then-bump in
-        #: :attr:`epoch` so the fresh ``_library_epochs`` snapshot
-        #: publishes under a stale ``_epoch`` — and every epoch-keyed
-        #: cache above then serves stale results forever.
+        #: Guards the epoch increment and both lazy caches.
         self._lock = threading.RLock()
         #: Trace recorder index rebuilds report to; installed by
         #: :meth:`repro.core.layer.DesignSpaceLayer.observe`.
@@ -178,25 +194,24 @@ class LibraryFederation:
     # ------------------------------------------------------------------
     # epoch / index machinery
     # ------------------------------------------------------------------
+    def _bump(self) -> None:
+        with self._lock:
+            self._epoch += 1
+        for watcher in self._watchers:
+            watcher._bump()
+
     @property
     def epoch(self) -> int:
         """Monotonic generation counter covering attach/detach and every
         mutation inside any attached library."""
-        with self._lock:
-            for name, library in self._libraries.items():
-                if self._library_epochs.get(name) != library.epoch:
-                    self._library_epochs = {
-                        n: lib.epoch for n, lib in self._libraries.items()}
-                    self._epoch += 1
-                    break
-            return self._epoch
+        return self._epoch
 
     def index(self):
         """The federation-wide :class:`~repro.core.index.CoreIndex`,
         rebuilt lazily when the epoch has moved."""
         from repro.core.index import CoreIndex
         with self._lock:
-            epoch = self.epoch
+            epoch = self._epoch
             if self._index is None or self._index_epoch != epoch:
                 with self.observer.span(_ev.INDEX_REBUILD,
                                         owner="federation") as span:
@@ -213,8 +228,8 @@ class LibraryFederation:
         if library.name in self._libraries:
             raise LibraryError(f"library {library.name!r} already attached")
         self._libraries[library.name] = library
-        self._library_epochs[library.name] = library.epoch
-        self._epoch += 1
+        library._watchers.append(self)
+        self._bump()
         return library
 
     def detach(self, name: str) -> ReuseLibrary:
@@ -223,8 +238,8 @@ class LibraryFederation:
             library = self._libraries.pop(name)
         except KeyError:
             raise LibraryError(f"no attached library named {name!r}") from None
-        self._library_epochs.pop(name, None)
-        self._epoch += 1
+        library._watchers.remove(self)
+        self._bump()
         return library
 
     @property
@@ -270,7 +285,7 @@ class LibraryFederation:
     def _bare_name_map(self) -> Dict[str, List[ReuseLibrary]]:
         """bare core name -> owning libraries, epoch-cached."""
         with self._lock:
-            epoch = self.epoch
+            epoch = self._epoch
             if self._bare_names is None or self._bare_names_epoch != epoch:
                 mapping: Dict[str, List[ReuseLibrary]] = {}
                 for library in self._libraries.values():

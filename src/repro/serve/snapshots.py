@@ -30,10 +30,10 @@ VerifyKey = Tuple[Tuple[Tuple[str, object], ...], Optional[str]]
 class SnapshotManager:
     """Epoch-checked facade over one served layer's verify reports.
 
-    ``generation`` counts invalidations (not layer epochs — the layer's
-    derived epoch is a signature, not a counter), so tests and metrics
-    can assert "one mutation, one bump" without caring what the layer's
-    epoch values look like.
+    ``generation`` counts invalidations, not layer epochs: several
+    mutations between two checkouts move the epoch several times but
+    invalidate once, so tests and metrics can assert "one observed
+    move, one bump" without caring what the layer's epoch values are.
     """
 
     def __init__(self, layer: DesignSpaceLayer,
@@ -42,10 +42,9 @@ class SnapshotManager:
         self._lock = threading.RLock()
         #: Monotonic invalidation counter; += 1 per observed epoch move.
         self._generation = 0
-        #: Layer epoch the caches below were built against.  The layer
-        #: epoch is an opaque signature, so start from a sentinel no
-        #: real epoch equals: the first checkout always invalidates.
-        self._cached_epoch: object = object()
+        #: Layer epoch the caches below were built against; no layer
+        #: epoch is negative, so the first checkout always invalidates.
+        self._cached_epoch = -1
         self._verify_cache: Dict[VerifyKey, object] = {}
         if metrics is not None:
             self._invalidations = metrics.counter(
@@ -65,8 +64,8 @@ class SnapshotManager:
         return self._layer
 
     @property
-    def epoch(self) -> object:
-        """The layer's current epoch (derived signature)."""
+    def epoch(self) -> int:
+        """The layer's current epoch."""
         return self._layer.epoch
 
     @property
@@ -75,7 +74,7 @@ class SnapshotManager:
         with self._lock:
             return self._generation
 
-    def _checkout(self) -> object:
+    def _checkout(self) -> int:
         """Bring the caches up to the layer's current epoch.
 
         Reentrant (``self._lock`` is an RLock), so callers already
@@ -92,7 +91,7 @@ class SnapshotManager:
                     self._invalidations.inc()
             return epoch
 
-    def checkout(self) -> object:
+    def checkout(self) -> int:
         """Public epoch checkout: invalidate if stale, return the epoch.
 
         Request handlers call this once per request to key batched work

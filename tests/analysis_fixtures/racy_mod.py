@@ -56,24 +56,6 @@ class Epochal:
         self._epoch = 0               # DSA011: counter rebound
 
 
-class DerivedStore:
-    """Derived epoch (size-based): writes must be insert-only."""
-
-    def __init__(self):
-        self._things = {}
-
-    def blind_put(self, key, value):
-        self._things[key] = value     # DSA012: may replace in place
-
-    def guarded_put(self, key, value):
-        if key in self._things:
-            raise ValueError(key)
-        self._things[key] = value     # insert-only: no finding
-
-    def drop(self, key):
-        del self._things[key]         # deletion moves len: no finding
-
-
 def _hydrate(snapshot):
     return snapshot
 

@@ -35,6 +35,7 @@ def test_analysis_covers_the_whole_package():
 def test_default_contract_matches_live_code():
     """Contract entries must reference real classes/functions — a rename
     would otherwise quietly turn a pass into a no-op."""
+    from repro.core.cdo import ClassOfDesignObjects
     from repro.core.constraints import ConstraintSet
     from repro.core.designobject import DesignObject
     from repro.core.explore import parallel
@@ -47,6 +48,7 @@ def test_default_contract_matches_live_code():
         "ReuseLibrary": ReuseLibrary,
         "DesignObject": DesignObject,
         "ConstraintSet": ConstraintSet,
+        "ClassOfDesignObjects": ClassOfDesignObjects,
     }
     for ec in DEFAULT_CONTRACT.epoch_contracts:
         cls = live.get(ec.class_name)

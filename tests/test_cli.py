@@ -468,7 +468,7 @@ class TestAnalyze:
         code, out, _err = run_cli(capsys, "analyze", "--list-rules")
         assert code == 0
         for expected in ("DSA001", "DSA002", "DSA003", "DSA004", "DSA010",
-                         "DSA011", "DSA012", "DSA020", "DSA021", "DSA030",
+                         "DSA011", "DSA020", "DSA021", "DSA030",
                          "DSA031", "DSA032", "DSA040", "DSA041", "DSA042",
                          "DSA043"):
             assert expected in out
