@@ -14,17 +14,16 @@ test:
 	$(PYTHON) -m pytest tests/
 
 # The whole suite again with the runtime mutation sanitizer armed:
-# sealed hydrated layers turn any in-worker mutation into a hard error.
+# every owned mutator checks for a seal, so a write to a layer a test
+# sealed is a hard error.  No production code seals a layer at present.
 test-sanitized:
 	DSL_SANITIZE=1 $(PYTHON) -m pytest tests/
 
 # Concurrency/invariant analysis of the repo's own source (the CI gate),
-# plus the serving stack's cycle-free lock-order assertion.
+# plus the whole package's cycle-free lock-order assertion.
 analyze:
 	$(PYTHON) -m repro analyze --fail-on warning
-	$(PYTHON) -m repro analyze --lock-graph \
-		src/repro/serve src/repro/core/obs \
-		src/repro/core/explore/parallel.py
+	$(PYTHON) -m repro analyze --lock-graph src/repro
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

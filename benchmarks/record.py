@@ -11,17 +11,12 @@
   min-over-min ratio the CI overhead gate enforces (< 1.10);
 * the runtime mutation sanitizer's overhead on the same walk — plain vs
   sanitizer-armed (layer sealed), gated < 1.25x min-over-min;
-* exploration parallelism on the 50k synthetic layer — serial vs a warm
-  snapshot-hydrated worker pool, plus the jobs 1/2/4 ``parallel_scaling``
-  sweep (chunked vs per-task dispatch, snapshot capture/hydrate cost);
+* exploration on the 50k synthetic layer — serial exhaustive wall times;
   next to the timings, host-independent counts: ``range_probes``
   (option-range computations in one walk per strategy), ``bound_probes``
   (ideal-point computations in one walk per strategy), ``frontier_adds``
   (outcomes offered to the frontier in one walk per strategy) and
   ``retained_kb_per_result`` (memory one kept result holds);
-* distributed tracing on the same parallel walk — untraced vs traced
-  (worker span buffers + deterministic merge) on a warm jobs=4 pool,
-  gated < 1.10x min-over-min like the serial tracing budget;
 * the semantic verifier on a 5k-core synthetic layer — a cold analysis
   vs a warm epoch-cached re-verify (gate: warm < 5% of cold).
 
@@ -185,19 +180,17 @@ def sanitizer_overhead_measurements(num_cores: int = 50000, repeat: int = 5,
     }
 
 
-def explore_measurements(num_cores: int = 50000, repeat: int = 3,
-                         jobs: int = 4) -> Dict[str, object]:
+def explore_measurements(num_cores: int = 50000, repeat: int = 3
+                         ) -> Dict[str, object]:
     """Time automated exploration on the synthetic exploration layer.
 
     Records branch counts for exhaustive / branch-and-bound / beam, the
-    serial vs ``jobs``-worker process-backed wall times, and the
-    frontier digests — which must agree between every configuration.
-    The speedup is reported against the CPUs actually available; on a
-    single-CPU machine it documents overhead, not a win.
+    serial exhaustive wall times, and the frontier digests — which must
+    agree between exhaustive and branch-and-bound.
     """
     from test_bench_explore import available_cpus, exploration_problem
 
-    from repro.core.explore import ParetoFrontier, WorkerPool, explore
+    from repro.core.explore import ParetoFrontier, explore
     from repro.core.index import CoreIndex
 
     problem = exploration_problem(num_cores)
@@ -206,18 +199,6 @@ def explore_measurements(num_cores: int = 50000, repeat: int = 3,
     bnb = explore(problem, strategy="bnb")
     beam = explore(problem, strategy="beam", width=2)
     serial = _runs(lambda: explore(problem, strategy="exhaustive"), repeat)
-    parallel_results = []
-    pool = None
-
-    def run_parallel():
-        parallel_results.append(explore(
-            problem, strategy="exhaustive", pool=pool))
-
-    with WorkerPool(jobs=jobs, snapshot=problem.snapshot) as pool:
-        pool.warm()
-        run_parallel()  # warm workers (snapshot hydration)
-        parallel_results.clear()
-        parallel = _runs(run_parallel, repeat)
     strategies = (("exhaustive", {}), ("bnb", {}), ("beam", {"width": 2}))
     probes = {method: {strategy: walk_calls(owner, method, problem,
                                             strategy, **options)
@@ -227,14 +208,12 @@ def explore_measurements(num_cores: int = 50000, repeat: int = 3,
                                     (ParetoFrontier, "add"))}
     retained_kb = retained_kb_per_result(problem)
     digests = {full.frontier.digest(), bnb.frontier.digest()}
-    digests.update(r.frontier.digest() for r in parallel_results)
     if len(digests) != 1:
         raise AssertionError(
             f"exploration digests diverged across configurations: "
             f"{sorted(digests)}")
     return {
         "num_cores": num_cores,
-        "jobs": jobs,
         "cpus": available_cpus(),
         "branches_opened": {
             "exhaustive": full.stats.opened,
@@ -249,8 +228,6 @@ def explore_measurements(num_cores: int = 50000, repeat: int = 3,
         "frontier_size": len(full.frontier),
         "digest": full.frontier.digest(),
         "serial": serial,
-        "parallel": parallel,
-        "speedup": min(serial) / min(parallel),
     }
 
 
@@ -301,118 +278,6 @@ def retained_kb_per_result(problem, walks: int = 20) -> float:
     grown = sum(stat.size_diff for stat in after.compare_to(before,
                                                             "filename"))
     return grown / walks / 1024
-
-
-def parallel_scaling_measurements(num_cores: int = 50000, repeat: int = 2,
-                                  ) -> Dict[str, object]:
-    """Scaling sweep of the snapshot-hydrated worker pool.
-
-    Measures snapshot capture/hydrate cost once, then explores at
-    ``jobs`` 1/2/4 on warm persistent pools — chunked (default sizing)
-    and per-task (``chunk_size=1``, the old one-branch-per-submit
-    shape) at the widest point.  Every sweep's frontier digest must
-    match; speedups are min-over-min against the jobs=1 run.
-    """
-    from test_bench_explore import (
-        available_cpus,
-        bench_layer,
-        exploration_problem,
-    )
-
-    from repro.core.explore import WorkerPool, explore
-
-    layer = bench_layer(num_cores)
-    t0 = time.perf_counter()
-    snapshot = layer.snapshot()
-    capture_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    snapshot.hydrate()
-    hydrate_s = time.perf_counter() - t0
-
-    problem = exploration_problem(num_cores)
-    explore(problem, strategy="exhaustive")  # warm-up (index build)
-    sweeps: List[Dict[str, object]] = []
-    base_min: Optional[float] = None
-    for jobs, chunk_size, dispatch in ((1, None, "serial"),
-                                       (2, None, "chunked"),
-                                       (4, None, "chunked"),
-                                       (4, 1, "per-task")):
-        with WorkerPool(jobs=jobs, snapshot=snapshot,
-                        chunk_size=chunk_size) as pool:
-            if jobs > 1:
-                pool.warm()
-                explore(problem, pool=pool)  # warm workers (hydration)
-            results: List[object] = []
-            runs = _runs(lambda: results.append(
-                explore(problem, pool=pool)), repeat)
-        if base_min is None:
-            base_min = min(runs)
-        sweeps.append({
-            "jobs": jobs,
-            "dispatch": dispatch,
-            "runs": [round(r, 6) for r in runs],
-            "min": round(min(runs), 6),
-            "speedup": round(base_min / min(runs), 4),
-            "digest": results[-1].frontier.digest(),
-        })
-    return {
-        "num_cores": num_cores,
-        "cpus": available_cpus(),
-        "snapshot_bytes": snapshot.size_bytes,
-        "capture_s": round(capture_s, 6),
-        "hydrate_s": round(hydrate_s, 6),
-        "sweeps": sweeps,
-    }
-
-
-def parallel_tracing_measurements(num_cores: int = 50000, repeat: int = 3,
-                                  jobs: int = 4) -> Dict[str, object]:
-    """Distributed-tracing overhead on the parallel 50k-core walk.
-
-    Times the ``jobs``-worker exploration untraced vs traced (workers
-    fill span buffers, the engine merges them deterministically), on
-    the same warm snapshot-hydrated pool; the min-over-min ratio is the
-    CI gate (< :data:`OVERHEAD_BUDGET`).  Also records the merged
-    trace's event count, worker-span count, per-branch sampling rate,
-    and the canonical digest — which must match across job counts and
-    chunk sizes (``test_bench_trace_parallel.py`` pins
-    that).
-    """
-    from test_bench_explore import available_cpus, exploration_problem
-
-    from repro.core.explore import WorkerPool, explore
-    from repro.core.obs import WORKER_TASK, canonical_trace_digest
-
-    problem = exploration_problem(num_cores)
-    layer = problem.resolve_layer()
-    layer.observe(None)
-    explore(problem, strategy="exhaustive")  # warm-up (index build)
-    with WorkerPool(jobs=jobs, snapshot=problem.snapshot) as pool:
-        pool.warm()
-        explore(problem, pool=pool)  # warm workers (snapshot hydration)
-        untraced = _runs(lambda: explore(problem, pool=pool), repeat)
-        recorder = layer.observe()
-        traced: List[float] = []
-        for _ in range(repeat):
-            recorder.clear()
-            t0 = time.perf_counter()
-            explore(problem, pool=pool)
-            traced.append(time.perf_counter() - t0)
-        events = list(recorder.events)
-        sample_rate = recorder.metrics.gauge("dsl_trace_sample_rate").value
-        layer.observe(None)
-    return {
-        "num_cores": num_cores,
-        "jobs": jobs,
-        "cpus": available_cpus(),
-        "untraced": untraced,
-        "traced": traced,
-        "events_per_run": len(events),
-        "worker_spans": sum(1 for e in events if e.kind == WORKER_TASK),
-        "sample_rate": sample_rate,
-        "canonical_digest": canonical_trace_digest(events),
-        "ratio": min(traced) / min(untraced),
-    }
 
 
 def verify_measurements(num_cores: int = 5000, repeat: int = 5
@@ -537,9 +402,6 @@ def collect(repeat: int, num_cores: int) -> Dict[str, object]:
     overhead = overhead_measurements(num_cores, repeat)
     sanitizer = sanitizer_overhead_measurements(num_cores, repeat)
     exploration = explore_measurements(num_cores, max(repeat - 2, 1))
-    scaling = parallel_scaling_measurements(
-        num_cores, max(repeat - 3, 2))
-    tracing = parallel_tracing_measurements(num_cores, max(repeat - 2, 2))
     verify = verify_measurements(min(num_cores, 5000), repeat)
     return {
         "generated": time.strftime("%Y-%m-%d"),
@@ -572,7 +434,6 @@ def collect(repeat: int, num_cores: int) -> Dict[str, object]:
         },
         "exploration": {
             "num_cores": exploration["num_cores"],
-            "jobs": exploration["jobs"],
             "cpus": exploration["cpus"],
             "branches_opened": exploration["branches_opened"],
             "bnb_pruned_by_bound": exploration["bnb_pruned_by_bound"],
@@ -584,24 +445,6 @@ def collect(repeat: int, num_cores: int) -> Dict[str, object]:
             "frontier_size": exploration["frontier_size"],
             "digest": exploration["digest"],
             "serial": _summary(exploration["serial"]),
-            f"parallel_jobs{exploration['jobs']}": _summary(
-                exploration["parallel"]),
-            "speedup_min_over_min": round(exploration["speedup"], 4),
-        },
-        "parallel_scaling": scaling,
-        "parallel_tracing": {
-            "num_cores": tracing["num_cores"],
-            "jobs": tracing["jobs"],
-            "cpus": tracing["cpus"],
-            "untraced": _summary(tracing["untraced"]),
-            "traced": dict(_summary(tracing["traced"]),
-                           events_per_run=tracing["events_per_run"],
-                           worker_spans=tracing["worker_spans"]),
-            "sample_rate": tracing["sample_rate"],
-            "canonical_digest": tracing["canonical_digest"],
-            "ratio_min_over_min": round(tracing["ratio"], 4),
-            "budget": OVERHEAD_BUDGET,
-            "within_budget": tracing["ratio"] < OVERHEAD_BUDGET,
         },
         "verify": {
             "num_cores": verify["num_cores"],

@@ -1,44 +1,29 @@
-"""E-EX — automated exploration: strategy cost and parallel evaluation.
+"""E-EX — automated exploration: strategy cost.
 
 The exploration engine's pitch is that pruning-aware search visits far
 fewer branches than exhaustive enumeration while returning the same
-Pareto frontier, and that branch evaluation parallelizes with a
-deterministic, order-independent merge.  This benchmark measures all
-three claims on a 50k-core synthetic layer whose merit landscape has a
-real dominance gradient (later families are strictly worse), so
-branch-and-bound has something to prune:
-
-* exhaustive vs branch-and-bound vs beam — branch counts and wall time;
-* serial vs ``jobs=4`` on a persistent snapshot-hydrated
-  :class:`~repro.core.explore.parallel.WorkerPool` — identical frontier
-  digests always; the >= 3x wall-clock speedup gate applies only when
-  the machine really has >= 4 CPUs to run workers on (a 1-CPU container
-  can only demonstrate determinism, not speedup);
-* the ``parallel_scaling`` sweep (jobs 1/2/4, chunked vs per-task
-  dispatch, snapshot capture/hydrate cost) that ``record.py`` commits
-  to ``BENCH_pruning.json``.
+Pareto frontier.  This benchmark measures that claim on a synthetic
+layer whose merit landscape has a real dominance gradient (later
+families are strictly worse), so branch-and-bound has something to
+prune: exhaustive vs branch-and-bound vs beam — branch counts and wall
+time.  ``record.py`` commits the 50k-core counts and serial wall times
+to ``BENCH_pruning.json``.
 """
 
-import dataclasses
 import os
-import time
 
 import pytest
 
 from repro.core import DesignSpaceLayer, ExplorationProblem
-from repro.core.explore import WorkerPool, explore
+from repro.core.explore import explore
 from repro.testing import dominance_gradient_layer
 
 from conftest import emit
 
 METRICS = ("area", "latency_ns")
 
-#: Module-global layer cache: worker processes receive the factory by
-#: reference and forked workers inherit the prebuilt layer copy-on-write
-#: instead of building 50k cores per worker.
+#: Module-global layer cache: each size is built once per session.
 _LAYERS = {}
-#: Snapshot cache: captured once, hydrated once per pool worker.
-_SNAPSHOTS = {}
 
 
 def available_cpus() -> int:
@@ -56,27 +41,10 @@ def bench_layer(num_cores: int = 50000) -> DesignSpaceLayer:
     return layer
 
 
-def layer_factory_50k() -> DesignSpaceLayer:
-    """Module-level factory for worker processes (pickled by name)."""
-    return bench_layer(50000)
-
-
-def bench_snapshot(num_cores: int = 50000):
-    """The bench layer's snapshot, captured once per session."""
-    snap = _SNAPSHOTS.get(num_cores)
-    if snap is None:
-        snap = bench_layer(num_cores).snapshot()
-        _SNAPSHOTS[num_cores] = snap
-    return snap
-
-
 def exploration_problem(num_cores: int = 50000) -> ExplorationProblem:
-    big = num_cores == 50000
     return ExplorationProblem(
         start="Design", metrics=METRICS, requirements={"Width": 16},
-        layer=bench_layer(num_cores),
-        layer_factory=layer_factory_50k if big else None,
-        snapshot=bench_snapshot(num_cores) if big else None)
+        layer=bench_layer(num_cores))
 
 
 @pytest.fixture(scope="module")
@@ -110,81 +78,3 @@ def test_bench_bnb_prunes_branches(problem_5k):
     assert bnb.frontier.digest() == full.frontier.digest()
     assert bnb.stats.opened < full.stats.opened
     assert bnb.stats.pruned.get("bound", 0) > 0
-
-
-def test_bench_parallel_50k(benchmark):
-    """Serial vs ``jobs=4`` on a warm snapshot-hydrated pool, 50k cores.
-
-    The frontier digest must be identical regardless of worker count
-    and scheduling; the wall-clock gates are CPU-count-gated (a 1-CPU
-    container can only demonstrate determinism, not speedup).  Speedup
-    is min-over-min across repeated runs so one-time costs — pool
-    start, per-worker snapshot hydration — stay out of the ratio, which
-    is exactly how a persistent pool is used.
-    """
-    problem = exploration_problem(50000)
-    explore(problem, strategy="exhaustive")  # warm (index build)
-    serial_s = []
-    serial = None
-    for _ in range(2):
-        t0 = time.perf_counter()
-        serial = explore(problem, strategy="exhaustive")
-        serial_s.append(time.perf_counter() - t0)
-    with WorkerPool(jobs=4, snapshot=problem.snapshot) as pool:
-        pool.warm()
-        explore(problem, strategy="exhaustive", pool=pool)  # warm workers
-        parallel_s = []
-        for _ in range(2):
-            t0 = time.perf_counter()
-            parallel = explore(problem, strategy="exhaustive", pool=pool)
-            parallel_s.append(time.perf_counter() - t0)
-        parallel = benchmark(lambda: explore(
-            problem, strategy="exhaustive", pool=pool))
-        pool_stats = pool.stats.to_dict()
-    cpus = available_cpus()
-    speedup = min(serial_s) / min(parallel_s)
-    emit("Parallel branch evaluation — 50k cores, jobs=4 (process pool)",
-         f"serial:   {min(serial_s):.3f}s (min of {len(serial_s)})\n"
-         f"parallel: {min(parallel_s):.3f}s "
-         f"(speedup x{speedup:.2f} on {cpus} CPU(s))\n"
-         f"pool:     {pool_stats}\n"
-         f"digest:   {parallel.frontier.digest()}")
-    assert parallel.frontier.digest() == serial.frontier.digest()
-    assert parallel.stats.terminals == serial.stats.terminals
-    if cpus >= 4:
-        assert speedup >= 3.0, (
-            f"expected >= 3x on a warm 4-worker pool with {cpus} CPUs, "
-            f"got x{speedup:.2f}")
-    elif cpus >= 2:
-        assert speedup > 1.1, (
-            f"expected parallel speedup on {cpus} CPUs, got x{speedup:.2f}")
-
-
-def test_bench_parallel_scaling():
-    """The jobs 1/2/4 scaling sweep recorded into BENCH_pruning.json."""
-    from record import parallel_scaling_measurements
-
-    scaling = parallel_scaling_measurements(num_cores=50000, repeat=2)
-    lines = [f"snapshot: {scaling['snapshot_bytes']} bytes, capture "
-             f"{scaling['capture_s']:.3f}s, hydrate "
-             f"{scaling['hydrate_s']:.3f}s"]
-    for entry in scaling["sweeps"]:
-        lines.append(
-            f"jobs={entry['jobs']} {entry['dispatch']}: "
-            f"min {entry['min']:.3f}s speedup x{entry['speedup']:.2f}")
-    emit("Parallel scaling — 50k cores, snapshot-hydrated pool",
-         "\n".join(lines))
-    assert len({entry["digest"] for entry in scaling["sweeps"]}) == 1
-    if available_cpus() >= 4:
-        best = max(entry["speedup"] for entry in scaling["sweeps"]
-                   if entry["jobs"] == 4)
-        assert best >= 3.0, f"expected >= 3x at jobs=4, got x{best:.2f}"
-
-
-def test_bench_parallel_merge_deterministic(problem_5k):
-    problem = dataclasses.replace(problem_5k,
-                                  snapshot=problem_5k.layer.snapshot())
-    serial = explore(problem, strategy="bnb")
-    runs = {explore(problem, strategy="bnb", jobs=3).frontier.digest()
-            for _ in range(3)}
-    assert runs == {serial.frontier.digest()}

@@ -78,16 +78,6 @@ def main() -> None:
           "non-dominated ones")
 
     # ------------------------------------------------------------------
-    # Parallel evaluation: same digest, one branch per worker process.
-    # The factory-carrying problem (no live layer) ships to the workers.
-    # ------------------------------------------------------------------
-    parallel = explore(crypto_exploration_problem(), strategy="exhaustive",
-                       jobs=2)
-    assert parallel.frontier.digest() == full.frontier.digest()
-    print(f"\njobs=2 reproduces the frontier: "
-          f"digest {parallel.frontier.digest()}")
-
-    # ------------------------------------------------------------------
     # Conceptual design: an estimator stands in for missing cores.
     # ------------------------------------------------------------------
     estimated = explore(

@@ -1,12 +1,12 @@
 """Static concurrency/invariant analysis over the repo's own source.
 
-Five passes — shared-state race detection (DSA001/DSA002), epoch-bump
-verification (DSA010/DSA011), snapshot immutability (DSA020/DSA021),
-deadlock detection over the lock-acquisition graph (DSA030–DSA032) and
-digest-path determinism (DSA040–DSA043) — plus a suppression audit
-(DSA003/DSA004), driven by the reified concurrency contract in
-:mod:`repro.analysis.contract`.  The runtime
-half lives in :mod:`repro.analysis.sanitizer` (``DSL_SANITIZE=1``).
+Four passes — shared-state race detection (DSA001/DSA002), epoch-bump
+verification (DSA010/DSA011), deadlock detection over the
+lock-acquisition graph (DSA030–DSA032) and digest-path determinism
+(DSA040–DSA043) — plus a suppression audit (DSA003/DSA004), driven by
+the reified concurrency contract in :mod:`repro.analysis.contract`.  The
+runtime half lives in :mod:`repro.analysis.sanitizer`
+(``DSL_SANITIZE=1``).
 
 This ``__init__`` is deliberately lazy (PEP 562): ``repro.core``
 modules import :mod:`repro.analysis.sanitizer` for their mutation

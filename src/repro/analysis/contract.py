@@ -1,14 +1,14 @@
 """The repo's own concurrency contract, reified as data.
 
-The parallel/serving path (PR 6's ``WorkerPool``s, the planned service
-layer) shares state across threads and processes under three rules:
+The serving stack (:mod:`repro.serve`) shares state across handler
+threads under two rules:
 
 1. **Shared classes are internally synchronized.**  Every class listed in
    :attr:`ConcurrencyContract.shared_classes` may be reached from more
-   than one worker at once, so *every* attribute write in its methods
+   than one thread at once, so *every* attribute write in its methods
    must sit under a recognized lock — except the *owned mutators*, which
    callers may only invoke while they exclusively own the object (the
-   build phase, before a layer is published/snapshot).
+   build phase, before a layer is published).
 
 2. **Epoch-guarded stores always move their epoch.**  The epoch
    contracts pair each mutable store with the invalidation that keeps
@@ -16,17 +16,11 @@ layer) shares state across threads and processes under three rules:
    (``_bump()`` / ``_touch()`` / ``_touch_structure()`` /
    ``self._epoch += 1``) in every method that writes the store.
 
-3. **Hydrated layers are frozen.**  Worker-side code may read a layer
-   obtained from a snapshot/cache (``_hydrate_snapshot``,
-   ``LayerSnapshot.hydrate``, ``_worker_layer``, ``_LAYER_CACHE.get``)
-   but never call a representation mutator or install a recorder on it.
-
 The static passes (:mod:`~repro.analysis.races`,
-:mod:`~repro.analysis.epochs`, :mod:`~repro.analysis.snapshots`) check
-these rules over the AST; the runtime sanitizer
-(:mod:`~repro.analysis.sanitizer`) enforces rule 3 dynamically under
-``DSL_SANITIZE=1``.  Tests construct custom contracts to analyze
-synthetic fixture modules.
+:mod:`~repro.analysis.epochs`) check these rules over the AST; the
+runtime sanitizer (:mod:`~repro.analysis.sanitizer`) backstops the
+ownership half dynamically under ``DSL_SANITIZE=1``.  Tests construct
+custom contracts to analyze synthetic fixture modules.
 """
 
 from __future__ import annotations
@@ -49,7 +43,7 @@ class EpochContract:
 class ConcurrencyContract:
     """Everything the analyzer needs to know about sharing rules."""
 
-    #: Classes whose instances may be visible to several workers at once.
+    #: Classes whose instances may be visible to several threads at once.
     shared_classes: FrozenSet[str] = frozenset()
 
     #: Per shared class: methods the ownership contract exempts from the
@@ -63,20 +57,6 @@ class ConcurrencyContract:
 
     #: Store-to-epoch pairings checked by the epoch verifier.
     epoch_contracts: Tuple[EpochContract, ...] = ()
-
-    #: Module-level functions whose return value is a hydrated layer
-    #: shared across tasks.
-    hydration_functions: FrozenSet[str] = frozenset()
-
-    #: Method names whose return value is a hydrated layer (``hydrate``).
-    hydration_methods: FrozenSet[str] = frozenset()
-
-    #: ``GLOBAL.method`` call chains whose return value is a hydrated
-    #: layer (``_LAYER_CACHE.get``).
-    hydration_chains: FrozenSet[str] = frozenset()
-
-    #: Representation mutators that must never run on a hydrated layer.
-    layer_mutators: FrozenSet[str] = frozenset()
 
     #: Extra concurrency entry points (``module:qualname``) beyond the
     #: auto-detected executor submissions/initializers/Thread targets.
@@ -126,13 +106,9 @@ DEFAULT_CONTRACT = ConcurrencyContract(
         "Counter",
         "Gauge",
         "Histogram",
-        "_LayerCache",
-        "_HydrationLog",
         # Served sessions on concurrent handler threads emit into one
-        # layer's recorder, and the engine absorbs worker buffers into
-        # it from the dispatch thread.
+        # layer's recorder.
         "TraceRecorder",
-        "_InitTraceLog",
         # The service layer (repro.serve): every handler thread of the
         # ThreadingHTTPServer may reach these.
         "SnapshotManager",
@@ -155,12 +131,8 @@ DEFAULT_CONTRACT = ConcurrencyContract(
         "ConstraintSet": frozenset({"add"}),
     },
     single_owner={
-        "WorkerTraceBuffer": (
-            "a buffer captures exactly one sampled branch task inside one "
-            "worker; it crosses the pool boundary as plain data and is "
-            "absorbed by the engine, never shared live"),
         "ExplorationSession": (
-            "each worker builds its own session over the shared layer; "
+            "each caller builds its own session over the shared layer; "
             "sessions are never handed live across threads — the server "
             "wraps each one in a ServedSession whose lock serializes "
             "handler threads, so the session still sees one thread at a "
@@ -194,18 +166,7 @@ DEFAULT_CONTRACT = ConcurrencyContract(
                       stores=("_children", "_properties"),
                       bump_methods=("_touch_structure",)),
     ),
-    hydration_functions=frozenset({"_hydrate_snapshot", "_worker_layer"}),
-    hydration_methods=frozenset({"hydrate"}),
-    hydration_chains=frozenset({"_LAYER_CACHE.get"}),
-    layer_mutators=frozenset({
-        "add_root", "add_alias", "add_constraint", "register_tool",
-        "attach_library", "attach", "detach", "add", "add_all", "remove",
-        "set_property", "set_merit", "set_view",
-    }),
     extra_entry_points=frozenset({
-        "repro.core.explore.parallel:evaluate_branch",
-        "repro.core.explore.parallel:evaluate_chunk",
-        "repro.core.explore.parallel:_pool_initializer",
         # Every HTTP handler thread enters the service through these.
         "repro.serve.http:ServiceRequestHandler.do_GET",
         "repro.serve.http:ServiceRequestHandler.do_POST",
@@ -227,10 +188,6 @@ DEFAULT_CONTRACT = ConcurrencyContract(
         "DesignSpaceLayer._cache_lock",
         "LibraryFederation._lock",
         "ReuseLibrary._lock",
-        "repro.core.serialize:_HYDRATOR_LOCK",
-        "_LayerCache._lock",
-        "_HydrationLog._lock",
-        "_InitTraceLog._lock",
         "TraceRecorder._lock",
         "MetricsRegistry._lock",
         "Counter._lock",
@@ -239,15 +196,16 @@ DEFAULT_CONTRACT = ConcurrencyContract(
         "repro.analysis.sanitizer:_STATE_LOCK",
     ),
     digest_entry_points=frozenset({
-        # the merged-trace canonical byte stream (PR 8's oracle)
-        "repro.core.obs.context:canonical_trace_bytes",
-        "repro.core.obs.context:canonical_trace_digest",
-        # frontier/prune digests compared across job counts and sessions
+        # frontier/prune digests compared across runs and sessions
         "repro.core.explore.outcome:ParetoFrontier.digest",
         "repro.core.pruning:PruneReport.digest",
-        # worker snapshot capture: identical layers must capture
-        # identical bytes, or pool hydration diverges per worker
-        "repro.core.serialize:LayerSnapshot.capture",
+        # the engine reaches these through the strategy object
+        # (``self._strategy.search(ctx)``), a dispatch the static call
+        # graph cannot follow; each builds the frontier a digest reads
+        "repro.core.explore.strategies:ExhaustiveStrategy.search",
+        "repro.core.explore.strategies:BranchAndBoundStrategy.search",
+        "repro.core.explore.strategies:BeamStrategy.search",
+        "repro.core.explore.strategies:EvolutionaryStrategy.search",
         # the serving stack's canonical byte serialization, plus the
         # payload builders behind it: DesignSpaceService.handle
         # dispatches through a bound-method table the static call graph

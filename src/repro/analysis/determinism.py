@@ -1,10 +1,10 @@
 """Determinism analysis (DSA040–DSA043): digest-purity proofs.
 
-PRs 6–9 enforce byte-identical frontiers/traces/payloads *dynamically*
-with digest oracles.  This pass proves the property's precondition
+The digest oracles enforce byte-identical frontiers and payloads
+*dynamically*.  This pass proves the property's precondition
 statically: from every contract-declared digest entry point
-(:attr:`ConcurrencyContract.digest_entry_points` — canonical trace
-bytes, frontier digests, snapshot capture, the serving stack's
+(:attr:`ConcurrencyContract.digest_entry_points` — frontier and prune
+digests, the strategies that build a frontier, the serving stack's
 canonical JSON) it walks the typed call graph and reports any reachable
 nondeterminism source:
 

@@ -36,7 +36,6 @@ from repro.analysis.races import find_races
 from repro.analysis.registry import (DEFAULT_REGISTRY, SUPPRESSION_WITHOUT_JUSTIFICATION,
                                      UNUSED_SUPPRESSION, AnalysisConfig,
                                      AnalysisRegistry)
-from repro.analysis.snapshots import check_snapshots
 
 _ALLOW_RE = re.compile(
     r"#\s*dsa:\s*allow\[([A-Za-z0-9_,\s]+)\]\s*(?:--\s*(.+?)\s*)?$")
@@ -168,7 +167,7 @@ def analyze_paths(paths: Sequence[str], root: Optional[str] = None,
                   contract: Optional[ConcurrencyContract] = None,
                   registry: Optional[AnalysisRegistry] = None
                   ) -> AnalysisReport:
-    """Run all five passes over ``paths`` and return the report.
+    """Run all four passes over ``paths`` and return the report.
 
     ``root`` anchors the module names and the relative paths in
     findings; it defaults to the sole directory argument, or the common
@@ -185,7 +184,6 @@ def analyze_paths(paths: Sequence[str], root: Optional[str] = None,
 
     raw = (find_races(model, contract)
            + check_epochs(model, contract)
-           + check_snapshots(model, contract)
            + find_deadlocks(model, contract)
            + check_determinism(model, contract))
 

@@ -15,8 +15,9 @@ the three analyzer passes consume:
 * concurrency entry points auto-detected from ``executor.submit(f)``,
   ``loop.run_in_executor(ex, f)``, ``initializer=`` on executor/pool
   constructors and ``target=`` on ``Thread`` calls;
-* locals assigned from calls (so the snapshot checker can track which
-  locals hold hydrated layers) and method calls on those locals.
+* locals assigned from calls (so a method call on such a local can be
+  resolved to the class the call returned) and method calls on those
+  locals.
 
 Everything is line-based and lexical: the model never imports the code
 it analyzes.
@@ -125,8 +126,8 @@ class LocalCallAssign:
 
     lineno: int
     local: str
-    kind: str             #: name | attr | chain
-    callee: str           #: ``f`` / ``hydrate`` / ``_LAYER_CACHE.get``
+    kind: str             #: name | chain
+    callee: str           #: ``f`` / ``self.manager``
 
 
 @dataclass(frozen=True)
@@ -436,13 +437,10 @@ class _FunctionScanner(ast.NodeVisitor):
         if isinstance(func, ast.Name):
             self.info.local_call_assigns.append(
                 LocalCallAssign(lineno, local, "name", func.id))
-        elif isinstance(func, ast.Attribute):
-            self.info.local_call_assigns.append(
-                LocalCallAssign(lineno, local, "attr", func.attr))
-            if isinstance(func.value, ast.Name):
-                self.info.local_call_assigns.append(LocalCallAssign(
-                    lineno, local, "chain",
-                    f"{func.value.id}.{func.attr}"))
+        elif isinstance(func, ast.Attribute) \
+                and isinstance(func.value, ast.Name):
+            self.info.local_call_assigns.append(LocalCallAssign(
+                lineno, local, "chain", f"{func.value.id}.{func.attr}"))
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func

@@ -5,9 +5,10 @@ Deliberately mirrors the design-space linter's conventions
 analysis) instead of ``DSL`` — kebab-case slugs, a fixed category set, a
 default severity per rule, and an :class:`AnalysisConfig` carrying
 ``select`` / ``disable`` / severity overrides.  The difference is that
-analyzer rules are *metadata only*: the three passes
+analyzer rules are *metadata only*: the passes
 (:mod:`~repro.analysis.races`, :mod:`~repro.analysis.epochs`,
-:mod:`~repro.analysis.snapshots`) each cover several codes and emit
+:mod:`~repro.analysis.deadlock`, :mod:`~repro.analysis.determinism`)
+each cover several codes and emit
 findings through a rule's :meth:`AnalysisRule.make` factory rather than
 being dispatched per rule.
 """
@@ -26,7 +27,7 @@ _CODE_RE = re.compile(r"^DSA\d{3}$")
 _SLUG_RE = re.compile(r"^[a-z0-9]+(-[a-z0-9]+)*$")
 
 #: Rule categories: one per analyzer pass, plus the suppression checks.
-CATEGORIES = ("races", "epochs", "snapshots", "deadlock", "determinism",
+CATEGORIES = ("races", "epochs", "deadlock", "determinism",
               "suppressions")
 
 
@@ -150,17 +151,6 @@ EPOCH_COUNTER_REBOUND = _stock(
     "an epoch counter is re-assigned (rather than incremented) outside "
     "__init__, breaking the monotonicity every epoch-keyed cache "
     "depends on")
-
-WORKER_MUTATES_HYDRATED_LAYER = _stock(
-    "DSA020", "worker-mutates-hydrated-layer", "snapshots", Severity.ERROR,
-    "worker-reachable code calls a representation mutator on a "
-    "hydrated/cached layer object shared across tasks")
-
-RECORDER_INSTALLED_IN_WORKER = _stock(
-    "DSA021", "recorder-installed-in-worker", "snapshots", Severity.ERROR,
-    "worker-reachable code installs a trace recorder on a hydrated "
-    "layer; TraceRecorder is single-owner by contract and must never "
-    "be shared across workers")
 
 LOCK_ORDER_INVERSION = _stock(
     "DSA030", "lock-order-inversion", "deadlock", Severity.ERROR,

@@ -2,12 +2,15 @@
 
 The static passes are lexical; an alias that escapes a function, or a
 mutation reached through dynamic dispatch, can slip past them.  The
-sanitizer is the dynamic backstop: when active, the parallel path
-*seals* every hydrated/cached layer before handing it to tasks, and
-every owned mutator (``add_root``, ``set_property``, ``attach``, ...)
-calls :func:`check_write` first — a write to a sealed object raises
-:class:`~repro.errors.SanitizerError` immediately, at the faulty call
-site, instead of silently corrupting sibling tasks.
+sanitizer is the dynamic backstop: when active, :func:`seal` marks a
+layer read-only, and every owned mutator (``add_root``,
+``set_property``, ``attach``, ...) calls :func:`check_write` first — a
+write to a sealed object raises :class:`~repro.errors.SanitizerError`
+immediately, at the faulty call site, and :func:`assert_unchanged`
+catches a direct poke that went round the hooks.  No production code
+seals a layer at present; the tests seal layers directly (whether the
+serving stack should seal the layer it publishes is an open question
+in ``ROADMAP.md``).
 
 Activation is process-wide and cheap: ``check_write`` is a single bool
 test when inactive, so the hooks stay in production code (the measured
@@ -88,10 +91,9 @@ def check_write(owner: Any, site: str) -> None:
         return
     if getattr(owner, SEAL_ATTR, False):
         raise SanitizerError(
-            f"{site}: write to sealed {type(owner).__name__} — hydrated "
-            f"layers are shared across worker tasks and immutable by "
-            f"contract; rebuild via layer_factory or hydrate a fresh "
-            f"copy before mutating")
+            f"{site}: write to sealed {type(owner).__name__} — a sealed "
+            f"layer is read-only by contract; build a fresh layer before "
+            f"mutating")
 
 
 def _targets(layer: Any) -> Iterator[Any]:
@@ -128,7 +130,7 @@ def _state(layer: Any) -> Tuple[Any, List[int]]:
 
 
 def seal(layer: Any) -> Any:
-    """Mark a hydrated layer (and its reachable structures) read-only.
+    """Mark a layer (and its reachable structures) read-only.
 
     No-op unless the sanitizer is active.  Returns the layer for
     call-through convenience."""
@@ -175,5 +177,5 @@ def assert_unchanged(layer: Any) -> None:
     if current != sealed:
         raise SanitizerError(
             f"sealed {type(layer).__name__} changed since seal (epoch "
-            f"{sealed[0]} -> {current[0]}): something mutated a hydrated "
+            f"{sealed[0]} -> {current[0]}): something mutated a sealed "
             f"layer behind the sanitizer's hooks")

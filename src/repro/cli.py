@@ -217,10 +217,7 @@ def _automated_explore(args: argparse.Namespace) -> int:
     if args.decide:
         prefix = tuple(_parse_binding(b) for b in args.decide)
         problem = replace(problem, decisions=problem.decisions + prefix)
-    # The engine's serial/probe path works on this layer (traced when
-    # asked); parallel workers hydrate their own layers from the
-    # problem's factory/snapshot and ship span buffers back for the
-    # engine's deterministic trace merge.
+    # The engine walks this layer (traced when asked).
     layer = _build_layer(args.layer, args.eol)
     if args.trace:
         layer.observe()
@@ -232,10 +229,7 @@ def _automated_explore(args: argparse.Namespace) -> int:
     elif args.strategy == "beam":
         options["width"] = args.beam_width
     result = ExplorationEngine(
-        problem, strategy=args.strategy, jobs=args.jobs,
-        strategy_options=options,
-        chunk_size=getattr(args, "chunk_size", None),
-        trace_sample_rate=getattr(args, "trace_sample", None)).run()
+        problem, strategy=args.strategy, strategy_options=options).run()
     if getattr(args, "json", False):
         _emit_json(args, result.to_dict())
     else:
@@ -551,14 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "beam", "evolutionary", "ga"),
                         help="run the exploration engine instead of a "
                              "scripted walk")
-    engine.add_argument("--jobs", type=int, default=1,
-                        help="worker processes evaluating branches "
-                             "(1 = serial)")
-    engine.add_argument("--chunk-size", type=int, default=None,
-                        metavar="N",
-                        help="branches per dispatched chunk (default: "
-                             "tasks // (jobs * 4); idle workers steal "
-                             "pending chunks)")
     engine.add_argument("--seed", type=int, default=0,
                         help="evolutionary strategy seed (deterministic)")
     engine.add_argument("--beam-width", type=int, default=4,
@@ -572,11 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "with the layer's estimation tools (crypto)")
     engine.add_argument("--top", type=int, default=10,
                         help="frontier rows to print")
-    engine.add_argument("--trace-sample", type=float, default=None,
-                        metavar="RATE",
-                        help="per-branch trace sampling rate in [0, 1] "
-                             "for parallel dispatches (default: adaptive "
-                             "— full below 16 branches, decaying after)")
     p.set_defaults(fn=cmd_explore)
 
     p = sub.add_parser("query", help="direct core retrieval")

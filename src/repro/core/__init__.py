@@ -48,9 +48,7 @@ from repro.core.explore import (
     ExplorationStats,
     Outcome,
     ParetoFrontier,
-    PoolStats,
     SearchStrategy,
-    WorkerPool,
     make_strategy,
 )
 from repro.core.index import CoreIndex, IndexedPruneReport
@@ -116,11 +114,9 @@ from repro.core.reporting import (
     render_table,
 )
 from repro.core.serialize import (
-    LayerSnapshot,
     SerializationError,
     layer_from_dict,
     layer_to_dict,
-    register_hydrator,
 )
 from repro.core.obs import (
     MetricsRegistry,
@@ -169,8 +165,7 @@ __all__ = [
     "CoreQuery", "QueryError",
     "LayerDiff", "MeritDelta", "diff_layers",
     "attach_alternative_hierarchy", "reindex", "reindexed_core",
-    "LayerSnapshot", "SerializationError", "layer_from_dict",
-    "layer_to_dict", "register_hydrator",
+    "SerializationError", "layer_from_dict", "layer_to_dict",
     "SensitivityReport", "SweepPoint", "sweep_requirement",
     "IssueImpact", "advise", "assess_issue",
     "Diagnostic", "LintConfig", "LintReport", "LintRule", "RuleRegistry",
@@ -178,6 +173,6 @@ __all__ = [
     "BeamStrategy", "BranchAndBoundStrategy",
     "EvolutionaryStrategy", "ExhaustiveStrategy",
     "ExplorationEngine", "ExplorationProblem", "ExplorationResult",
-    "ExplorationStats", "Outcome", "ParetoFrontier", "PoolStats",
-    "SearchStrategy", "WorkerPool", "make_strategy",
+    "ExplorationStats", "Outcome", "ParetoFrontier",
+    "SearchStrategy", "make_strategy",
 ]

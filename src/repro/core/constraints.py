@@ -230,12 +230,3 @@ class ConstraintSet:
                    aliases: Optional[Mapping[str, str]] = None
                    ) -> List[ConsistencyConstraint]:
         return [c for c in self if c.applies_to(cdo, aliases)]
-
-    def gating(self, property_name: str, cdo: ClassOfDesignObjects,
-               aliases: Optional[Mapping[str, str]] = None
-               ) -> List[ConsistencyConstraint]:
-        """Constraints that list ``property_name`` in their dependent set
-        and apply at ``cdo`` — these order the issue after their
-        independents."""
-        return [c for c in self.applicable(cdo, aliases)
-                if property_name in c.dependent_property_names()]

@@ -5,11 +5,9 @@ survive and what figure-of-merit ranges remain — this package closes the
 loop and drives those decisions automatically: pluggable search
 strategies (exhaustive, branch-and-bound, beam, evolutionary) walk
 :class:`~repro.core.session.ExplorationSession` objects, terminal
-outcomes accumulate on a :class:`ParetoFrontier`, and independent
-branches can be evaluated in parallel by a snapshot-hydrated
-:class:`WorkerPool` of processes with chunked work stealing.  See
-``docs/exploration.md`` for the strategy catalogue and the parallelism
-model.
+outcomes accumulate on a :class:`ParetoFrontier`.  Every search is one
+serial walk, as the paper's designer makes it.  See
+``docs/exploration.md`` for the strategy catalogue.
 """
 
 from repro.core.explore.engine import (
@@ -24,16 +22,6 @@ from repro.core.explore.outcome import (
     Outcome,
     ParetoFrontier,
     weighted_sum,
-)
-from repro.core.explore.parallel import (
-    BranchResult,
-    BranchTask,
-    DispatchStats,
-    PoolStats,
-    WorkerPool,
-    chunk_count,
-    evaluate_branch,
-    evaluate_chunk,
 )
 from repro.core.explore.problem import ExplorationProblem
 from repro.core.explore.strategies import (
@@ -50,9 +38,6 @@ __all__ = [
     "ESTIMATED",
     "BeamStrategy",
     "BranchAndBoundStrategy",
-    "BranchResult",
-    "BranchTask",
-    "DispatchStats",
     "EvolutionaryStrategy",
     "ExhaustiveStrategy",
     "ExplorationEngine",
@@ -61,14 +46,9 @@ __all__ = [
     "ExplorationStats",
     "Outcome",
     "ParetoFrontier",
-    "PoolStats",
     "STRATEGIES",
     "SearchContext",
     "SearchStrategy",
-    "WorkerPool",
-    "chunk_count",
-    "evaluate_branch",
-    "evaluate_chunk",
     "explore",
     "make_strategy",
     "weighted_sum",

@@ -8,23 +8,15 @@ branches, deciding/undoing, collecting terminal outcomes into a
 trace events (``explore_start``, ``branch_open``, ``branch_pruned``,
 ``frontier_update``) along the way.
 
-With ``jobs > 1`` the engine fans the root issue's branches out to a
-:class:`~repro.core.explore.parallel.WorkerPool` of processes; each
-worker searches its branch on its own session and the results are
-merged in dispatch order, so the frontier is deterministic and
-independent of worker scheduling.  Strategies whose ``parallel_mode`` is
-``"islands"`` (the evolutionary one) parallelize as ``jobs`` independent
-populations seeded ``seed .. seed+jobs-1`` instead.  Lend a pool to
-reuse warmed workers and their hydrated layers across runs; otherwise
-each parallel run starts a pool of its own and closes it afterwards.
+Every run is one serial walk on one session, so the frontier and the
+stats depend only on the problem and the strategy.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Dict,
     List,
     Mapping,
@@ -45,10 +37,7 @@ from repro.core.explore.strategies import (
     make_strategy,
 )
 from repro.core.index import IndexedPruneReport
-from repro.core.layer import DesignSpaceLayer
 from repro.core.obs import events as _ev
-from repro.core.obs.context import TraceContext
-from repro.core.obs.events import TraceEvent
 from repro.core.properties import DesignIssue
 from repro.core.session import ExplorationSession, OptionInfo
 from repro.errors import (
@@ -58,9 +47,6 @@ from repro.errors import (
     SessionError,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.explore.parallel import WorkerPool
-
 #: Checkpoint tag marking the context's root position (problem prefix
 #: applied, nothing decided by the strategy yet).
 ROOT_TAG = "__explore_root__"
@@ -68,7 +54,7 @@ ROOT_TAG = "__explore_root__"
 
 @dataclass
 class ExplorationStats:
-    """Work accounting for one search (mergeable across workers)."""
+    """Work accounting for one search."""
 
     #: Branches considered (one per issue option looked at).
     opened: int = 0
@@ -91,15 +77,6 @@ class ExplorationStats:
 
     def prune(self, reason: str) -> None:
         self.pruned[reason] = self.pruned.get(reason, 0) + 1
-
-    def merge(self, other: "ExplorationStats") -> None:
-        self.opened += other.opened
-        for reason, count in other.pruned.items():
-            self.pruned[reason] = self.pruned.get(reason, 0) + count
-        self.expanded += other.expanded
-        self.terminals += other.terminals
-        self.outcomes += other.outcomes
-        self.evaluations += other.evaluations
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -131,19 +108,13 @@ class SearchContext:
     def __init__(self, problem: ExplorationProblem,
                  session: ExplorationSession,
                  frontier: Optional[ParetoFrontier] = None,
-                 stats: Optional[ExplorationStats] = None,
-                 recorder: Optional[object] = None):
+                 stats: Optional[ExplorationStats] = None):
         self.problem = problem
         self.session = session
         self.metrics: Tuple[str, ...] = tuple(problem.metrics)
         self.frontier = frontier if frontier is not None \
             else ParetoFrontier(self.metrics)
         self.stats = stats if stats is not None else ExplorationStats()
-        #: Recorder override for strategy events.  Pool workers pass a
-        #: :class:`~repro.core.obs.context.WorkerTraceBuffer` here: the
-        #: worker's hydrated layer is untraced (and shared/sealed), but
-        #: the branch's own search events still need somewhere to go.
-        self._recorder = recorder
         #: (issue, id(option)) -> the shared pair; see :meth:`_assignment`.
         self._pairs: Dict[Tuple[str, int], Tuple[str, object]] = {}
         #: Rendered merits -> the shared point; see :meth:`_point`.
@@ -153,8 +124,6 @@ class SearchContext:
 
     @property
     def _obs(self):
-        if self._recorder is not None:
-            return self._recorder
         return self.session.layer.observer
 
     # ------------------------------------------------------------------
@@ -249,24 +218,13 @@ class SearchContext:
     # ------------------------------------------------------------------
     # accounting / tracing
     # ------------------------------------------------------------------
-    def branch_open(self, issue: DesignIssue, info: OptionInfo,
-                    anchor: bool = False) -> Optional[TraceEvent]:
-        """Record one opened branch.
-
-        ``anchor=True`` (parallel fan-out only) emits the event through
-        :meth:`TraceRecorder.emit_anchor
-        <repro.core.obs.recorder.TraceRecorder.emit_anchor>` so it owns
-        a span id the engine can reparent the branch's absorbed worker
-        trace under.  Returns the emitted event when tracing is on.
-        """
+    def branch_open(self, issue: DesignIssue, info: OptionInfo) -> None:
+        """Record one opened branch."""
         self.stats.opened += 1
         obs = self._obs
         if obs.enabled:
-            emit = obs.emit_anchor if anchor else obs.emit
-            return emit(_ev.BRANCH_OPEN, issue=issue.name,
-                        option=info.option,
-                        candidates=info.candidate_count)
-        return None
+            obs.emit(_ev.BRANCH_OPEN, issue=issue.name, option=info.option,
+                     candidates=info.candidate_count)
 
     def branch_pruned(self, issue: DesignIssue, info: OptionInfo,
                       reason: str) -> None:
@@ -427,33 +385,22 @@ class ExplorationResult:
     strategy: str
     frontier: ParetoFrontier
     stats: ExplorationStats
-    jobs: int = 1
     elapsed_s: float = 0.0
-    #: Parallel dispatch accounting (chunks, steals, hydrations, worker
-    #: utilization) from the pool's last dispatch; None on serial runs.
-    pool: Optional[Dict[str, object]] = None
 
     def to_dict(self, include_timing: bool = False) -> Dict[str, object]:
         out: Dict[str, object] = {
             "strategy": self.strategy,
-            "jobs": self.jobs,
             "stats": self.stats.to_dict(),
             "frontier": self.frontier.to_dict(),
             "digest": self.frontier.digest(),
         }
-        if self.pool is not None:
-            out["pool"] = dict(self.pool)
         if include_timing:
             out["elapsed_s"] = self.elapsed_s
         return out
 
     def render_text(self, limit: int = 10) -> str:
-        """Report; deterministic (no wall-clock times) for serial runs.
-
-        Parallel runs append a pool footer whose steal / hydration
-        figures depend on worker scheduling.
-        """
-        lines = [f"Exploration [{self.strategy}] jobs={self.jobs}",
+        """Report; deterministic (no wall-clock times)."""
+        lines = [f"Exploration [{self.strategy}]",
                  f"  {self.stats.describe()}",
                  "  " + self.frontier.render_text(limit).replace(
                      "\n", "\n  ")]
@@ -465,69 +412,21 @@ class ExplorationResult:
                              f"[score {score:g}]")
             else:
                 lines.append(f"  best (weighted): {best.describe()}")
-        if self.pool is not None:
-            p = self.pool
-
-            def num(key: str) -> float:
-                value = p.get(key, 0)
-                return float(value) if isinstance(value, (int, float)) \
-                    else 0.0
-
-            bits = [f"pool: workers={p.get('workers', self.jobs)}",
-                    f"chunks={p.get('chunks', 0)}"
-                    f"(x{p.get('chunk_size', 0)})",
-                    f"steals={p.get('steals', 0)}",
-                    f"hydrates={p.get('hydrates', 0)}"
-                    f" ({p.get('hydrate_ms', 0)} ms)"]
-            if num("utilization"):
-                bits.append(f"utilization={num('utilization'):.0%}")
-            if num("restarts"):
-                bits.append(f"restarts={p.get('restarts')}")
-            lines.append("  " + " ".join(bits))
         return "\n".join(lines)
 
 
 class ExplorationEngine:
-    """Drives one problem with one strategy, optionally in parallel.
-
-    ``pool`` lends the engine a caller-owned
-    :class:`~repro.core.explore.parallel.WorkerPool` (never closed by
-    the engine, and its ``jobs`` win); without one, each parallel
-    ``run()`` starts a pool of its own and closes it on return.
-    """
+    """Drives one problem with one strategy."""
 
     def __init__(self, problem: ExplorationProblem,
-                 strategy: str = "exhaustive", jobs: int = 1,
-                 strategy_options: Optional[Mapping[str, object]] = None,
-                 chunk_size: Optional[int] = None,
-                 pool: Optional["WorkerPool"] = None,
-                 trace_sample_rate: Optional[float] = None):
-        if jobs < 1:
-            raise ExplorationError(f"jobs must be >= 1, got {jobs}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ExplorationError(
-                f"chunk size must be >= 1, got {chunk_size}")
-        if trace_sample_rate is not None \
-                and not 0.0 <= trace_sample_rate <= 1.0:
-            raise ExplorationError(
-                "trace_sample_rate must be in [0, 1], got "
-                f"{trace_sample_rate}")
+                 strategy: str = "exhaustive",
+                 strategy_options: Optional[Mapping[str, object]] = None):
         self.problem = problem
         self.strategy_name = strategy
-        self.strategy_options: Dict[str, object] = dict(strategy_options or {})
         # Validate eagerly: a typo'd strategy or option should fail at
-        # construction, not inside a worker.
+        # construction, not halfway through a run.
         self._strategy: SearchStrategy = make_strategy(
-            strategy, **self.strategy_options)
-        # A lent pool defines the parallelism shape; adopting its jobs
-        # keeps the result record honest.
-        self.jobs = pool.jobs if pool is not None else jobs
-        self.chunk_size = chunk_size
-        #: Per-branch trace sampling rate for parallel runs; None means
-        #: the adaptive default (full tracing up to 16 tasks, decaying
-        #: beyond — see :func:`repro.core.obs.context.adaptive_sample_rate`).
-        self.trace_sample_rate = trace_sample_rate
-        self.pool = pool
+            strategy, **dict(strategy_options or {}))
 
     # ------------------------------------------------------------------
     def run(self) -> ExplorationResult:
@@ -536,24 +435,9 @@ class ExplorationEngine:
         if obs.enabled:
             obs.emit(_ev.EXPLORE_START, strategy=self.strategy_name,
                      start=self.problem.start,
-                     metrics=list(self.problem.metrics),
-                     jobs=self.jobs)
+                     metrics=list(self.problem.metrics))
         # dsa: allow[DSA040] -- elapsed_s telemetry only; never digested
         started = time.perf_counter()
-        pool_stats: Optional[Dict[str, object]] = None
-        if self.jobs > 1:
-            frontier, stats, pool_stats = self._run_parallel(layer)
-        else:
-            frontier, stats = self._run_serial(layer)
-        # dsa: allow[DSA040] -- elapsed_s is telemetry; digests exclude it
-        elapsed = time.perf_counter() - started
-        return ExplorationResult(
-            strategy=self._strategy.describe(), frontier=frontier,
-            stats=stats, jobs=self.jobs, elapsed_s=elapsed,
-            pool=pool_stats)
-
-    def _run_serial(self, layer: DesignSpaceLayer
-                    ) -> Tuple[ParetoFrontier, ExplorationStats]:
         frontier = ParetoFrontier(self.problem.metrics)
         stats = ExplorationStats()
         try:
@@ -561,155 +445,18 @@ class ExplorationEngine:
         except (ConstraintViolation, PropertyError, SessionError) as exc:
             raise ExplorationError(
                 f"problem prefix is infeasible: {exc}") from exc
-        ctx = SearchContext(self.problem, session, frontier, stats)
-        self._strategy.search(ctx)
-        return frontier, stats
-
-    # ------------------------------------------------------------------
-    # parallel orchestration
-    # ------------------------------------------------------------------
-    def _run_parallel(self, layer: DesignSpaceLayer
-                      ) -> Tuple[ParetoFrontier, ExplorationStats,
-                                 Dict[str, object]]:
-        from repro.core.explore.parallel import BranchTask, WorkerPool
-
-        frontier = ParetoFrontier(self.problem.metrics)
-        stats = ExplorationStats()
-        obs = layer.observer
-        tasks: List[BranchTask] = []
-        #: Per-task ``branch_open`` anchor events (parallel to ``tasks``);
-        #: absorbed worker spans reparent under them.
-        anchors: List[Optional[TraceEvent]] = []
-
-        if self._strategy.parallel_mode == "islands":
-            # Island model: independent populations, derived seeds.
-            base_seed = int(self.strategy_options.get("seed", 0))
-            for island in range(self.jobs):
-                options = dict(self.strategy_options)
-                options["seed"] = base_seed + island
-                tasks.append(BranchTask(
-                    problem=self.problem, strategy=self.strategy_name,
-                    options=options, label=f"island-{island}"))
-                anchors.append(None)
-        else:
-            # Root fan-out: one task per viable option of the first issue.
-            try:
-                session = self.problem.open_session(layer)
-            except (ConstraintViolation, PropertyError, SessionError) as exc:
-                raise ExplorationError(
-                    f"problem prefix is infeasible: {exc}") from exc
-            probe = SearchContext(self.problem, session, frontier, stats)
-            if obs.enabled:
-                # One explicit pruning checkpoint at the fan-out root, so
-                # replaying the merged trace has survivors to verify.
-                session.prune_report()
-            issue = probe.next_issue(0)
-            if issue is None:
-                probe.terminal()
-                return frontier, stats, {}
-            for info in probe.options(issue):
-                opened = probe.branch_open(issue, info, anchor=obs.enabled)
-                reason = probe.screen(issue, info)
-                if reason is not None:
-                    probe.branch_pruned(issue, info, reason)
-                    continue
-                branch = self.problem.with_prefix((issue.name, info.option))
-                tasks.append(BranchTask(
-                    problem=branch, strategy=self.strategy_name,
-                    options=dict(self.strategy_options),
-                    label=f"{issue.name}={info.option!r}", fanout=True))
-                anchors.append(opened)
-
-        trace_base: Optional[TraceContext] = None
-        if obs.enabled and tasks:
-            trace_base = self.problem.trace
-            if trace_base is None:
-                trace_base = TraceContext.derive(
-                    self.problem.start, self.problem.metrics,
-                    self.problem.requirements, self.problem.decisions,
-                    self.strategy_name,
-                    sample_rate=self.trace_sample_rate, tasks=len(tasks))
-            elif self.trace_sample_rate is not None:
-                trace_base = replace(trace_base,
-                                     sample_rate=self.trace_sample_rate)
-            metrics = getattr(obs, "metrics", None)
-            if metrics is not None:
-                metrics.gauge(
-                    "dsl_trace_sample_rate",
-                    "per-branch sampling rate of the last traced "
-                    "parallel dispatch").set(trace_base.sample_rate)
-            for index, task in enumerate(tasks):
-                anchor = anchors[index]
-                task.problem = replace(
-                    task.problem,
-                    trace=trace_base.for_task(
-                        index,
-                        anchor.span if anchor is not None else None))
-
-        pool = self.pool
-        if pool is None:
-            # ``trace_base`` reaches the initializer of the pool this run
-            # owns; a lent pool keeps the context it was started with.
-            pool = WorkerPool(jobs=self.jobs, snapshot=self.problem.snapshot,
-                              chunk_size=self.chunk_size, trace=trace_base)
-        try:
-            results = pool.map(tasks)
-        finally:
-            if pool is not self.pool:
-                pool.close()
-        absorb = getattr(obs, "absorb", None)
-        for index, result in enumerate(results):
-            stats.merge(result.stats)
-            if absorb is not None \
-                    and (result.trace or result.trace_dropped):
-                anchor = anchors[index] if index < len(anchors) else None
-                absorb(result.trace,
-                       parent=anchor.span if anchor is not None else None,
-                       offset_s=(anchor.elapsed_s
-                                 if anchor is not None else 0.0),
-                       dropped=result.trace_dropped)
-            added = sum(1 for outcome in result.outcomes
-                        if frontier.add(outcome))
-            if added and obs.enabled:
-                obs.emit(_ev.FRONTIER_UPDATE, size=len(frontier),
-                         added=added, branch=result.label)
-        dispatch = pool.last_dispatch
-        if obs.enabled:
-            if dispatch.hydrates:
-                obs.emit(_ev.WORKER_HYDRATE, count=dispatch.hydrates,
-                         seconds=dispatch.hydrate_s,
-                         source="snapshot" if self.problem.snapshot
-                         is not None else "factory")
-            if dispatch.chunks:
-                obs.emit(_ev.CHUNK_DISPATCH, tasks=dispatch.tasks,
-                         chunks=dispatch.chunks,
-                         chunk_size=dispatch.chunk_size,
-                         workers=pool.jobs,
-                         utilization=round(dispatch.utilization, 4))
-            if dispatch.steals:
-                obs.emit(_ev.CHUNK_STEAL, count=dispatch.steals)
-        pool_stats: Dict[str, object] = {"workers": pool.jobs}
-        pool_stats.update(dispatch.to_dict())
-        return frontier, stats, pool_stats
+        self._strategy.search(SearchContext(self.problem, session,
+                                            frontier, stats))
+        # dsa: allow[DSA040] -- elapsed_s is telemetry; digests exclude it
+        elapsed = time.perf_counter() - started
+        return ExplorationResult(
+            strategy=self._strategy.describe(), frontier=frontier,
+            stats=stats, elapsed_s=elapsed)
 
 
 def explore(problem: ExplorationProblem, strategy: str = "exhaustive",
-            jobs: int = 1, chunk_size: Optional[int] = None,
-            pool: Optional["WorkerPool"] = None,
-            trace_sample_rate: Optional[float] = None,
             **strategy_options: object) -> ExplorationResult:
-    """One-call convenience wrapper around :class:`ExplorationEngine`.
-
-    With ``jobs > 1`` the branches run on worker processes, so the
-    problem needs a picklable ``layer_factory`` or a ``snapshot``.  Pass
-    ``pool`` to dispatch on a caller-owned persistent
-    :class:`~repro.core.explore.parallel.WorkerPool` (its jobs take
-    precedence); otherwise a pool lives for this call only.
-    ``trace_sample_rate`` overrides the adaptive per-branch sampling
-    rate of traced parallel runs (see ``docs/observability.md``).
-    """
-    engine = ExplorationEngine(problem, strategy=strategy, jobs=jobs,
-                               strategy_options=strategy_options,
-                               chunk_size=chunk_size, pool=pool,
-                               trace_sample_rate=trace_sample_rate)
+    """One-call convenience wrapper around :class:`ExplorationEngine`."""
+    engine = ExplorationEngine(problem, strategy=strategy,
+                               strategy_options=strategy_options)
     return engine.run()

@@ -264,7 +264,7 @@ class ParetoFrontier:
     def digest(self) -> str:
         """Order-independent fingerprint of the frontier: identical
         digests mean byte-identical frontiers (used by the determinism
-        tests and the parallel-merge benchmark)."""
+        tests and the benchmarks)."""
         canonical = json.dumps(self.to_dict(), sort_keys=True, default=repr)
         return hashlib.sha1(canonical.encode("utf-8")).hexdigest()[:16]
 

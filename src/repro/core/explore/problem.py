@@ -4,20 +4,16 @@ An :class:`ExplorationProblem` is the declarative input to the
 :class:`~repro.core.explore.engine.ExplorationEngine`: a start position,
 the metrics to optimize, requirement values from the system
 specification, an optional pre-applied decision prefix, and a layer
-instance, a picklable ``layer_factory`` or a ``snapshot`` (the worker
-pool ships the problem to worker processes, which build or hydrate the
-layer there; a live :class:`DesignSpaceLayer` is not picklable).
+instance or a ``layer_factory`` that builds one on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.layer import DesignSpaceLayer
-from repro.core.obs.context import TraceContext
 from repro.core.pruning import MissingPolicy
-from repro.core.serialize import LayerSnapshot
 from repro.core.session import ExplorationSession
 from repro.errors import ExplorationError
 
@@ -41,8 +37,7 @@ class ExplorationProblem:
 
     ``issues`` optionally fixes which design issues to address, in
     order; without it every addressable issue is explored.  ``decisions``
-    is a prefix applied before the search starts (the parallel engine
-    uses it to hand each worker one branch of the root issue).
+    is a prefix applied before the search starts.
     """
 
     start: str
@@ -55,10 +50,6 @@ class ExplorationProblem:
     missing_policy: MissingPolicy = MissingPolicy.EXCLUDE
     layer: Optional[DesignSpaceLayer] = None
     layer_factory: Optional[Callable[[], DesignSpaceLayer]] = None
-    #: Compact serialized layer capture (:meth:`DesignSpaceLayer.snapshot`)
-    #: process workers hydrate **once** per pool instead of re-running
-    #: ``layer_factory``; cheap to pickle (bytes + names).
-    snapshot: Optional[LayerSnapshot] = None
     estimator: Optional[Estimator] = None
     #: Verifier pre-pruning mask: ``(cdo_qualified_name, issue, repr(option))``
     #: triples proved dead by :meth:`DesignSpaceLayer.verify` (see
@@ -66,14 +57,6 @@ class ExplorationProblem:
     #: Strategies skip masked options without opening a branch; because
     #: the proofs are sound, the frontier is unchanged.
     dead_mask: Optional[frozenset] = None
-    #: Distributed-tracing identity (picklable) the engine threads into
-    #: every branch task and the pool initializer; workers whose
-    #: deterministic sampling decision fires fill a
-    #: :class:`~repro.core.obs.context.WorkerTraceBuffer` that the
-    #: engine merges back into the parent trace.  Normally
-    #: engine-assigned; set it explicitly to pin the trace id or the
-    #: sampling rate.
-    trace: Optional[TraceContext] = None
     _built: Optional[DesignSpaceLayer] = field(
         default=None, repr=False, compare=False)
 
@@ -94,14 +77,10 @@ class ExplorationProblem:
             return self.layer
         if self._built is not None:
             return self._built
-        if self.layer_factory is not None:
-            self._built = self.layer_factory()
-        elif self.snapshot is not None:
-            self._built = self.snapshot.hydrate()
-        else:
+        if self.layer_factory is None:
             raise ExplorationError(
-                "exploration problem needs a layer, a layer_factory, "
-                "or a snapshot")
+                "exploration problem needs a layer or a layer_factory")
+        self._built = self.layer_factory()
         return self._built
 
     def open_session(self, layer: Optional[DesignSpaceLayer] = None
@@ -126,22 +105,6 @@ class ExplorationProblem:
 
     def with_prefix(self, *extra: Tuple[str, object]) -> "ExplorationProblem":
         """A copy whose decision prefix is extended by ``extra`` — one
-        branch of this problem, ready to dispatch to a worker."""
+        branch of this problem."""
         return replace(self, decisions=self.decisions + tuple(extra),
                        _built=None)
-
-    # ------------------------------------------------------------------
-    # pickling (worker processes)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        if self.layer_factory is not None or self.snapshot is not None:
-            # Workers build the layer from the factory or hydrate it
-            # from the snapshot; a live layer full of closures does not
-            # pickle.
-            state["layer"] = None
-            state["_built"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)

@@ -70,11 +70,6 @@ class SearchStrategy:
     #: Registry key; subclasses override.
     name = "?"
 
-    #: How the engine parallelizes this strategy: ``"fanout"`` dispatches
-    #: one task per root-issue branch; ``"islands"`` runs ``jobs``
-    #: independent full searches with derived seeds and merges frontiers.
-    parallel_mode = "fanout"
-
     def search(self, ctx: "SearchContext") -> None:
         raise NotImplementedError
 
@@ -225,7 +220,6 @@ class EvolutionaryStrategy(SearchStrategy):
     """
 
     name = "evolutionary"
-    parallel_mode = "islands"
 
     def __init__(self, seed: int = 0, population: int = 16,
                  generations: int = 8, mutation_rate: float = 0.15,

@@ -18,7 +18,8 @@ The layer is purely a *representation* — exploration state lives in
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.analysis import sanitizer as _sanitizer
 from repro.core.cdo import QNAME_SEP, ClassOfDesignObjects
@@ -230,16 +231,23 @@ class DesignSpaceLayer:
     def attach_library(self, library: ReuseLibrary) -> ReuseLibrary:
         """Attach a reuse library; every core must index under a known CDO."""
         _sanitizer.check_write(self, "DesignSpaceLayer.attach_library")
-        for core in library:
-            self._check_core(core)
+        self._check_cores(library)
         library.observer = self.observer
         return self.libraries.attach(library)
 
-    def _check_core(self, core: DesignObject) -> None:
-        if not self.has_cdo(core.cdo_name):
-            raise LibraryError(
-                f"core {core.name!r} indexes under unknown CDO "
-                f"{core.cdo_name!r}")
+    def _check_cores(self, cores: Iterable[DesignObject]) -> None:
+        """Every core must index under a known CDO.  Each distinct
+        ``cdo_name`` is looked up once, in core order, so the error
+        names the first offending core."""
+        known: Set[str] = set()
+        for core in cores:
+            if core.cdo_name in known:
+                continue
+            if not self.has_cdo(core.cdo_name):
+                raise LibraryError(
+                    f"core {core.name!r} indexes under unknown CDO "
+                    f"{core.cdo_name!r}")
+            known.add(core.cdo_name)
 
     def cores_under(self, qualified_name: str,
                     include_descendants: bool = True) -> List[DesignObject]:
@@ -357,10 +365,7 @@ class DesignSpaceLayer:
         :class:`~repro.core.explore.problem.ExplorationProblem` bound to
         this layer and hands it to the
         :class:`~repro.core.explore.engine.ExplorationEngine`.  See
-        ``docs/exploration.md`` for the strategy catalogue; a parallel
-        search ships its problem to worker processes, which need a
-        picklable ``layer_factory`` or a ``snapshot``, so it is not
-        reachable through this shortcut.
+        ``docs/exploration.md`` for the strategy catalogue.
         """
         from repro.core.explore import ExplorationEngine, ExplorationProblem
         problem = ExplorationProblem(
@@ -371,22 +376,6 @@ class DesignSpaceLayer:
         return ExplorationEngine(problem, strategy=strategy,
                                  strategy_options=strategy_options).run()
 
-    def snapshot(self, hydrators: Sequence[str] = (),
-                 lenient: bool = False):
-        """Capture a compact, picklable snapshot of this layer.
-
-        Returns a :class:`~repro.core.serialize.LayerSnapshot` —
-        the representation serialized once, plus the *names* of
-        registered hydrators (:func:`~repro.core.serialize.register_hydrator`)
-        that re-attach consistency-constraint relations and estimation
-        tools on the hydrating side.  Worker pools ship this to each
-        process once instead of re-running a ``layer_factory`` per task
-        (see ``docs/exploration.md``).
-        """
-        from repro.core.serialize import LayerSnapshot
-        return LayerSnapshot.capture(self, hydrators=hydrators,
-                                     lenient=lenient)
-
     def validate(self) -> None:
         """Structural sanity of the whole layer.
 
@@ -395,8 +384,7 @@ class DesignSpaceLayer:
         """
         for root in self._roots.values():
             root.validate_subtree()
-        for core in self.libraries:
-            self._check_core(core)
+        self._check_cores(self.libraries)
         cdos = self.all_cdos()
         for constraint in self.constraints:
             for alias, ref in {**constraint.independents,

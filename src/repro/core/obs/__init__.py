@@ -3,8 +3,7 @@
 ``repro.core.obs`` is the instrumentation subsystem: a structured trace
 of exploration events (:mod:`~repro.core.obs.events`), a metrics
 registry (:mod:`~repro.core.obs.metrics`), the recorders hot paths talk
-to (:mod:`~repro.core.obs.recorder`), distributed-tracing plumbing for
-parallel exploration (:mod:`~repro.core.obs.context`), a span profiler
+to (:mod:`~repro.core.obs.recorder`), a span profiler
 (:mod:`~repro.core.obs.profile`), exporters
 (:mod:`~repro.core.obs.export`) and trace replay
 (:mod:`~repro.core.obs.replay`).
@@ -16,14 +15,6 @@ recorder).  Import it as ``from repro.core.obs import replay`` — by the
 time user code does that, the core modules are fully initialised.
 """
 
-from repro.core.obs.context import (
-    TraceContext,
-    WorkerTraceBuffer,
-    adaptive_sample_rate,
-    canonical_trace_bytes,
-    canonical_trace_digest,
-    canonical_trace_events,
-)
 from repro.core.obs.events import (
     ACKNOWLEDGE,
     CACHE_HIT,
@@ -42,7 +33,6 @@ from repro.core.obs.events import (
     RETRACT,
     SESSION_OPEN,
     UNDO,
-    WORKER_TASK,
     TraceEvent,
 )
 from repro.core.obs.export import (
@@ -92,7 +82,6 @@ __all__ = [
     "RETRACT",
     "SESSION_OPEN",
     "UNDO",
-    "WORKER_TASK",
     "Counter",
     "Gauge",
     "Histogram",
@@ -101,14 +90,8 @@ __all__ = [
     "SiteStats",
     "Span",
     "SpanProfile",
-    "TraceContext",
     "TraceEvent",
     "TraceRecorder",
-    "WorkerTraceBuffer",
-    "adaptive_sample_rate",
-    "canonical_trace_bytes",
-    "canonical_trace_digest",
-    "canonical_trace_events",
     "dumps_jsonl",
     "profile_events",
     "read_jsonl",

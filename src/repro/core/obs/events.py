@@ -59,19 +59,6 @@ BRANCH_OPEN = "branch_open"
 BRANCH_PRUNED = "branch_pruned"
 #: The Pareto frontier absorbed a new non-dominated outcome.
 FRONTIER_UPDATE = "frontier_update"
-#: Worker(s) hydrated / built a layer for parallel evaluation (payload:
-#: count, seconds, source = ``snapshot`` | ``factory``).
-WORKER_HYDRATE = "worker_hydrate"
-#: One chunked parallel dispatch completed (payload: tasks, chunks,
-#: chunk_size, workers, utilization).
-CHUNK_DISPATCH = "chunk_dispatch"
-#: Idle workers stole pending chunks from slower peers (payload: count).
-CHUNK_STEAL = "chunk_steal"
-#: One sampled branch evaluation inside a pool worker (span; payload:
-#: branch label, task index, worker id, buffered event / drop counts).
-#: Emitted into a :class:`~repro.core.obs.context.WorkerTraceBuffer`
-#: and merged into the parent trace under its ``branch_open`` anchor.
-WORKER_TASK = "worker_task"
 #: The semantic verifier ran over a layer (span).
 VERIFY_RUN = "verify_run"
 #: The verifier proved a design-issue option dead (payload: cdo, issue,
@@ -86,8 +73,7 @@ EVENT_KINDS = frozenset({
     ACKNOWLEDGE, CONSTRAINT_FIRED, PRUNE, CACHE_HIT, CACHE_MISS,
     ESTIMATE_INVOKED, INDEX_REBUILD, LINT_RUN,
     EXPLORE_START, BRANCH_OPEN, BRANCH_PRUNED, FRONTIER_UPDATE,
-    WORKER_HYDRATE, CHUNK_DISPATCH, CHUNK_STEAL,
-    WORKER_TASK, VERIFY_RUN, DEAD_BRANCH_PROVED, UNSAT_CORE_FOUND,
+    VERIFY_RUN, DEAD_BRANCH_PROVED, UNSAT_CORE_FOUND,
 })
 
 #: Kinds that mutate session state; a replay re-applies exactly these,

@@ -1,20 +1,20 @@
 """Span profiler: where did a traced run spend its time?
 
-Aggregates any trace — serial or merged-parallel — into self/cumulative
-time per *span site* (an event kind refined by its discriminating
-payload field: ``prune``, ``constraint_fired[cc_area]``,
-``worker_task[Family='f3']``, ...).  Two renderings:
+Aggregates any trace into self/cumulative time per *span site* (an
+event kind refined by its discriminating payload field: ``prune``,
+``constraint_fired[cc_area]``, ``branch_open[Family]``, ...).  Two
+renderings:
 
 * a **top-N table** of sites ordered by self time (time spent in the
   span itself, children subtracted) — the "what is hot" view;
 * an indentation-nested **flame tree** that merges sibling spans with
-  the same site, so a merged parallel trace collapses into one line per
-  branch shape instead of one line per event — the "where does the time
-  nest" view.  Both have text and JSON forms.
+  the same site, so a long walk collapses into one line per branch
+  shape instead of one line per event — the "where does the time nest"
+  view.  Both have text and JSON forms.
 
 Self time is computed structurally (parent minus direct children), not
-from timestamps, so absorbed worker spans — whose clocks started inside
-the worker — profile correctly after the engine's deterministic merge.
+from timestamps, so a trace read back from JSONL profiles the same as
+the live one.
 
 Surfaces: :func:`profile_events` here, ``repro profile <trace.jsonl>``
 on the CLI, and the shell's ``profile`` command.

@@ -15,9 +15,7 @@ the sequence counter and event list, and span nesting stacks are kept
 per thread, so sessions running in several threads (served sessions on
 their handler threads) can share the layer's recorder without
 corrupting the stream (events interleave in emission order; per-thread
-parentage stays correct).  Parallel exploration instead travels through
-:class:`~repro.core.obs.context.WorkerTraceBuffer` objects that the
-engine merges deterministically via :meth:`TraceRecorder.absorb`.
+parentage stays correct).
 
 Instrumented code MUST guard any payload computation that is not free
 behind ``recorder.enabled`` — the recorder cannot refuse work the caller
@@ -28,8 +26,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Tuple)
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.obs import events as ev
 from repro.core.obs.events import TraceEvent
@@ -211,33 +208,6 @@ class TraceRecorder:
         self._update_metrics(event)
         return event
 
-    def emit_anchor(self, kind: str, **payload: Any) -> TraceEvent:
-        """Record an instantaneous event that owns a span id.
-
-        Anchors have no duration, but absorbed worker spans (and the
-        timeline renderer) can parent under them — the engine anchors
-        every parallel ``branch_open`` this way so each branch's worker
-        trace nests under the decision that opened it.
-        """
-        at = self._wall()
-        elapsed = self._clock() - self._t0
-        with self._lock:
-            self._span_ids += 1
-            stack = self._span_stacks.get(threading.get_ident())
-            event = TraceEvent(
-                seq=self._seq,
-                kind=kind,
-                at=at,
-                elapsed_s=elapsed,
-                payload=payload,
-                span=self._span_ids,
-                parent=stack[-1] if stack else None,
-            )
-            self._seq += 1
-            self.events.append(event)
-        self._update_metrics(event)
-        return event
-
     def span(self, kind: str, **payload: Any) -> Span:
         """Open a timed span; the event is recorded when it closes."""
         return Span(self, kind, payload)
@@ -266,64 +236,6 @@ class TraceRecorder:
             self._seq += 1
             self.events.append(event)
         self._update_metrics(event)
-
-    def absorb(self, records: Iterable[Mapping[str, Any]],
-               parent: Optional[int] = None, offset_s: float = 0.0,
-               dropped: int = 0) -> List[TraceEvent]:
-        """Merge worker-emitted plain-data events into this trace.
-
-        ``records`` is a drained :class:`~repro.core.obs.context.WorkerTraceBuffer`
-        payload.  Merging is deterministic: rows are sorted by their
-        worker-local ``seq``, renumbered into this recorder's sequence,
-        and worker-local span ids are remapped to fresh ids in
-        first-appearance order.  Top-level rows (no worker-local
-        parent) are reparented under ``parent`` — the branch's
-        ``branch_open`` anchor.  ``offset_s`` shifts worker-local
-        ``elapsed_s`` onto this recorder's timeline (callers pass the
-        anchor's elapsed time); ``dropped`` feeds the
-        ``dsl_trace_events_dropped_total`` counter.
-        """
-        rows = sorted((dict(row) for row in records),
-                      key=lambda r: int(r.get("seq", 0)))
-        absorbed: List[TraceEvent] = []
-        with self._lock:
-            mapping: Dict[int, int] = {}
-            for row in rows:
-                for key in ("span", "parent"):
-                    sid = row.get(key)
-                    if sid is not None and sid not in mapping:
-                        self._span_ids += 1
-                        mapping[sid] = self._span_ids
-            for row in rows:
-                local_parent = row.get("parent")
-                event = TraceEvent(
-                    seq=self._seq,
-                    kind=str(row.get("kind", "?")),
-                    at=float(row.get("at", 0.0)),
-                    elapsed_s=float(row.get("elapsed_s", 0.0)) + offset_s,
-                    payload=dict(row.get("payload") or {}),
-                    duration_s=(float(row["duration_s"])
-                                if row.get("duration_s") is not None
-                                else None),
-                    span=(mapping[row["span"]]
-                          if row.get("span") is not None else None),
-                    parent=(mapping[local_parent]
-                            if local_parent is not None else parent),
-                )
-                self._seq += 1
-                self.events.append(event)
-                absorbed.append(event)
-        for event in absorbed:
-            self._update_metrics(event)
-            self._kind_counter(
-                "dsl_worker_events_total",
-                "worker-emitted trace events merged into the parent trace",
-                event.kind).inc()
-        if dropped:
-            self.metrics.counter(
-                "dsl_trace_events_dropped_total",
-                "worker trace events dropped by full buffers").inc(dropped)
-        return absorbed
 
     def wrap_tools(self, tools: Mapping[str, Callable]
                    ) -> Dict[str, Callable]:
@@ -430,39 +342,6 @@ class TraceRecorder:
                       "decision branches considered by exploration",
                       result="pruned",
                       reason=str(payload.get("reason", "?"))).inc()
-        elif kind == ev.WORKER_HYDRATE:
-            m.counter("dsl_worker_hydrates_total",
-                      "worker layer hydrations / builds",
-                      source=str(payload.get("source", "?"))
-                      ).inc(int(payload.get("count", 1)))
-            seconds = payload.get("seconds")
-            if seconds is not None:
-                m.histogram("dsl_worker_hydrate_seconds",
-                            "wall time workers spent hydrating layers"
-                            ).observe(float(seconds))
-        elif kind == ev.CHUNK_DISPATCH:
-            m.counter("dsl_explore_chunks_total",
-                      "chunks dispatched to parallel workers"
-                      ).inc(int(payload.get("chunks", 1)))
-            workers = payload.get("workers")
-            if workers is not None:
-                m.gauge("dsl_pool_workers",
-                        "workers in the last parallel dispatch"
-                        ).set(workers)
-            utilization = payload.get("utilization")
-            if utilization is not None:
-                m.gauge("dsl_pool_utilization",
-                        "busy worker-seconds over wall x workers of the "
-                        "last dispatch").set(utilization)
-        elif kind == ev.CHUNK_STEAL:
-            m.counter("dsl_explore_steals_total",
-                      "chunks stolen by idle workers"
-                      ).inc(int(payload.get("count", 1)))
-        elif kind == ev.WORKER_TASK:
-            if event.duration_s is not None:
-                m.histogram("dsl_worker_task_seconds",
-                            "wall time of traced worker branch evaluations"
-                            ).observe(event.duration_s)
         elif kind == ev.FRONTIER_UPDATE:
             size = payload.get("size")
             if size is not None:

@@ -21,13 +21,7 @@ Two things intentionally do not round-trip as code:
 
 from __future__ import annotations
 
-import hashlib
-import importlib
-import pickle
-import threading
-import zlib
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional
 
 from repro.behavior.ir import Behavior
 from repro.behavior.serialize import behavior_from_dict, behavior_to_dict
@@ -281,155 +275,3 @@ def layer_from_dict(data: Dict[str, Any],
             library.add(core_from_dict(core_data))
         layer.attach_library(library)
     return layer
-
-
-# ----------------------------------------------------------------------
-# snapshots: compact, picklable layer captures for worker hydration
-# ----------------------------------------------------------------------
-#: A hydrator re-attaches the *code* parts of a layer — consistency
-#: constraints and estimation tools — that `layer_to_dict` can only
-#: document.  Registered by name so a :class:`LayerSnapshot` can name
-#: them and a worker process can resolve them after import.
-Hydrator = Callable[[DesignSpaceLayer], None]
-
-_HYDRATORS: Dict[str, Hydrator] = {}
-
-#: Registration normally happens at import time, but a worker resolving
-#: a ``pkg.module:name`` hydrator triggers imports (and therefore
-#: registrations) concurrently with other threads' lookups, so the
-#: registry is lock-guarded.
-_HYDRATOR_LOCK = threading.Lock()
-
-
-def register_hydrator(name: str, fn: Optional[Hydrator] = None
-                      ) -> Callable[[Hydrator], Hydrator]:
-    """Register a named layer hydrator (usable as a decorator).
-
-    A hydrator is called with a freshly deserialized layer and must
-    re-attach whatever does not round-trip as data: consistency
-    constraints (``layer.add_constraint``), estimation tools
-    (``layer.register_tool``) and selectors.  Registration is
-    idempotent only for the identical function; a different function
-    under a taken name raises.
-    """
-    def install(fn: Hydrator) -> Hydrator:
-        with _HYDRATOR_LOCK:
-            existing = _HYDRATORS.get(name)
-            if existing is not None and existing is not fn:
-                raise SerializationError(
-                    f"hydrator {name!r} already registered")
-            _HYDRATORS[name] = fn
-        return fn
-    if fn is not None:
-        install(fn)
-        return lambda f: f
-    return install
-
-
-def unregister_hydrator(name: str) -> None:
-    """Remove a registered hydrator (primarily for tests)."""
-    with _HYDRATOR_LOCK:
-        _HYDRATORS.pop(name, None)
-
-
-def hydrator_names() -> Tuple[str, ...]:
-    with _HYDRATOR_LOCK:
-        return tuple(sorted(_HYDRATORS))
-
-
-def resolve_hydrator(name: str) -> Hydrator:
-    """Look up a hydrator; ``pkg.module:name`` imports the module first.
-
-    The qualified form makes snapshots robust under the ``spawn`` start
-    method, where a fresh worker process has imported nothing: the
-    import runs the module's ``register_hydrator`` calls before the
-    lookup.
-    """
-    base = name
-    if ":" in name:
-        module, _, base = name.partition(":")
-        try:
-            importlib.import_module(module)
-        except ImportError as exc:
-            raise SerializationError(
-                f"hydrator {name!r}: cannot import {module!r}: {exc}"
-            ) from exc
-    try:
-        return _HYDRATORS[base]
-    except KeyError:
-        raise SerializationError(
-            f"unknown layer hydrator {name!r}; registered: "
-            f"{list(hydrator_names())} (register it with "
-            f"register_hydrator in a module the worker imports, or name "
-            f"it as 'package.module:name' so workers can import it)"
-        ) from None
-
-
-@dataclass(frozen=True)
-class LayerSnapshot:
-    """A compact, picklable capture of a layer's representation.
-
-    The payload is the zlib-compressed pickle of
-    :func:`layer_to_dict`'s output — plain data, cheap to ship to a
-    worker process once and hydrate there once, instead of re-running a
-    ``layer_factory`` per task.  ``hydrators`` names registered
-    re-attachment functions (:func:`register_hydrator`) that restore
-    constraint relations and estimation tools, so a hydrated layer is
-    search-equivalent to the live one.
-    """
-
-    payload: bytes
-    hydrators: Tuple[str, ...] = ()
-    lenient: bool = False
-    digest: str = field(default="", compare=False)
-
-    @classmethod
-    def capture(cls, layer: DesignSpaceLayer,
-                hydrators: Sequence[str] = (),
-                lenient: bool = False) -> "LayerSnapshot":
-        """Snapshot a layer, validating hydrator names eagerly."""
-        names = tuple(hydrators)
-        for name in names:
-            resolve_hydrator(name)  # fail at capture, not in a worker
-        raw = pickle.dumps(layer_to_dict(layer),
-                           protocol=pickle.HIGHEST_PROTOCOL)
-        payload = zlib.compress(raw, level=1)
-        digest = cls._digest(payload, names, lenient)
-        return cls(payload=payload, hydrators=names, lenient=lenient,
-                   digest=digest)
-
-    @staticmethod
-    def _digest(payload: bytes, hydrators: Tuple[str, ...],
-                lenient: bool) -> str:
-        h = hashlib.sha256(payload)
-        for name in hydrators:
-            h.update(name.encode("utf-8"))
-        h.update(b"lenient" if lenient else b"strict")
-        return h.hexdigest()[:16]
-
-    def __post_init__(self) -> None:
-        if not self.digest:
-            object.__setattr__(
-                self, "digest",
-                self._digest(self.payload, self.hydrators, self.lenient))
-
-    @property
-    def size_bytes(self) -> int:
-        return len(self.payload)
-
-    def hydrate(self) -> DesignSpaceLayer:
-        """Rebuild the layer and re-attach its code parts by name.
-
-        Raises :class:`SerializationError` when a named hydrator is not
-        registered in this process — the loading environment must import
-        whatever module registers it before hydrating.
-        """
-        data = pickle.loads(zlib.decompress(self.payload))
-        layer = layer_from_dict(data, lenient=self.lenient)
-        for name in self.hydrators:
-            resolve_hydrator(name)(layer)
-        return layer
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<LayerSnapshot {self.digest} {self.size_bytes}B "
-                f"hydrators={list(self.hydrators)}>")

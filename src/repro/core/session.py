@@ -474,9 +474,9 @@ class ExplorationSession:
                              ) -> List[ConsistencyConstraint]:
         """Constraints that gate ``issue_name`` and are not yet bound —
         the designer must address their independents first (paper Sec 4)."""
-        gating = self.layer.constraints.gating(issue_name, self._cdo,
-                                               self.layer.aliases)
-        return [c for c in gating if not self._independents_bound(c)]
+        return [c for c in self._applicable_constraints()
+                if issue_name in c.dependent_property_names()
+                and not self._independents_bound(c)]
 
     # ------------------------------------------------------------------
     # mutations

@@ -12,9 +12,7 @@ could have reached.
 :func:`conceptual_estimator` is the paper's fallback for empty surviving
 sets: it invokes the layer's registered early-estimation tools on the
 algorithm's behavioral description to produce estimated figures of
-merit for the conceptual design.  Everything here is defined at module
-level, so problems built with the default factory pickle cleanly into
-process-backed worker pools.
+merit for the conceptual design.
 """
 
 from __future__ import annotations
@@ -91,9 +89,9 @@ def crypto_exploration_problem(
         with_estimator: bool = False) -> ExplorationProblem:
     """The Sec 5 case study as an automated exploration problem.
 
-    Without ``layer`` the problem carries a picklable factory
-    (``functools.partial(build_crypto_layer, eol)``), so ``explore(...,
-    jobs=N)`` can ship it to worker processes.
+    Without ``layer`` the problem carries a factory
+    (``functools.partial(build_crypto_layer, eol)``) that builds the
+    layer on first use.
     ``with_estimator`` enables the conceptual-design fallback; note that
     branch-and-bound then disables bound pruning to stay exact.
     """

@@ -4,8 +4,7 @@ The Sec 2 motivating example as an automated search: find the
 non-dominated IDCT cores for a required block size, over every
 addressable design issue of the Fig 3 generalization hierarchy
 (implementation style, fabrication technology, algorithm, MAC units,
-layout style / platform, language).  Defined at module level so the
-default factory-backed problem pickles into process pools.
+layout style / platform, language).
 """
 
 from __future__ import annotations

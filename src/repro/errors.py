@@ -89,13 +89,13 @@ class AnalysisError(ReproError):
 
 class SanitizerError(ReproError):
     """The runtime mutation sanitizer (``DSL_SANITIZE=1``) caught a
-    mutation of a sealed, hydrated layer — worker-side code tried to
-    change representation state that is shared across tasks."""
+    mutation of a sealed layer — code tried to change representation
+    state its owner declared read-only."""
 
 
 class ExplorationError(ReproError):
     """An automated exploration run was misconfigured (unknown strategy,
-    missing layer factory for process-backed parallelism, ...)."""
+    bad strategy option, no layer or layer factory, ...)."""
 
 
 class EstimationError(ReproError):

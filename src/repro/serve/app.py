@@ -11,9 +11,7 @@ port.
 Determinism contract: every payload is rendered with
 :func:`canonical_json` (sorted keys, tight separators) and contains no
 wall-clock or scheduling data — the load benchmark asserts the served
-bytes equal a direct in-process library call byte for byte.  Served
-explores therefore run serially and carry no ``pool`` dispatch
-accounting.
+bytes equal a direct in-process library call byte for byte.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Public stress-testing library: randomized design-space scenarios.
 
 Every subsystem in this repo — indexed pruning, exploration strategies,
-the parallel pool, the analyzer's sanitizer — is correctness-tested
+the analyzer's sanitizer — is correctness-tested
 against *randomized* layer shapes, not just the hand-built crypto/idct
 domains.  The generators lived as private helpers inside individual test
 files; this package promotes them (ROADMAP: "randomized-hierarchy
@@ -20,7 +20,6 @@ from repro.testing.stress import (
     random_core_population_layer,
     random_exploration_problem,
     random_hierarchy_layer,
-    stress_branch_tasks,
 )
 
 __all__ = [
@@ -28,5 +27,4 @@ __all__ = [
     "random_core_population_layer",
     "random_exploration_problem",
     "random_hierarchy_layer",
-    "stress_branch_tasks",
 ]

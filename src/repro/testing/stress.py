@@ -14,9 +14,9 @@ Two layer shapes, promoted from the private helpers in
 
 Both are deterministic in their seed, so a failing stress run reproduces
 from the seed alone.  :func:`dominance_gradient_layer` is the fixed
-shape the exploration benchmarks and tests walk at scale.  :func:`random_exploration_problem` and
-:func:`stress_branch_tasks` wrap them into ready-to-dispatch exploration
-work for pool/sanitizer stress tests.
+shape the exploration benchmarks and tests walk at scale.
+:func:`random_exploration_problem` wraps a random hierarchy into a
+ready-to-run exploration problem.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.core.cdo import ClassOfDesignObjects
 from repro.core.designobject import DesignObject
-from repro.core.explore.parallel import BranchTask
 from repro.core.explore.problem import ExplorationProblem
 from repro.core.layer import DesignSpaceLayer
 from repro.core.library import ReuseLibrary
@@ -188,35 +187,8 @@ def dominance_gradient_layer(num_cores: int,
 
 
 def random_exploration_problem(seed: int,
-                               metrics: Sequence[str] = DEFAULT_METRICS,
-                               with_snapshot: bool = False
+                               metrics: Sequence[str] = DEFAULT_METRICS
                                ) -> ExplorationProblem:
-    """An :class:`ExplorationProblem` over :func:`random_hierarchy_layer`.
-
-    With ``with_snapshot`` the problem carries a
-    :class:`~repro.core.serialize.LayerSnapshot` instead of the live
-    layer, so worker pools exercise the hydrate-and-cache path (the one
-    the mutation sanitizer seals).
-    """
-    layer = random_hierarchy_layer(seed)
-    if with_snapshot:
-        return ExplorationProblem(start="R", metrics=tuple(metrics),
-                                  snapshot=layer.snapshot())
-    return ExplorationProblem(start="R", metrics=tuple(metrics), layer=layer)
-
-
-def stress_branch_tasks(seed: int, branches: int,
-                        strategies: Sequence[str] = ("exhaustive", "bnb"),
-                        with_snapshot: bool = False) -> List[BranchTask]:
-    """``branches`` dispatch-ready tasks cycling over ``strategies``.
-
-    All tasks share one problem (one layer / one snapshot digest), so a
-    pool dispatch makes every worker hammer the same cached hydrated
-    layer — exactly the sharing the sanitizer and the race analyzer
-    guard.
-    """
-    problem = random_exploration_problem(seed, with_snapshot=with_snapshot)
-    return [BranchTask(problem=problem,
-                       strategy=strategies[i % len(strategies)],
-                       label=f"stress-{seed}-{i}")
-            for i in range(branches)]
+    """An :class:`ExplorationProblem` over :func:`random_hierarchy_layer`."""
+    return ExplorationProblem(start="R", metrics=tuple(metrics),
+                              layer=random_hierarchy_layer(seed))

@@ -66,15 +66,6 @@ class DerivedStore:
         self._things.pop(key)
 
 
-def _hydrate(snapshot):
-    return snapshot
-
-
-def readonly_worker(snapshot):
-    layer = _hydrate(snapshot)
-    return len(layer.cores) if hasattr(layer, "cores") else 0
-
-
 def locked_append_worker(item):
     with _LOCK:
         RESULTS.append(item)
@@ -82,5 +73,4 @@ def locked_append_worker(item):
 
 def run_all():
     with ThreadPoolExecutor() as pool:
-        pool.submit(readonly_worker, None)
         pool.submit(locked_append_worker, 1)

@@ -1,8 +1,7 @@
 """Known-racy fixture: every construct here must earn a finding.
 
 Analyzed with the test suite's FIXTURE_CONTRACT (SharedBox is a shared
-class; Epochal/DerivedStore carry epoch contracts; ``_hydrate`` is a
-hydration source).  Keep line structure stable — tests assert on codes
+class; Epochal carries an epoch contract).  Keep line structure stable — tests assert on codes
 and symbols, not line numbers, but each defect is one distinct site.
 """
 
@@ -56,22 +55,10 @@ class Epochal:
         self._epoch = 0               # DSA011: counter rebound
 
 
-def _hydrate(snapshot):
-    return snapshot
-
-
-def branch_worker(snapshot):
-    layer = _hydrate(snapshot)
-    layer.add_root(object())          # DSA020: mutating a hydrated layer
-    layer.observe()                   # DSA021: recorder on shared layer
-    return layer
-
-
 def append_worker(item):
     RESULTS.append(item)              # DSA001: unguarded global write
 
 
 def run_all():
     with ThreadPoolExecutor() as pool:
-        pool.submit(branch_worker, None)
         pool.submit(append_worker, 1)

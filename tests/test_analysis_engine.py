@@ -4,7 +4,7 @@
 earns a finding), a known-clean twin (the false-positive budget: zero
 findings), a fully suppressed variant, and a bad-suppressions module
 (allows that are themselves findings).  A custom contract maps the
-fixture class names into the three passes.
+fixture class names into the passes.
 """
 
 import json
@@ -31,8 +31,6 @@ FIXTURE_CONTRACT = ConcurrencyContract(
         EpochContract("Epochal", stores=("_data",),
                       bump_methods=("_bump",), epoch_attrs=("_epoch",)),
     ),
-    hydration_functions=frozenset({"_hydrate"}),
-    layer_mutators=frozenset({"add_root", "attach_library"}),
 )
 
 
@@ -47,8 +45,7 @@ class TestRacyFixture:
         return analyze_fixture("racy_mod.py")
 
     def test_every_expected_code_fires(self, report):
-        assert set(report.codes()) == {"DSA001", "DSA002", "DSA010", "DSA011",
-                                       "DSA020", "DSA021"}
+        assert set(report.codes()) == {"DSA001", "DSA002", "DSA010", "DSA011"}
 
     def test_race_sites(self, report):
         by_symbol = {(f.code, f.symbol) for f in report.by_code("DSA001")}
@@ -72,12 +69,6 @@ class TestRacyFixture:
         # the bumping method stays silent
         assert not any(f.symbol == "racy_mod:Epochal.good_add"
                        for f in report.active)
-
-    def test_snapshot_sites(self, report):
-        assert [f.symbol for f in report.by_code("DSA020")] == \
-            ["racy_mod:branch_worker"]
-        assert [f.symbol for f in report.by_code("DSA021")] == \
-            ["racy_mod:branch_worker"]
 
     def test_gate_fails_at_error_and_warning(self, report):
         assert report.has_at_least(Severity.ERROR)
@@ -190,10 +181,10 @@ class TestDeterministicOrder:
         shuffled = [self._finding("b.py", 9, "DSA001"),
                     self._finding("a.py", 5, "DSA010"),
                     self._finding("a.py", 5, "DSA001"),
-                    self._finding("a.py", 2, "DSA020")]
+                    self._finding("a.py", 2, "DSA030")]
         report = AnalysisReport(root="/r", findings=shuffled, files=2)
         assert [f.sort_key()[:3] for f in report.findings] == \
-            [("a.py", 2, "DSA020"), ("a.py", 5, "DSA001"),
+            [("a.py", 2, "DSA030"), ("a.py", 5, "DSA001"),
              ("a.py", 5, "DSA010"), ("b.py", 9, "DSA001")]
 
     def test_render_and_json_resort_post_init_appends(self):

@@ -2,8 +2,9 @@
 
 CI gates ``repro analyze --fail-on warning`` at zero unsuppressed
 findings; this test is the same gate as a unit test, so a regression —
-a new unguarded write, a store without its epoch bump, a worker mutating
-a hydrated layer — fails the suite locally before it reaches CI.
+a new unguarded write, a store without its epoch bump, a lock taken
+against the canonical order — fails the suite locally before it reaches
+CI.
 """
 
 from repro.analysis import DEFAULT_CONTRACT, analyze_package
@@ -38,7 +39,6 @@ def test_default_contract_matches_live_code():
     from repro.core.cdo import ClassOfDesignObjects
     from repro.core.constraints import ConstraintSet
     from repro.core.designobject import DesignObject
-    from repro.core.explore import parallel
     from repro.core.layer import DesignSpaceLayer
     from repro.core.library import LibraryFederation, ReuseLibrary
 
@@ -55,8 +55,6 @@ def test_default_contract_matches_live_code():
         assert cls is not None, f"unknown epoch class {ec.class_name}"
         for bump in ec.bump_methods:
             assert hasattr(cls, bump), f"{ec.class_name}.{bump} missing"
-    for name in DEFAULT_CONTRACT.hydration_functions:
-        assert hasattr(parallel, name), f"hydration fn {name} missing"
     import importlib
 
     for entry in DEFAULT_CONTRACT.extra_entry_points:
@@ -104,8 +102,8 @@ def test_lock_order_names_real_locks():
 
 def test_serving_stack_lock_graph_is_cycle_free():
     """The CI assertion (``repro analyze --lock-graph``) as a unit test:
-    the serving stack plus the observability and parallel-exploration
-    leaves must order their locks acyclically."""
+    the serving stack plus the observability leaves must order their
+    locks acyclically."""
     import os
 
     from repro.analysis import lock_graph_paths
@@ -114,9 +112,7 @@ def test_serving_stack_lock_graph_is_cycle_free():
     serve_dir = os.path.dirname(os.path.abspath(app.__file__))
     src = os.path.dirname(os.path.dirname(serve_dir))
     graph = lock_graph_paths(
-        [serve_dir,
-         os.path.join(src, "repro", "core", "obs"),
-         os.path.join(src, "repro", "core", "explore", "parallel.py")],
+        [serve_dir, os.path.join(src, "repro", "core", "obs")],
         root=src)
     assert graph.nodes, "lock discovery collapsed"
     assert graph.acyclic, graph.render_text()

@@ -404,37 +404,14 @@ class TestAutomatedExplore:
         assert runs["bnb"]["stats"]["opened"] < \
             runs["exhaustive"]["stats"]["opened"]
 
-    def test_parallel_flags_report_pool_stats(self, capsys):
-        code, out, _err = run_cli(
-            capsys, "explore", "--layer", "idct",
-            "--strategy", "exhaustive", "--metrics", "area,latency_ns",
-            "--jobs", "2", "--chunk-size", "1", "--json")
-        assert code == 0
-        payload = json.loads(out)
-        pool = payload["pool"]
-        assert pool["workers"] == 2
-        assert pool["chunk_size"] == 1
-        assert pool["chunks"] >= 1
-        assert "steals" in pool and "hydrate_ms" in pool
-
-    def test_parallel_digest_matches_serial(self, capsys):
-        digests = {}
-        for argv in (("--jobs", "1"),
-                     ("--jobs", "2"),
-                     ("--jobs", "2", "--chunk-size", "1")):
-            _code, out, _err = run_cli(
-                capsys, "explore", "--layer", "idct",
-                "--strategy", "exhaustive",
-                "--metrics", "area,latency_ns", "--json", *argv)
-            digests[argv] = json.loads(out)["digest"]
-        assert len(set(digests.values())) == 1
-
-    def test_pool_footer_in_text_output(self, capsys):
-        code, out, _err = run_cli(
-            capsys, "explore", "--layer", "idct", "--strategy", "bnb",
-            "--metrics", "area,latency_ns", "--jobs", "2")
-        assert code == 0
-        assert "pool: workers=2" in out
+    @pytest.mark.parametrize("flag", ["--jobs", "--chunk-size",
+                                      "--trace-sample"])
+    def test_parallel_flags_are_gone(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", "--layer", "idct", "--strategy", "bnb",
+                  flag, "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_decide_prefix_and_trace(self, capsys, tmp_path):
         trace = tmp_path / "explore.jsonl"
@@ -468,10 +445,10 @@ class TestAnalyze:
         code, out, _err = run_cli(capsys, "analyze", "--list-rules")
         assert code == 0
         for expected in ("DSA001", "DSA002", "DSA003", "DSA004", "DSA010",
-                         "DSA011", "DSA020", "DSA021", "DSA030",
-                         "DSA031", "DSA032", "DSA040", "DSA041", "DSA042",
-                         "DSA043"):
+                         "DSA011", "DSA030", "DSA031", "DSA032", "DSA040",
+                         "DSA041", "DSA042", "DSA043"):
             assert expected in out
+        assert "DSA020" not in out and "DSA021" not in out
 
     def test_lock_graph_for_the_repo_is_cycle_free(self, capsys):
         code, out, _err = run_cli(capsys, "analyze", "--lock-graph")

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.cdo import ClassOfDesignObjects
+from repro.core.layer import DesignSpaceLayer
+from repro.core.session import ExplorationSession
 from repro.core.constraints import (
     UNBOUND,
     ConsistencyConstraint,
@@ -142,8 +144,37 @@ class TestConstraintSet:
         assert len(cs.applicable(hw)) == 1
         assert cs.applicable(sw) == []
 
-    def test_gating(self):
-        root, hw, _ = make_tree()
-        cs = ConstraintSet([make_cc()])
-        assert [c.name for c in cs.gating("Radix", hw)] == ["CC-t"]
-        assert cs.gating("EOL", hw) == []
+    def test_blocking_constraints(self):
+        root, _, _ = make_tree()
+        layer = DesignSpaceLayer("t", "test layer")
+        layer.add_root(root)
+        layer.add_constraint(make_cc())
+        session = ExplorationSession(layer, "Op.HW")
+        assert [c.name for c in session.blocking_constraints("Radix")] \
+            == ["CC-t"]
+        assert session.blocking_constraints("EOL") == []
+        session.set_requirement("EOL", 768)
+        assert session.blocking_constraints("Radix") == []
+
+    def test_one_walk_matches_each_constraint_once_per_position(
+            self, monkeypatch):
+        """``blocking_constraints`` filters the session's cached
+        applicable set, so an exhaustive crypto walk asks ``applies_to``
+        once per constraint and position it opens (42 calls; 54 with
+        the estimator), not again for every issue it gates."""
+        from repro.core.explore import explore
+        from repro.domains.crypto import (build_crypto_layer,
+                                          crypto_exploration_problem)
+
+        layer = build_crypto_layer(768)
+        calls = []
+        applies_to = ConsistencyConstraint.applies_to
+        monkeypatch.setattr(
+            ConsistencyConstraint, "applies_to",
+            lambda cc, *args: calls.append(cc.name) or applies_to(cc, *args))
+        for with_estimator, bound in ((False, 60), (True, 80)):
+            calls.clear()
+            result = explore(crypto_exploration_problem(
+                layer=layer, with_estimator=with_estimator))
+            assert result.frontier.digest() == "33ed4f1eafb30813"
+            assert 0 < len(calls) <= bound

@@ -615,23 +615,16 @@ class TestLazyTerminal:
         dict(strategy="exhaustive"),
         dict(strategy="bnb"),
         dict(strategy="evolutionary", seed=3, population=6, generations=3),
-        dict(strategy="exhaustive", jobs=2),
-        dict(strategy="evolutionary", jobs=2, seed=3, population=6,
-             generations=3),
-    ], ids=["exhaustive", "bnb", "evolutionary", "merge-jobs2",
-            "islands-jobs2"])
+    ], ids=["exhaustive", "bnb", "evolutionary"])
     @pytest.mark.parametrize("layer_name", ["widget", "idct"])
     def test_strategies_match_reference_runs(self, monkeypatch, idct_layer,
                                              options, layer_name):
-        # A live layer for the parent, a factory for worker processes
-        # (forked inside ``explore``, so they inherit the patches).
         if layer_name == "idct":
             problem = dataclasses.replace(idct_exploration_problem(),
                                           layer=idct_layer)
         else:
             problem = ExplorationProblem(start="Widget", metrics=METRICS,
-                                         layer=build_widget_layer(),
-                                         layer_factory=build_widget_layer)
+                                         layer=build_widget_layer())
         got = explore(problem, **options)
         want = reference_run(monkeypatch, problem, **options)
         assert got.frontier.digest() == want.frontier.digest()

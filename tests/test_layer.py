@@ -87,6 +87,45 @@ class TestLibraries:
         with pytest.raises(LibraryError, match="unknown CDO"):
             layer.attach_library(library)
 
+    def test_each_cdo_name_is_checked_once(self, monkeypatch):
+        layer = make_layer()
+        library = ReuseLibrary("L")
+        for i in range(10):
+            library.add(DesignObject(f"c{i}", ("Root.a", "Root.b")[i % 2],
+                                     {}, {"area": i}))
+        checked = []
+        has_cdo = DesignSpaceLayer.has_cdo
+        monkeypatch.setattr(DesignSpaceLayer, "has_cdo",
+                            lambda self, name: checked.append(name)
+                            or has_cdo(self, name))
+        layer.attach_library(library)
+        assert checked == ["Root.a", "Root.b"]
+        checked.clear()
+        layer.validate()
+        assert checked == ["Root.a", "Root.b"]
+
+    def test_unknown_cdo_error_names_the_first_offending_core(self):
+        def library_with_ghosts():
+            library = ReuseLibrary("L")
+            library.add(DesignObject("ok", "Root.a", {}, {"area": 1}))
+            library.add(DesignObject("g1", "Ghost.X", {}, {"area": 1}))
+            library.add(DesignObject("g2", "Ghost.Y", {}, {"area": 1}))
+            library.add(DesignObject("g3", "Ghost.X", {}, {"area": 1}))
+            return library
+
+        message = "core 'g1' indexes under unknown CDO 'Ghost.X'"
+        with pytest.raises(LibraryError) as excinfo:
+            make_layer().attach_library(library_with_ghosts())
+        assert str(excinfo.value) == message
+        layer = make_layer()
+        library = ReuseLibrary("L")
+        layer.attach_library(library)
+        for core in library_with_ghosts():
+            library.add(core)
+        with pytest.raises(LibraryError) as excinfo:
+            layer.validate()
+        assert str(excinfo.value) == message
+
     def test_cores_under(self):
         layer = make_layer()
         library = ReuseLibrary("L")

@@ -89,31 +89,20 @@ class TestStatelessVerbs:
             start="Widget", metrics=("area", "latency_ns"),
             requirements=(("Width", 64),), layer=layer)
         direct = explore(problem, strategy="exhaustive").to_dict()
-        direct.pop("pool", None)
         assert canonical_json(served) == canonical_json(
             {"layer": layer.name, "result": direct})
 
-    def test_explore_payload_never_carries_pool_accounting(self, layer):
+    def test_explore_refuses_a_jobs_option(self, layer):
         with DesignSpaceService(layers={"widgets": layer}) as svc:
             served = ok(svc, "explore", layer="widgets", start="Widget")
             assert "pool" not in served["result"]
-            assert served["result"]["jobs"] == 1
-            # Served explores run serially: a jobs option is refused,
-            # not honoured.
+            assert "jobs" not in served["result"]
+            # No strategy takes a jobs option.
             status, payload = svc.handle(
                 "explore", {"layer": "widgets", "start": "Widget",
                             "options": {"jobs": 2}})
             assert status == 400
             assert payload["error"]["code"] == "ExplorationError"
-
-    def test_parallel_explore_digest_equals_serial(self, layer):
-        with DesignSpaceService(layers={"w": layer}) as svc:
-            served = ok(svc, "explore", layer="w", start="Widget")
-        problem = ExplorationProblem(start="Widget", layer=layer,
-                                     layer_factory=build_widget_layer)
-        parallel = explore(problem, jobs=4).to_dict()
-        assert served["result"]["digest"] == parallel["digest"]
-        assert served["result"]["frontier"] == parallel["frontier"]
 
 
 class TestSessionVerbs:

@@ -204,7 +204,6 @@ class TestSharedStatelessVerbs:
                 start="R", metrics=("area", "latency_ns"),
                 layer=random_hierarchy_layer(seed=s))
             direct = explore(problem, strategy="exhaustive").to_dict()
-            direct.pop("pool", None)
             expected[f"rand-{s}"] = canonical_json(
                 {"layer": f"rand-{s}", "result": direct})
 

@@ -1,29 +1,36 @@
-"""The public stress library: deterministic, valid, dispatch-ready.
+"""The public stress library: deterministic, valid, ready to explore.
 
 ``repro.testing`` promotes the randomized-layer generators from private
 test helpers to a public surface (ROADMAP), so these tests pin the
 contract other subsystems now rely on: determinism in the seed, layers
-that pass ``validate()``, and task batches that actually share state.
+that pass ``validate()``, and problems that run.
 """
+
+import json
 
 import pytest
 
+from repro.core.serialize import layer_to_dict
 from repro.testing import (
     random_core_population_layer,
     random_exploration_problem,
     random_hierarchy_layer,
-    stress_branch_tasks,
 )
+
+
+def layer_bytes(layer):
+    """The layer's serialized representation, canonically rendered."""
+    return json.dumps(layer_to_dict(layer), sort_keys=True, default=repr)
 
 
 class TestRandomHierarchyLayer:
     def test_deterministic_in_seed(self):
         a = random_hierarchy_layer(11)
         b = random_hierarchy_layer(11)
-        assert a.snapshot().digest == b.snapshot().digest
+        assert layer_bytes(a) == layer_bytes(b)
 
     def test_distinct_seeds_differ(self):
-        digests = {random_hierarchy_layer(seed).snapshot().digest
+        digests = {layer_bytes(random_hierarchy_layer(seed))
                    for seed in range(8)}
         assert len(digests) > 1
 
@@ -44,7 +51,7 @@ class TestRandomCorePopulationLayer:
     def test_deterministic_in_seed(self):
         a = random_core_population_layer(9, 25)
         b = random_core_population_layer(9, 25)
-        assert a.snapshot().digest == b.snapshot().digest
+        assert layer_bytes(a) == layer_bytes(b)
 
     def test_population_is_underdocumented(self):
         """The generator must produce holes — cores missing properties
@@ -55,14 +62,8 @@ class TestRandomCorePopulationLayer:
         assert any("latency_ns" not in c._merits for c in cores)
 
 
-class TestStressTasks:
-    def test_problem_rides_snapshot_when_asked(self):
-        problem = random_exploration_problem(4, with_snapshot=True)
-        assert problem.snapshot is not None
-        assert problem.layer is None
-
-    def test_tasks_cycle_strategies_and_share_one_problem(self):
-        tasks = stress_branch_tasks(4, 5, strategies=("exhaustive", "bnb"))
-        assert [t.strategy for t in tasks] == \
-            ["exhaustive", "bnb", "exhaustive", "bnb", "exhaustive"]
-        assert len({id(t.problem) for t in tasks}) == 1
+class TestRandomExplorationProblem:
+    def test_problem_carries_its_layer(self):
+        problem = random_exploration_problem(4)
+        assert problem.layer is not None
+        assert problem.resolve_layer() is problem.layer
