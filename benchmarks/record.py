@@ -15,7 +15,8 @@
   next to the timings, host-independent counts: ``range_probes``
   (option-range computations in one walk per strategy), ``bound_probes``
   (ideal-point computations in one walk per strategy), ``frontier_adds``
-  (outcomes offered to the frontier in one walk per strategy) and
+  (outcomes offered to the frontier in one walk per strategy),
+  ``session_decides`` (session decisions in one walk per strategy) and
   ``retained_kb_per_result`` (memory one kept result holds);
 * the semantic verifier on a 5k-core synthetic layer — a cold analysis
   vs a warm epoch-cached re-verify (gate: warm < 5% of cold).
@@ -190,6 +191,7 @@ def explore_measurements(num_cores: int = 50000, repeat: int = 3
     """
     from test_bench_explore import available_cpus, exploration_problem
 
+    from repro.core import ExplorationSession
     from repro.core.explore import ParetoFrontier, explore
     from repro.core.index import CoreIndex
 
@@ -205,7 +207,8 @@ def explore_measurements(num_cores: int = 50000, repeat: int = 3
                        for strategy, options in strategies}
               for owner, method in ((CoreIndex, "merit_ranges_for"),
                                     (CoreIndex, "merit_minima"),
-                                    (ParetoFrontier, "add"))}
+                                    (ParetoFrontier, "add"),
+                                    (ExplorationSession, "decide"))}
     retained_kb = retained_kb_per_result(problem)
     digests = {full.frontier.digest(), bnb.frontier.digest()}
     if len(digests) != 1:
@@ -224,6 +227,7 @@ def explore_measurements(num_cores: int = 50000, repeat: int = 3
         "range_probes": probes["merit_ranges_for"],
         "bound_probes": probes["merit_minima"],
         "frontier_adds": probes["add"],
+        "session_decides": probes["decide"],
         "retained_kb_per_result": retained_kb,
         "frontier_size": len(full.frontier),
         "digest": full.frontier.digest(),
@@ -237,7 +241,9 @@ def walk_calls(owner: type, method: str, problem, strategy: str,
     work count, deterministic on any host.  No strategy reads an
     option's ranges (``CoreIndex.merit_ranges_for``); each bounds options
     and some terminals by their ideal point (``CoreIndex.merit_minima``);
-    ``ParetoFrontier.add`` counts the outcomes a walk builds and offers."""
+    ``ParetoFrontier.add`` counts the outcomes a walk builds and offers;
+    ``ExplorationSession.decide`` the decisions it takes through the
+    session rather than counting them from bitmasks."""
     from repro.core.explore import explore
 
     original = getattr(owner, method)
@@ -395,6 +401,14 @@ def collect_serving(num_cores: int, sessions: int) -> Dict[str, object]:
     }
 
 
+def exploration_record(exploration: Dict[str, object]) -> Dict[str, object]:
+    """The ``exploration`` record of :func:`explore_measurements`."""
+    return dict(exploration,
+                retained_kb_per_result=round(
+                    exploration["retained_kb_per_result"], 1),
+                serial=_summary(exploration["serial"]))
+
+
 def collect(repeat: int, num_cores: int) -> Dict[str, object]:
     from test_bench_explore import available_cpus
 
@@ -432,20 +446,7 @@ def collect(repeat: int, num_cores: int) -> Dict[str, object]:
             "budget": SANITIZER_BUDGET,
             "within_budget": sanitizer["ratio"] < SANITIZER_BUDGET,
         },
-        "exploration": {
-            "num_cores": exploration["num_cores"],
-            "cpus": exploration["cpus"],
-            "branches_opened": exploration["branches_opened"],
-            "bnb_pruned_by_bound": exploration["bnb_pruned_by_bound"],
-            "range_probes": exploration["range_probes"],
-            "bound_probes": exploration["bound_probes"],
-            "frontier_adds": exploration["frontier_adds"],
-            "retained_kb_per_result": round(
-                exploration["retained_kb_per_result"], 1),
-            "frontier_size": exploration["frontier_size"],
-            "digest": exploration["digest"],
-            "serial": _summary(exploration["serial"]),
-        },
+        "exploration": exploration_record(exploration),
         "verify": {
             "num_cores": verify["num_cores"],
             "proofs": verify["proofs"],

@@ -14,11 +14,13 @@ import os
 
 import pytest
 
-from repro.core import DesignSpaceLayer, ExplorationProblem
+from repro.core import DesignSpaceLayer, ExplorationProblem, ExplorationSession
 from repro.core.explore import explore
+from repro.core.explore.engine import SearchContext
 from repro.testing import dominance_gradient_layer
 
 from conftest import emit
+from record import walk_calls
 
 METRICS = ("area", "latency_ns")
 
@@ -78,3 +80,30 @@ def test_bench_bnb_prunes_branches(problem_5k):
     assert bnb.frontier.digest() == full.frontier.digest()
     assert bnb.stats.opened < full.stats.opened
     assert bnb.stats.pruned.get("bound", 0) > 0
+
+
+def test_bench_exhaustive_counts_dominated_branches(problem_5k,
+                                                    monkeypatch):
+    """Exhaustive decides through the session only where bnb expands and
+    at each dominated root option (deciding a generalized option moves
+    the CDO); it counts every other dominated branch from bitmasks."""
+    branch_pruned = SearchContext.branch_pruned
+    root_cuts = []
+
+    def pruned(ctx, issue, info, reason):
+        if reason == "bound" and not ctx.session.decisions:
+            root_cuts.append(info.option)
+        branch_pruned(ctx, issue, info, reason)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SearchContext, "branch_pruned", pruned)
+        bnb = explore(problem_5k, strategy="bnb")
+    full = explore(problem_5k, strategy="exhaustive")
+    decides = walk_calls(ExplorationSession, "decide", problem_5k,
+                         "exhaustive")
+    emit("Exhaustive session decides — 5k cores",
+         f"decide calls: {decides} of {full.stats.expanded} expanded; "
+         f"bnb expanded {bnb.stats.expanded}, dominated root options "
+         f"{len(root_cuts)}")
+    assert root_cuts
+    assert decides <= bnb.stats.expanded + len(root_cuts)

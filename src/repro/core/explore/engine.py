@@ -14,6 +14,7 @@ stats depend only on the problem and the strategy.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -36,10 +37,11 @@ from repro.core.explore.strategies import (
     SearchStrategy,
     make_strategy,
 )
-from repro.core.index import IndexedPruneReport
+from repro.core.index import IdSet, IndexedPruneReport
 from repro.core.obs import events as _ev
 from repro.core.properties import DesignIssue
 from repro.core.session import ExplorationSession, OptionInfo
+from repro.core.values import EnumDomain
 from repro.errors import (
     ConstraintViolation,
     ExplorationError,
@@ -94,6 +96,28 @@ class ExplorationStats:
         return (f"opened={self.opened} expanded={self.expanded} "
                 f"pruned[{pruned}] terminals={self.terminals} "
                 f"outcomes={self.outcomes} evaluations={self.evaluations}")
+
+
+def _count_below(stats: ExplorationStats, levels: List[List[Optional[int]]],
+                 ids: int, level: int = 0) -> None:
+    """Count the positions below one whose candidate mask is ``ids``:
+    ``levels[level]`` holds the decision mask of each option of the next
+    issue, or None for an option proved dead."""
+    if level == len(levels):
+        stats.terminals += 1
+        stats.outcomes += len(IdSet(ids))
+        return
+    for option_ids in levels[level]:
+        stats.opened += 1
+        if option_ids is None:
+            stats.prune("proved-dead")
+            continue
+        below = ids & option_ids
+        if not below:
+            stats.prune("empty")
+            continue
+        stats.expanded += 1
+        _count_below(stats, levels, below, level + 1)
 
 
 class SearchContext:
@@ -215,6 +239,70 @@ class SearchContext:
                 return False
         return True
 
+    def count_dominated(self, via: OptionInfo, depth: int,
+                        issue: Optional[DesignIssue] = None) -> bool:
+        """Count the branch below ``via`` from bitmasks instead of deciding
+        through it; False, with nothing counted, where the session must
+        descend it.
+
+        A frontier member strictly dominates ``via``'s :meth:`bound`, so
+        no outcome below can join: the branch yields only counts, and
+        they are the counts the session descent records.  Without
+        ``issue``, ``via`` is the option decided last and the session
+        sits at ``depth``.  With ``issue``, ``via`` is an option of it
+        opened at ``depth`` and not decided yet, and the count includes
+        that decision.
+
+        The issues left are addressed in :meth:`next_issue` order, each
+        option is screened as :meth:`screen` does (proved-dead, then
+        empty; nothing is eliminated without a constraint), and its
+        candidates are its parent's ANDed with
+        :meth:`CoreIndex.decision_ids
+        <repro.core.index.CoreIndex.decision_ids>`, starting from
+        ``via.candidate_ids``.  Each terminal adds its candidate count
+        to ``stats.outcomes``, as :meth:`terminal` counts a dominated
+        one.
+
+        The masks stand in for the session only while nothing below can
+        move it differently, so the session descends where the problem
+        has an estimator, where tracing is on (the descent's events are
+        the trace), where a consistency constraint applies at the
+        current CDO (it orders issues, eliminates options and rejects
+        decisions), or where an issue to decide is generalized (the CDO
+        would move) or not an :class:`EnumDomain` (its options could
+        depend on the context).
+        """
+        problem = self.problem
+        session = self.session
+        if (problem.estimator is not None or self._obs.enabled
+                or session.applicable_constraints()):
+            return False
+        first = [] if issue is None else [issue.name]
+        addressable = [prop.name for prop in session.addressable_issues()
+                       if prop.name not in first]
+        names = list(dict.fromkeys(
+            [name for name in problem.issues if name in addressable]
+            if problem.issues else addressable))
+        depth += len(first)
+        if problem.max_depth is not None:
+            names = names[:max(problem.max_depth - depth, 0)]
+        cdo = session.current_cdo
+        props = [cdo.find_property(name) for name in first + names]
+        if any(prop.generalized or not isinstance(prop.domain, EnumDomain)
+               for prop in props):
+            return False
+        mask = problem.dead_mask or ()
+        index = via.index
+        levels = [[
+            None if (cdo.qualified_name, prop.name, repr(option)) in mask
+            else index.decision_ids(prop.name, option,
+                                    session.missing_policy).mask
+            for option in prop.options(limit=problem.option_limit)]
+            for prop in props[len(first):]]
+        self.stats.expanded += len(first)
+        _count_below(self.stats, levels, via.candidate_ids.mask)
+        return True
+
     # ------------------------------------------------------------------
     # accounting / tracing
     # ------------------------------------------------------------------
@@ -299,10 +387,13 @@ class SearchContext:
         ``via`` is the option a walk decided last to get here, after
         testing its :meth:`bound` against the frontier (which has not
         changed since), and ``dominated`` the result, or True anywhere
-        below an option found dominated.  The option's candidates are exactly this
-        position's survivors, so a dominated terminal with candidates is
-        counted from ``via`` without a prune, and a live one skips the
-        ideal-point test its option already failed.
+        below an option found dominated.  The option's candidates are
+        exactly this position's survivors, so a dominated terminal with
+        candidates is counted from ``via`` without a prune, and a live
+        one skips the ideal-point test its option already failed.  A
+        dominated branch normally never gets here: the walk counts it
+        with :meth:`count_dominated`, and a dominated terminal is reached
+        only where that falls back to the session descent.
         """
         self.stats.terminals += 1
         if dominated and via.candidate_count:
@@ -344,7 +435,8 @@ class SearchContext:
             return added
         decisions = self._assignment()
         cdo = self.session.current_cdo.qualified_name
-        path_key = render_path(decisions)
+        # Interned: kept results then share the paths every walk renders.
+        path_key = sys.intern(render_path(decisions))
         repeated = bool(ids & index.repeated_names)
         offered = list(ids) if repeated else index.skyline(ids, metrics)
         for i in offered:

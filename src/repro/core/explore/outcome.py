@@ -144,7 +144,12 @@ class ParetoFrontier:
         if not metrics:
             raise ValueError("a frontier needs at least one metric")
         self.metrics: Tuple[str, ...] = tuple(metrics)
-        self._members: Dict[Tuple[str, str], Tuple[Tuple[float, ...], Outcome]] = {}
+        #: Members in the order they joined, each under its core name, or
+        #: under its full key when another member holds that name.  A
+        #: kept result holds its members, so a name saves a key tuple,
+        #: and the rare eviction scan and the sorts recompute a member's
+        #: coordinates instead of keeping them.
+        self._members: Dict[object, Outcome] = {}
         #: Members per distinct coordinate tuple.  A frontier keeps ties,
         #: so it holds far fewer points than members, and dominance
         #: depends on the point alone.
@@ -153,11 +158,19 @@ class ParetoFrontier:
     def __len__(self) -> int:
         return len(self._members)
 
+    def _member(self, key: Tuple[str, str]) -> Optional[Outcome]:
+        """The member with this key, or None."""
+        path_key, core = key
+        member = self._members.get(core)
+        if member is not None and member.path_key == path_key:
+            return member
+        return self._members.get(key)
+
     def __contains__(self, outcome: Outcome) -> bool:
         """True when a member equals ``outcome``, not merely shares its
         key (two cores of one name reached by one path share a key)."""
-        member = self._members.get(outcome.key)
-        return member is not None and member[1] == outcome
+        member = self._member(outcome.key)
+        return member is not None and member == outcome
 
     def rejects(self, key: Tuple[str, str],
                 coords: Sequence[float]) -> bool:
@@ -169,7 +182,7 @@ class ParetoFrontier:
         an :class:`Outcome` only for the few the frontier would accept;
         a rejected :meth:`add` changes nothing, so skipping it is exact.
         """
-        if key in self._members:
+        if self._member(key) is not None:
             return True
         return any(dominates(point, coords) for point in self._points)
 
@@ -188,17 +201,17 @@ class ParetoFrontier:
         if self.rejects(key, coords):
             return False
         points = self._points
+        members = self._members
         if any(dominates(coords, point) for point in points):
             # Rebuilt, not deleted from: a kept result holds its frontier,
             # and a dict never shrinks.
             self._points = points = {
                 point: count for point, count in points.items()
                 if not dominates(coords, point)}
-            members = self._members
-            for k in [k for k, (existing, _) in members.items()
-                      if dominates(coords, existing)]:
+            for k in [k for k, member in members.items()
+                      if dominates(coords, member.coords(self.metrics))]:
                 del members[k]
-        self._members[key] = (coords, outcome)
+        members[key if outcome.core in members else outcome.core] = outcome
         points[coords] = points.get(coords, 0) + 1
         return True
 
@@ -210,12 +223,20 @@ class ParetoFrontier:
         bound = tuple(bound)
         return any(dominates(point, bound) for point in self._points)
 
+    def entries(self) -> List[Tuple[Tuple[str, str], Tuple[float, ...],
+                                    Outcome]]:
+        """Members as ``(key, coords, outcome)``, in the order they
+        joined."""
+        metrics = self.metrics
+        return [(outcome.key, outcome.coords(metrics), outcome)
+                for outcome in self._members.values()]
+
     def outcomes(self) -> List[Outcome]:
         """Members in a canonical, insertion-order-independent order:
         sorted by coordinates, then core name, then decision path."""
-        return [outcome for _, outcome in sorted(
-            self._members.values(),
-            key=lambda pair: (pair[0], pair[1].core, pair[1].path_key))]
+        return [outcome for _, _, outcome in sorted(
+            self.entries(),
+            key=lambda entry: (entry[1], entry[2].core, entry[2].path_key))]
 
     # ------------------------------------------------------------------
     # rankings
@@ -228,7 +249,7 @@ class ParetoFrontier:
         """
         vector = tuple((weights or {}).get(m, 1.0) for m in self.metrics)
         scored = [(weighted_sum(coords, vector), coords, outcome)
-                  for coords, outcome in self._members.values()]
+                  for _, coords, outcome in self.entries()]
         scored.sort(key=lambda item: (item[0], item[1], item[2].core,
                                       item[2].path_key))
         return [(score, outcome) for score, _, outcome in scored]
@@ -245,12 +266,11 @@ class ParetoFrontier:
             if metric not in self.metrics:
                 raise KeyError(f"unknown metric {metric!r}; frontier tracks "
                                f"{list(self.metrics)}")
-        def sort_key(pair: Tuple[Tuple[float, ...], Outcome]):
-            merits = pair[1].merit_map()
+        def sort_key(outcome: Outcome):
+            merits = outcome.merit_map()
             return (tuple(merits.get(m, math.inf) for m in priorities),
-                    pair[1].core, pair[1].path_key)
-        return [outcome for _, outcome in
-                sorted(self._members.values(), key=sort_key)]
+                    outcome.core, outcome.path_key)
+        return sorted(self._members.values(), key=sort_key)
 
     # ------------------------------------------------------------------
     # reporting

@@ -7,7 +7,9 @@ built in:
 
 ``exhaustive``
     Depth-first enumeration of every feasible decision path; a branch
-    the frontier already dominates is descended in count-only mode.
+    the frontier already dominates is counted from its candidates'
+    bitmasks instead of decided through (falling back to a count-only
+    session descent where the masks cannot stand in for the session).
 ``bnb`` (branch-and-bound)
     Exhaustive plus bound pruning: a branch whose optimistic merit
     bounds (the per-metric minima over its surviving cores, shrinking
@@ -85,10 +87,18 @@ class ExhaustiveStrategy(SearchStrategy):
     <repro.core.explore.engine.SearchContext.bound>`).  A frontier
     member strictly dominating the option's ideal point strictly
     dominates every core below it, and the frontier only improves, so
-    nothing under the option can join: the walk still descends it, with
-    the same decisions and branch accounting, but its terminals count
-    their survivors from the option that led there instead of offering
-    them (see :meth:`SearchContext.terminal
+    nothing under the option can join and the branch yields only
+    counts.  The walk counts it from bitmasks
+    (:meth:`SearchContext.count_dominated
+    <repro.core.explore.engine.SearchContext.count_dominated>`): before
+    deciding the option, or, when its issue is generalized, after the
+    session has moved to the CDO it selects.  Where the masks cannot
+    stand in for the session (an estimator, tracing, an applicable
+    consistency constraint, or a generalized or non-enumerated issue
+    still to decide), the session descends the branch with the same
+    decisions and branch accounting, and its terminals count their
+    survivors from the option that led there instead of offering them
+    (see :meth:`SearchContext.terminal
     <repro.core.explore.engine.SearchContext.terminal>`).
     """
 
@@ -119,10 +129,13 @@ class ExhaustiveStrategy(SearchStrategy):
             if reason is not None:
                 ctx.branch_pruned(issue, info, reason)
                 continue
+            if hit and ctx.count_dominated(info, depth, issue):
+                continue
             if not ctx.decide(issue, info.option):
                 ctx.branch_pruned(issue, info, "constraint")
                 continue
-            self._descend(ctx, depth + 1, info, hit)
+            if not (hit and ctx.count_dominated(info, depth + 1)):
+                self._descend(ctx, depth + 1, info, hit)
             ctx.undo()
 
 

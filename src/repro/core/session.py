@@ -335,7 +335,9 @@ class ExplorationSession:
     # ------------------------------------------------------------------
     # constraint machinery
     # ------------------------------------------------------------------
-    def _applicable_constraints(self) -> List[ConsistencyConstraint]:
+    def applicable_constraints(self) -> List[ConsistencyConstraint]:
+        """Constraints that apply at the current position, cached per
+        (layer epoch, position); the list is shared, not a copy."""
         key = (self.layer.epoch, self._cdo.qualified_name)
         if key != self._constraints_cache_key:
             self._constraints_cache = self.layer.constraints.applicable(
@@ -425,7 +427,7 @@ class ExplorationSession:
             tools = obs.wrap_tools(tools)
         derived: Dict[str, object] = {}
         eliminated: Dict[str, List[Tuple[object, str]]] = {}
-        for constraint in self._applicable_constraints():
+        for constraint in self.applicable_constraints():
             bindings = self._bindings_for(constraint, overrides)
             if bindings is None:
                 continue
@@ -467,14 +469,14 @@ class ExplorationSession:
 
     def pending_constraints(self) -> List[ConsistencyConstraint]:
         """Applicable constraints whose independent sets are not bound."""
-        return [c for c in self._applicable_constraints()
+        return [c for c in self.applicable_constraints()
                 if not self._independents_bound(c)]
 
     def blocking_constraints(self, issue_name: str
                              ) -> List[ConsistencyConstraint]:
         """Constraints that gate ``issue_name`` and are not yet bound —
         the designer must address their independents first (paper Sec 4)."""
-        return [c for c in self._applicable_constraints()
+        return [c for c in self.applicable_constraints()
                 if issue_name in c.dependent_property_names()
                 and not self._independents_bound(c)]
 
@@ -761,7 +763,7 @@ class ExplorationSession:
         """Mark dependents of ``name`` stale; returns the marked set
         (the per-action re-assessment fan-out the trace records)."""
         marked: Set[str] = set()
-        for constraint in self._applicable_constraints():
+        for constraint in self.applicable_constraints():
             if name in constraint.independent_property_names():
                 for dep in constraint.dependent_property_names():
                     if dep in self._decisions or dep in self._requirements:

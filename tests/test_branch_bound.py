@@ -2,10 +2,12 @@
 
 Exhaustive and branch-and-bound walks bound each option they open by
 the ideal point of its candidate ids.  bnb cuts a dominated branch;
-exhaustive descends it in count-only mode, where a terminal counts the
-candidates of the option that led to it instead of pruning again.  That
-is exact only if those candidates *are* the terminal's survivors, which
-the first property checks on random layers.
+exhaustive counts it, from bitmasks (``tests/test_explore_counted.py``)
+or, where those cannot stand in for the session, in a count-only
+descent, where a terminal counts the candidates of the option that led
+to it instead of pruning again.  Both are exact only if those
+candidates *are* the terminal's survivors, which the first property
+checks on random layers.
 """
 
 import pytest

@@ -323,8 +323,9 @@ class TestRejects:
         frontier, reference = ParetoFrontier(METRICS), MemberScanFrontier()
         for outcome, bound in offers:
             assert frontier.add(outcome) == reference.add(outcome)
-            assert list(frontier._members.items()) \
-                == list(reference.members.items())
+            assert frontier.entries() == [
+                (key, coords, outcome)
+                for key, (coords, outcome) in reference.members.items()]
             assert sum(frontier._points.values()) == len(frontier)
             assert frontier.dominates_bound(bound) \
                 == reference.dominates_bound(bound)
@@ -460,8 +461,7 @@ class TestLazyTerminal:
         assert got == want
         assert [[o.path_key for o in batch] for batch in got] \
             == [[o.path_key for o in batch] for batch in want]
-        assert list(lazy.frontier._members.items()) \
-            == list(eager.frontier._members.items())
+        assert lazy.frontier.entries() == eager.frontier.entries()
         assert lazy.frontier.digest() == eager.frontier.digest()
         assert lazy.stats.to_dict() == eager.stats.to_dict()
 
@@ -490,8 +490,7 @@ class TestLazyTerminal:
         got = walk_terminals(lazy, SearchContext.terminal)
         want = walk_terminals(eager, still_members(reference_terminal))
         assert got == want
-        assert list(lazy.frontier._members.items()) \
-            == list(eager.frontier._members.items())
+        assert lazy.frontier.entries() == eager.frontier.entries()
         assert [(o.core, o.merits) for o in got[0]] == [
             ("c0", (("area", member), ("latency_ns", member)))]
         assert lazy.stats.to_dict() == eager.stats.to_dict()
