@@ -3,7 +3,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-sanitized analyze bench bench-show examples \
+.PHONY: install test analyze bench bench-show examples \
 	docs smoke all
 
 install:
@@ -12,12 +12,6 @@ install:
 
 test:
 	$(PYTHON) -m pytest tests/
-
-# The whole suite again with the runtime mutation sanitizer armed:
-# every owned mutator checks for a seal, so a write to a layer a test
-# sealed is a hard error.  No production code seals a layer at present.
-test-sanitized:
-	DSL_SANITIZE=1 $(PYTHON) -m pytest tests/
 
 # Concurrency/invariant analysis of the repo's own source (the CI gate),
 # plus the whole package's cycle-free lock-order assertion.

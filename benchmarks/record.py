@@ -9,8 +9,6 @@
   no-op-recorder baseline vs the same walk with a
   :class:`~repro.core.obs.recorder.TraceRecorder` attached, plus the
   min-over-min ratio the CI overhead gate enforces (< 1.10);
-* the runtime mutation sanitizer's overhead on the same walk — plain vs
-  sanitizer-armed (layer sealed), gated < 1.25x min-over-min;
 * exploration on the 50k synthetic layer — serial exhaustive wall times;
   next to the timings, host-independent counts: ``range_probes``
   (option-range computations in one walk per strategy), ``bound_probes``
@@ -66,9 +64,6 @@ OVERHEAD_BUDGET = 1.10
 #: The CI gate: a warm (epoch-cached) re-verify of an unchanged layer
 #: must cost under 5% of a cold analysis.
 VERIFY_WARM_BUDGET = 0.05
-#: The CI gate: the pruning walk with the runtime mutation sanitizer
-#: armed (layer sealed) may cost at most 25% over the plain walk.
-SANITIZER_BUDGET = 1.25
 
 
 def _runs(fn: Callable[[], object], repeat: int) -> List[float]:
@@ -144,40 +139,6 @@ def overhead_measurements(num_cores: int = 50000, repeat: int = 5,
         "traced": traced,
         "events_per_run": events_per_run,
         "ratio": min(traced) / min(noop),
-    }
-
-
-def sanitizer_overhead_measurements(num_cores: int = 50000, repeat: int = 5,
-                                    layer=None) -> Dict[str, object]:
-    """Time the synthetic pruning walk with and without the runtime
-    mutation sanitizer armed.
-
-    The sanitized runs execute with the sanitizer active and the layer
-    sealed (seal happens *outside* the timed region, matching the
-    worker pool, which seals once at hydration).  The walk is
-    read-only, so the measured cost is the sanitizer's tax on the hot
-    query path: the ``check_write`` fast path plus the sealed-attribute
-    bookkeeping.  Gate: min-over-min ratio < :data:`SANITIZER_BUDGET`.
-    """
-    from repro.analysis import sanitizer
-
-    if layer is None:
-        from test_bench_scaling import synthetic_layer
-        layer = synthetic_layer(num_cores)
-    walk = make_pruning_walk(layer)
-    walk()  # warm-up (index build)
-    plain = _runs(walk, repeat)
-    with sanitizer.sanitized():
-        sanitizer.seal(layer)
-        try:
-            sanitized = _runs(walk, repeat)
-        finally:
-            sanitizer.unseal(layer)
-    return {
-        "num_cores": num_cores,
-        "plain": plain,
-        "sanitized": sanitized,
-        "ratio": min(sanitized) / min(plain),
     }
 
 
@@ -414,7 +375,6 @@ def collect(repeat: int, num_cores: int) -> Dict[str, object]:
 
     crypto = crypto_walk_runs(repeat)
     overhead = overhead_measurements(num_cores, repeat)
-    sanitizer = sanitizer_overhead_measurements(num_cores, repeat)
     exploration = explore_measurements(num_cores, max(repeat - 2, 1))
     verify = verify_measurements(min(num_cores, 5000), repeat)
     return {
@@ -437,14 +397,6 @@ def collect(repeat: int, num_cores: int) -> Dict[str, object]:
             "ratio_min_over_min": round(overhead["ratio"], 4),
             "budget": OVERHEAD_BUDGET,
             "within_budget": overhead["ratio"] < OVERHEAD_BUDGET,
-        },
-        "sanitizer_overhead": {
-            "num_cores": sanitizer["num_cores"],
-            "plain": _summary(sanitizer["plain"]),
-            "sanitized": _summary(sanitizer["sanitized"]),
-            "ratio_min_over_min": round(sanitizer["ratio"], 4),
-            "budget": SANITIZER_BUDGET,
-            "within_budget": sanitizer["ratio"] < SANITIZER_BUDGET,
         },
         "exploration": exploration_record(exploration),
         "verify": {

@@ -4,14 +4,10 @@ Four passes — shared-state race detection (DSA001/DSA002), epoch-bump
 verification (DSA010/DSA011), deadlock detection over the
 lock-acquisition graph (DSA030–DSA032) and digest-path determinism
 (DSA040–DSA043) — plus a suppression audit (DSA003/DSA004), driven by
-the reified concurrency contract in :mod:`repro.analysis.contract`.  The
-runtime half lives in :mod:`repro.analysis.sanitizer`
-(``DSL_SANITIZE=1``).
+the reified concurrency contract in :mod:`repro.analysis.contract`.
 
-This ``__init__`` is deliberately lazy (PEP 562): ``repro.core``
-modules import :mod:`repro.analysis.sanitizer` for their mutation
-hooks, and eagerly importing the analyzer here would close an import
-cycle through :mod:`repro.core.lint`.
+This ``__init__`` is deliberately lazy (PEP 562): importing the package
+loads no pass until one of its names is read.
 """
 
 from __future__ import annotations
@@ -54,7 +50,7 @@ _EXPORTS = {
     "collect_files": "repro.analysis.inventory",
 }
 
-__all__ = sorted(_EXPORTS) + ["sanitizer"]
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str) -> Any:

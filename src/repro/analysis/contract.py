@@ -17,10 +17,8 @@ threads under two rules:
    ``self._epoch += 1``) in every method that writes the store.
 
 The static passes (:mod:`~repro.analysis.races`,
-:mod:`~repro.analysis.epochs`) check these rules over the AST; the
-runtime sanitizer (:mod:`~repro.analysis.sanitizer`) backstops the
-ownership half dynamically under ``DSL_SANITIZE=1``.  Tests construct
-custom contracts to analyze synthetic fixture modules.
+:mod:`~repro.analysis.epochs`) check these rules over the AST.  Tests
+construct custom contracts to analyze synthetic fixture modules.
 """
 
 from __future__ import annotations
@@ -47,8 +45,7 @@ class ConcurrencyContract:
     shared_classes: FrozenSet[str] = frozenset()
 
     #: Per shared class: methods the ownership contract exempts from the
-    #: lock requirement (only the single owner may call them; the
-    #: sanitizer backstops this at runtime).
+    #: lock requirement (only the single owner may call them).
     owned_mutators: Mapping[str, FrozenSet[str]] = field(default_factory=dict)
 
     #: Classes that are never shared at all, with the reason (documented
@@ -111,7 +108,6 @@ DEFAULT_CONTRACT = ConcurrencyContract(
         "TraceRecorder",
         # The service layer (repro.serve): every handler thread of the
         # ThreadingHTTPServer may reach these.
-        "SnapshotManager",
         "SessionManager",
         "ServedSession",
         "PruneBatcher",
@@ -183,7 +179,6 @@ DEFAULT_CONTRACT = ConcurrencyContract(
         "DesignSpaceService._lock",
         "SessionManager._lock",
         "ServedSession._lock",
-        "SnapshotManager._lock",
         "PruneBatcher._lock",
         "DesignSpaceLayer._cache_lock",
         "LibraryFederation._lock",
@@ -193,7 +188,6 @@ DEFAULT_CONTRACT = ConcurrencyContract(
         "Counter._lock",
         "Gauge._lock",
         "Histogram._lock",
-        "repro.analysis.sanitizer:_STATE_LOCK",
     ),
     digest_entry_points=frozenset({
         # frontier/prune digests compared across runs and sessions

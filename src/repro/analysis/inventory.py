@@ -77,10 +77,6 @@ def _lock_factory_kind(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _is_lock_factory(node: ast.AST) -> bool:
-    return _lock_factory_kind(node) is not None
-
-
 def _annotation_name(node: Optional[ast.AST]) -> Optional[str]:
     """Class name out of a plain annotation: ``X``, ``"X"``, ``mod.X``.
     Generics/unions resolve to None — better untyped than wrong."""
@@ -238,9 +234,6 @@ class _FunctionScanner(ast.NodeVisitor):
         self._sorted_args: Set[int] = set()
 
     # -- helpers -------------------------------------------------------
-    def _is_lock_expr(self, node: ast.AST) -> bool:
-        return self._lock_identity(node) is not None
-
     def _lock_identity(self, node: ast.AST) -> Optional[Tuple[str, str]]:
         """Canonical (lock id, kind) for a recognized lock expression."""
         if isinstance(node, ast.Name) and node.id in self.module_locks:

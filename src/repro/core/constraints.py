@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Union
 
-from repro.analysis import sanitizer as _sanitizer
 from repro.core.cdo import ClassOfDesignObjects
 from repro.core.path import PropertyPath, parse_path
 from repro.core.relations import Relation
@@ -189,7 +188,6 @@ class ConstraintSet:
         A rejected duplicate leaves the set untouched — the originally
         registered constraint stays authoritative.
         """
-        _sanitizer.check_write(self, "ConstraintSet.add")
         existing = self._constraints.get(constraint.name)
         if existing is not None:
             raise ConstraintError(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis import sanitizer as _sanitizer
 from repro.errors import LibraryError
 
 #: Conventional figure-of-merit keys used across the repository.  Layers
@@ -82,7 +81,6 @@ class DesignObject:
             watcher._bump()
 
     def set_property(self, name: str, value: object) -> None:
-        _sanitizer.check_write(self, "DesignObject.set_property")
         self._properties[name] = value
         self._touch()
 
@@ -108,7 +106,6 @@ class DesignObject:
         return key in self._merits
 
     def set_merit(self, key: str, value: float) -> None:
-        _sanitizer.check_write(self, "DesignObject.set_merit")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise LibraryError(
                 f"figure of merit {key!r} must be numeric, got {value!r}")
@@ -133,7 +130,6 @@ class DesignObject:
         return level in self._views
 
     def set_view(self, level: str, payload: object) -> None:
-        _sanitizer.check_write(self, "DesignObject.set_view")
         if level not in LEVELS:
             raise LibraryError(f"unknown view level {level!r}")
         self._views[level] = payload

@@ -21,7 +21,6 @@ import threading
 from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
-from repro.analysis import sanitizer as _sanitizer
 from repro.core.cdo import QNAME_SEP, ClassOfDesignObjects
 from repro.core.constraints import ConsistencyConstraint, ConstraintSet
 from repro.core.designobject import DesignObject
@@ -104,7 +103,6 @@ class DesignSpaceLayer:
         themselves with a ``session_open`` event that carries any state
         accumulated before tracing was switched on.
         """
-        _sanitizer.check_write(self, "DesignSpaceLayer.observe")
         if recorder is _UNSET:
             if not self.observer.enabled:
                 return self.observe(TraceRecorder())
@@ -130,7 +128,6 @@ class DesignSpaceLayer:
     # hierarchy management
     # ------------------------------------------------------------------
     def add_root(self, cdo: ClassOfDesignObjects) -> ClassOfDesignObjects:
-        _sanitizer.check_write(self, "DesignSpaceLayer.add_root")
         if cdo.parent is not None:
             raise HierarchyError(
                 f"{cdo.qualified_name} is not a root (it has a parent)")
@@ -193,7 +190,6 @@ class DesignSpaceLayer:
     # ------------------------------------------------------------------
     def add_alias(self, alias: str, qualified_name: str) -> None:
         """Register an abbreviation (``OMM`` -> ``Operator.Modular.Multiplier``)."""
-        _sanitizer.check_write(self, "DesignSpaceLayer.add_alias")
         if alias in self._aliases:
             raise HierarchyError(f"duplicate alias {alias!r}")
         # Fail fast if the target does not exist.
@@ -215,7 +211,6 @@ class DesignSpaceLayer:
     def register_tool(self, name: str, tool: Callable) -> None:
         """Register an early estimation tool, addressable from
         :class:`~repro.core.relations.EstimatorInvocation` relations."""
-        _sanitizer.check_write(self, "DesignSpaceLayer.register_tool")
         if name in self._tools:
             raise HierarchyError(f"estimation tool {name!r} already registered")
         self._tools[name] = tool
@@ -230,7 +225,6 @@ class DesignSpaceLayer:
     # ------------------------------------------------------------------
     def attach_library(self, library: ReuseLibrary) -> ReuseLibrary:
         """Attach a reuse library; every core must index under a known CDO."""
-        _sanitizer.check_write(self, "DesignSpaceLayer.attach_library")
         self._check_cores(library)
         library.observer = self.observer
         return self.libraries.attach(library)

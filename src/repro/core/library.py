@@ -34,7 +34,6 @@ from __future__ import annotations
 import threading
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
-from repro.analysis import sanitizer as _sanitizer
 from repro.core.cdo import QNAME_SEP
 from repro.core.designobject import DesignObject
 from repro.core.obs import events as _ev
@@ -104,7 +103,6 @@ class ReuseLibrary:
     # ------------------------------------------------------------------
     def add(self, core: DesignObject) -> DesignObject:
         """Register a core; names are unique within a library."""
-        _sanitizer.check_write(self, "ReuseLibrary.add")
         if core.name in self._cores:
             raise LibraryError(
                 f"library {self.name!r}: duplicate core name {core.name!r}")
@@ -120,7 +118,6 @@ class ReuseLibrary:
             self.add(core)
 
     def remove(self, name: str) -> DesignObject:
-        _sanitizer.check_write(self, "ReuseLibrary.remove")
         try:
             core = self._cores.pop(name)
         except KeyError:
@@ -224,7 +221,6 @@ class LibraryFederation:
     # membership
     # ------------------------------------------------------------------
     def attach(self, library: ReuseLibrary) -> ReuseLibrary:
-        _sanitizer.check_write(self, "LibraryFederation.attach")
         if library.name in self._libraries:
             raise LibraryError(f"library {library.name!r} already attached")
         self._libraries[library.name] = library
@@ -233,7 +229,6 @@ class LibraryFederation:
         return library
 
     def detach(self, name: str) -> ReuseLibrary:
-        _sanitizer.check_write(self, "LibraryFederation.detach")
         try:
             library = self._libraries.pop(name)
         except KeyError:

@@ -159,10 +159,6 @@ class TraceRecorder:
             self._span_ids += 1
             return self._span_ids
 
-    def _current_span(self) -> Optional[int]:
-        stack = self._span_stacks.get(threading.get_ident())
-        return stack[-1] if stack else None
-
     def _enter_span(self, span_id: int) -> Optional[int]:
         """Push ``span_id`` on this thread's stack; return the parent."""
         with self._lock:

@@ -42,6 +42,7 @@ from repro.core.verify.engine import (
     UnsatCore,
     VerifyAnalysis,
     analyze_layer,
+    epoch_cached,
 )
 from repro.core.verify.report import VerifyReport
 
@@ -56,7 +57,21 @@ def verify_layer(layer: "DesignSpaceLayer",
     ``config`` may carry an existing
     :class:`~repro.core.lint.LintConfig` (severity overrides,
     disables); its rule options are augmented with the verifier opt-in.
+    Without a ``config`` the report is kept next to its analysis in the
+    epoch cache, so a repeated verify of an unchanged layer returns the
+    same report object.
     """
+    if config is None:
+        return epoch_cached(  # type: ignore[return-value]
+            layer, requirements, start, "report",
+            lambda given: _verify(layer, given, start, None))
+    return _verify(layer, requirements, start, config)
+
+
+def _verify(layer: "DesignSpaceLayer",
+            requirements: Sequence[Tuple[str, object]],
+            start: Optional[str],
+            config: Optional["_LintConfig"]) -> VerifyReport:
     from repro.core.lint import LintConfig, lint_layer
 
     analysis = analyze_layer(layer, requirements=requirements, start=start)

@@ -58,8 +58,8 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional,
-                    Sequence, Set, Tuple, Union)
+from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, List, Mapping,
+                    Optional, Sequence, Set, Tuple, Union)
 
 from repro.core.cdo import ClassOfDesignObjects
 from repro.core.constraints import ConsistencyConstraint, SessionBinding
@@ -776,35 +776,49 @@ class _Analyzer:
 _CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def analyze_layer(layer: "DesignSpaceLayer",
-                  requirements: Sequence[Tuple[str, object]] = (),
-                  start: Optional[str] = None) -> VerifyAnalysis:
-    """Run (or replay) the verifier for ``layer``.
+def epoch_cached(layer: "DesignSpaceLayer",
+                 requirements: Sequence[Tuple[str, object]],
+                 start: Optional[str], slot: str,
+                 compute: Callable[[Given], object]) -> object:
+    """``compute(given)`` for ``layer``, cached in ``slot`` of the
+    ``(layer.epoch, given, start)`` entry.
 
-    Results are cached per ``(layer.epoch, requirements, start)``; any
-    mutation bumps the epoch, so a repeated verify of an unchanged layer
-    is a dictionary lookup.  Unhashable requirement values simply skip
-    the cache.
+    ``given`` is ``requirements`` sorted by name, so requirement order
+    does not split an entry.  Any mutation bumps the epoch, and storing
+    at a new epoch evicts every older entry; a value computed while the
+    layer moved is returned but not kept.  Unhashable requirement
+    values simply skip the cache.
     """
     given: Given = tuple(sorted(dict(requirements).items(),
                                 key=lambda kv: kv[0]))
     epoch = layer.epoch
     key = (epoch, given, start)
     per_layer = _CACHE.get(layer)
-    if per_layer is not None:
-        try:
-            hit = per_layer.get(key)
-        except TypeError:
-            hit = None
-        if hit is not None:
-            return hit
-    analysis = _Analyzer(layer, given, start).run()
     if per_layer is None:
         per_layer = _CACHE.setdefault(layer, {})
-    for stale in [k for k in per_layer if k[0] != epoch]:
-        del per_layer[stale]
     try:
-        per_layer[key] = analysis
+        entry = per_layer.get(key)
     except TypeError:
-        pass
-    return analysis
+        return compute(given)
+    if entry is not None and slot in entry:
+        return entry[slot]
+    value = compute(given)
+    if layer.epoch == epoch:
+        for stale in [k for k in list(per_layer) if k[0] != epoch]:
+            per_layer.pop(stale, None)
+        per_layer.setdefault(key, {})[slot] = value
+    return value
+
+
+def analyze_layer(layer: "DesignSpaceLayer",
+                  requirements: Sequence[Tuple[str, object]] = (),
+                  start: Optional[str] = None) -> VerifyAnalysis:
+    """Run (or replay) the verifier for ``layer``.
+
+    Results are cached per ``(layer.epoch, requirements, start)`` (see
+    :func:`epoch_cached`), so a repeated verify of an unchanged layer is
+    a dictionary lookup.
+    """
+    return epoch_cached(  # type: ignore[return-value]
+        layer, requirements, start, "analysis",
+        lambda given: _Analyzer(layer, given, start).run())

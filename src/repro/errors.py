@@ -87,12 +87,6 @@ class AnalysisError(ReproError):
     misconfigured (unknown rule, unreadable path, bad suppression)."""
 
 
-class SanitizerError(ReproError):
-    """The runtime mutation sanitizer (``DSL_SANITIZE=1``) caught a
-    mutation of a sealed layer — code tried to change representation
-    state its owner declared read-only."""
-
-
 class ExplorationError(ReproError):
     """An automated exploration run was misconfigured (unknown strategy,
     bad strategy option, no layer or layer factory, ...)."""

@@ -5,15 +5,13 @@ medium* — several designers query, prune and explore the same space at
 once.  This package serves that medium over HTTP/JSON with nothing but
 the standard library:
 
-* :class:`~repro.serve.snapshots.SnapshotManager` — the single
-  epoch/snapshot source of truth per layer (index + verify + snapshot
-  caches invalidated through one generation bump);
 * :class:`~repro.serve.state.SessionManager` — token-keyed
   copy-on-write sessions with idle-TTL eviction;
 * :class:`~repro.serve.batching.PruneBatcher` — single-flight
   coalescing of identical prune evaluations across sessions;
 * :class:`~repro.serve.app.DesignSpaceService` — the verb handlers,
-  transport-free;
+  transport-free, reading each live layer and its epoch directly (every
+  layer mutation bumps ``layer.epoch``, and every cache keys on it);
 * :class:`~repro.serve.http.DesignSpaceServer` / :func:`serve` — the
   ``ThreadingHTTPServer`` shell with ``/metrics`` and graceful drain;
 * :class:`~repro.serve.client.ServiceClient` — a keep-alive client for
@@ -31,7 +29,6 @@ from repro.serve.batching import PruneBatcher
 from repro.serve.client import ServiceClient, ServiceClientError, SessionHandle
 from repro.serve.errors import ServiceError
 from repro.serve.http import DesignSpaceServer, ServiceRequestHandler, serve
-from repro.serve.snapshots import SnapshotManager
 from repro.serve.state import ServedSession, SessionManager
 
 __all__ = [
@@ -45,7 +42,6 @@ __all__ = [
     "ServiceRequestHandler",
     "SessionHandle",
     "SessionManager",
-    "SnapshotManager",
     "canonical_json",
     "default_layer_factories",
     "serve",

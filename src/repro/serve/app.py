@@ -30,7 +30,6 @@ from repro.core.serialize import core_to_dict
 from repro.errors import ReproError
 from repro.serve.batching import PruneBatcher
 from repro.serve.errors import ServiceError
-from repro.serve.snapshots import SnapshotManager
 from repro.serve.state import (
     DEFAULT_MAX_SESSIONS,
     DEFAULT_TTL,
@@ -155,10 +154,10 @@ class DesignSpaceService:
 
     ``layers`` maps layer names to either built
     :class:`~repro.core.layer.DesignSpaceLayer` instances or zero-arg
-    factories (the bundled ``crypto``/``idct`` factories by default).
-    Each layer gets one :class:`~repro.serve.snapshots.SnapshotManager`;
-    sessions, batching and metrics are service-wide.  Explore requests
-    run serially in the handler thread.
+    factories (the bundled ``crypto``/``idct`` factories by default),
+    each built on first request.  Handlers read the live layer and its
+    epoch directly; sessions, batching and metrics are service-wide.
+    Explore requests run serially in the handler thread.
     """
 
     def __init__(self, layers: Optional[Mapping[str, object]] = None,
@@ -177,7 +176,7 @@ class DesignSpaceService:
         if default_layer not in self._factories:
             default_layer = sorted(self._factories)[0]
         self.default_layer = default_layer
-        self._managers: Dict[str, SnapshotManager] = {}
+        self._layers: Dict[str, DesignSpaceLayer] = {}
         self.sessions = SessionManager(ttl=session_ttl,
                                        max_sessions=max_sessions,
                                        clock=clock, metrics=self.metrics)
@@ -208,30 +207,32 @@ class DesignSpaceService:
     def verbs(self) -> List[str]:
         return sorted(self._routes)
 
-    def manager(self, name: Optional[str]) -> SnapshotManager:
-        """The snapshot manager for a layer, building it on first use."""
-        if name is None:
-            name = self.default_layer
+    def _layer_key(self, params: Params) -> str:
+        """The service key a request names, or the default layer's."""
+        key = _get_str(params, "layer")
+        return self.default_layer if key is None else key
+
+    def layer(self, key: str) -> DesignSpaceLayer:
+        """The layer served under ``key``, building it on first use."""
         with self._lock:
             if self._closed:
                 raise ServiceError("service is shutting down",
                                    status=503, code="shutting-down")
-            manager = self._managers.get(name)
-            if manager is not None:
-                return manager
-            source = self._factories.get(name)
+            layer = self._layers.get(key)
+            if layer is not None:
+                return layer
+            source = self._factories.get(key)
             if source is None:
                 raise ServiceError(
-                    f"unknown layer {name!r}; served: "
+                    f"unknown layer {key!r}; served: "
                     f"{', '.join(sorted(self._factories))}",
                     status=404, code="unknown-layer")
             layer = source() if callable(source) else source
-            manager = SnapshotManager(layer, metrics=self.metrics)
-            self._managers[name] = manager
+            self._layers[key] = layer
             self.metrics.gauge(
                 "dsl_layers_loaded", "Layers built and served").set(
-                    len(self._managers))
-            return manager
+                    len(self._layers))
+            return layer
 
     def close(self) -> None:
         """Release owned resources: sessions, batch cache."""
@@ -303,8 +304,8 @@ class DesignSpaceService:
     # stateless verbs
     # ------------------------------------------------------------------
     def _handle_query(self, params: Params) -> Payload:
-        manager = self.manager(_get_str(params, "layer"))
-        query = CoreQuery(manager.layer)
+        layer = self.layer(self._layer_key(params))
+        query = CoreQuery(layer)
         under = _get_str(params, "under")
         if under:
             query = query.under(under)
@@ -325,7 +326,7 @@ class DesignSpaceService:
             query = query.limit(_get_int(params, "limit", 0, minimum=1))
         cores = query.all()
         return {
-            "layer": manager.layer.name,
+            "layer": layer.name,
             "count": len(cores),
             "digest": names_digest([core.name for core in cores]),
             "cores": [core_to_dict(core) for core in cores],
@@ -333,7 +334,7 @@ class DesignSpaceService:
 
     def _handle_lint(self, params: Params) -> Payload:
         from repro.core.lint import LintConfig
-        manager = self.manager(_get_str(params, "layer"))
+        layer = self.layer(self._layer_key(params))
         select = params.get("select")
         disable = params.get("disable")
         config = None
@@ -341,33 +342,33 @@ class DesignSpaceService:
             config = LintConfig(
                 select=tuple(select) if select else None,
                 disable=tuple(disable) if disable else ())
-        report = manager.layer.lint(config=config)
-        return {"layer": manager.layer.name, "report": report.to_dict()}
+        report = layer.lint(config=config)
+        return {"layer": layer.name, "report": report.to_dict()}
 
     def _handle_verify(self, params: Params) -> Payload:
-        manager = self.manager(_get_str(params, "layer"))
+        layer = self.layer(self._layer_key(params))
         requirements = _as_pairs(params.get("require"), "require")
         start = _get_str(params, "start")
-        report = manager.verify(requirements=requirements, start=start)
-        return {"layer": manager.layer.name, "report": report.to_dict()}
+        report = layer.verify(requirements=requirements, start=start)
+        return {"layer": layer.name, "report": report.to_dict()}
 
     @staticmethod
-    def _start_name(manager: SnapshotManager, params: Params) -> str:
+    def _start_name(layer: DesignSpaceLayer, params: Params) -> str:
         """``start``, defaulting to the layer's sole root."""
         start = _get_str(params, "start")
         if start:
             return start
-        roots = manager.layer.roots
+        roots = layer.roots
         if len(roots) == 1:
             return roots[0].name
         raise ServiceError(
             "missing required parameter 'start' (layer "
-            f"{manager.layer.name!r} has {len(roots)} roots)")
+            f"{layer.name!r} has {len(roots)} roots)")
 
     def _handle_explore(self, params: Params) -> Payload:
         from repro.core.explore import ExplorationEngine, ExplorationProblem
-        manager = self.manager(_get_str(params, "layer"))
-        start = self._start_name(manager, params)
+        layer = self.layer(self._layer_key(params))
+        start = self._start_name(layer, params)
         strategy = _get_str(params, "strategy", "exhaustive") or "exhaustive"
         metrics = params.get("metrics") or ("area", "latency_ns")
         if (not isinstance(metrics, (list, tuple))
@@ -387,10 +388,10 @@ class DesignSpaceService:
             decisions=_as_pairs(params.get("decisions"), "decisions"),
             issues=tuple(issues) if issues is not None else None,
             missing_policy=_policy(params),
-            layer=manager.layer)
+            layer=layer)
         engine = ExplorationEngine(problem, strategy=strategy,
                                    strategy_options=options)
-        return {"layer": manager.layer.name,
+        return {"layer": layer.name,
                 "result": engine.run().to_dict()}
 
     # ------------------------------------------------------------------
@@ -410,17 +411,20 @@ class DesignSpaceService:
             "checkpoints": sorted(session.checkpoints()),
         }
 
-    def _prune_key(self, manager: SnapshotManager,
-                   session: ExplorationSession) -> tuple:
+    @staticmethod
+    def _prune_key(session: ExplorationSession) -> tuple:
         """Batch key: everything the prune outcome depends on.
 
         Full decision/requirement dicts (not the position-filtered view)
         — equality on the superset implies equality on the filtered set,
         and the public accessors keep the batcher out of the session's
         internals.  ``repr`` keeps arbitrary option values hashable.
+        The layer's epoch moves with every mutation, so a mutated layer
+        never reads a result computed before the mutation.
         """
+        layer = session.layer
         return (
-            "prune", manager.layer.name, manager.checkout(),
+            "prune", layer.name, layer.epoch,
             session.current_cdo.qualified_name,
             session.missing_policy.name, session.merit_metrics,
             tuple(sorted((k, repr(v))
@@ -429,8 +433,7 @@ class DesignSpaceService:
                          for k, v in session.requirement_values.items())),
         )
 
-    def _report_payload(self, manager: SnapshotManager,
-                        session: ExplorationSession) -> Payload:
+    def _report_payload(self, session: ExplorationSession) -> Payload:
         """The batched prune outcome: survivor count, digest and ranges.
 
         The batched dict is shared verbatim across sessions at the same
@@ -449,12 +452,12 @@ class DesignSpaceService:
                            for name, (low, high) in ranges.items()},
             }
 
-        return dict(self.batcher.evaluate(
-            self._prune_key(manager, session), compute))
+        return dict(self.batcher.evaluate(self._prune_key(session), compute))
 
     def _handle_session_open(self, params: Params) -> Payload:
-        manager = self.manager(_get_str(params, "layer"))
-        start = self._start_name(manager, params)
+        key = self._layer_key(params)
+        layer = self.layer(key)
+        start = self._start_name(layer, params)
         metrics = params.get("metrics") or ("area", "latency_ns")
         if (not isinstance(metrics, (list, tuple))
                 or not all(isinstance(m, str) for m in metrics)):
@@ -462,43 +465,34 @@ class DesignSpaceService:
         policy = _policy(params)
 
         def factory() -> ExplorationSession:
-            session = ExplorationSession(manager.layer, start,
+            session = ExplorationSession(layer, start,
                                          merit_metrics=tuple(metrics),
                                          missing_policy=policy)
             session.checkpoint("origin")
             return session
 
-        served = self.sessions.open(factory, manager.layer.name, start)
-        report = served.run(
-            self.sessions.now(),
-            lambda session: self._report_payload(manager, session))
-        return {"token": served.token, "layer": manager.layer.name,
+        served = self.sessions.open(factory, key, start)
+        report = served.run(self.sessions.now(), self._report_payload)
+        return {"token": served.token, "layer": layer.name,
                 "start": start, "report": report}
 
     def _session_view(self, params: Params,
-                      fn: Callable[[SnapshotManager, ExplorationSession],
-                                   Payload]) -> Payload:
+                      fn: Callable[[ExplorationSession], Payload]) -> Payload:
         served = self._served(params)
-        manager = self.manager(served.layer_name)
-        payload = served.run(self.sessions.now(),
-                             lambda session: fn(manager, session))
+        payload = served.run(self.sessions.now(), fn)
         payload.setdefault("token", served.token)
         return payload
 
     def _handle_session_state(self, params: Params) -> Payload:
-        return self._session_view(
-            params, lambda manager, session: self._state_payload(session))
+        return self._session_view(params, self._state_payload)
 
     def _handle_session_report(self, params: Params) -> Payload:
-        return self._session_view(
-            params,
-            lambda manager, session: self._report_payload(manager, session))
+        return self._session_view(params, self._report_payload)
 
     def _handle_session_candidates(self, params: Params) -> Payload:
         limit = _get_int(params, "limit", 100, minimum=1)
 
-        def view(manager: SnapshotManager,
-                 session: ExplorationSession) -> Payload:
+        def view(session: ExplorationSession) -> Payload:
             report = session.prune_report()
             return {"survivors": len(report.survivor_ids),
                     "digest": report.digest(),
@@ -510,8 +504,7 @@ class DesignSpaceService:
         issue = _need_str(params, "issue")
         limit = _get_int(params, "limit", 32, minimum=1)
 
-        def view(manager: SnapshotManager,
-                 session: ExplorationSession) -> Payload:
+        def view(session: ExplorationSession) -> Payload:
             infos = session.available_options(issue, limit=limit)
             return {"issue": issue, "options": [
                 {"option": info.option,
@@ -530,11 +523,10 @@ class DesignSpaceService:
             raise ServiceError("missing required parameter 'value'")
         value = params["value"]
 
-        def step(manager: SnapshotManager,
-                 session: ExplorationSession) -> Payload:
+        def step(session: ExplorationSession) -> Payload:
             session.set_requirement(name, value)
             return {"required": {name: value},
-                    "report": self._report_payload(manager, session),
+                    "report": self._report_payload(session),
                     "state": self._state_payload(session)}
 
         return self._session_view(params, step)
@@ -545,8 +537,7 @@ class DesignSpaceService:
             raise ServiceError("missing required parameter 'option'")
         option = params["option"]
 
-        def step(manager: SnapshotManager,
-                 session: ExplorationSession) -> Payload:
+        def step(session: ExplorationSession) -> Payload:
             outcome = session.decide(issue, option)
             return {
                 "decided": {"issue": outcome.issue,
@@ -555,17 +546,16 @@ class DesignSpaceService:
                             "survivors_before": outcome.survivors_before,
                             "survivors_after": outcome.survivors_after,
                             "eliminated": outcome.eliminated_count},
-                "report": self._report_payload(manager, session),
+                "report": self._report_payload(session),
                 "state": self._state_payload(session),
             }
 
         return self._session_view(params, step)
 
     def _handle_session_undo(self, params: Params) -> Payload:
-        def step(manager: SnapshotManager,
-                 session: ExplorationSession) -> Payload:
+        def step(session: ExplorationSession) -> Payload:
             session.undo()
-            return {"report": self._report_payload(manager, session),
+            return {"report": self._report_payload(session),
                     "state": self._state_payload(session)}
 
         return self._session_view(params, step)
@@ -573,8 +563,7 @@ class DesignSpaceService:
     def _handle_session_checkpoint(self, params: Params) -> Payload:
         tag = _need_str(params, "tag")
 
-        def step(manager: SnapshotManager,
-                 session: ExplorationSession) -> Payload:
+        def step(session: ExplorationSession) -> Payload:
             session.checkpoint(tag)
             return {"checkpoint": tag,
                     "state": self._state_payload(session)}
@@ -584,11 +573,10 @@ class DesignSpaceService:
     def _handle_session_goto(self, params: Params) -> Payload:
         tag = _need_str(params, "tag")
 
-        def step(manager: SnapshotManager,
-                 session: ExplorationSession) -> Payload:
+        def step(session: ExplorationSession) -> Payload:
             session.restore(tag)
             return {"restored": tag,
-                    "report": self._report_payload(manager, session),
+                    "report": self._report_payload(session),
                     "state": self._state_payload(session)}
 
         return self._session_view(params, step)

@@ -9,9 +9,8 @@ with the same key becomes a *follower* and blocks on the leader's
 in a bounded LRU keyed by the same tuple, so sessions arriving shortly
 after the flight lands still share it.
 
-Keys embed the snapshot epoch (from
-:meth:`~repro.serve.snapshots.SnapshotManager.checkout`), so a layer
-mutation naturally strands old entries — they age out of the LRU, and
+Keys embed the layer's epoch, so a layer mutation naturally strands
+old entries — they age out of the LRU, and
 :meth:`PruneBatcher.invalidate` clears them eagerly on shutdown or in
 tests.
 

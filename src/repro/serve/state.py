@@ -3,9 +3,8 @@
 Sessions are the *copy-on-write* half of the service design: every
 designer gets a private :class:`~repro.core.session.ExplorationSession`
 (requirements, decisions, undo history, checkpoints) while the layer
-itself — the expensive part — stays shared and immutable behind the
-:class:`~repro.serve.snapshots.SnapshotManager`.  A session mutates only
-its own copied dicts; the shared layer is never written.
+itself — the expensive part — stays shared.  A session mutates only its
+own copied dicts; it never writes the shared layer.
 
 :class:`ExplorationSession` is single-owner by contract ("never handed
 across threads" — see ``repro.analysis.contract``).  The server hands
@@ -39,14 +38,15 @@ class ServedSession:
 
     All access to the wrapped session funnels through :meth:`run`, which
     serializes handler threads on the per-session lock and refreshes the
-    idle clock.
+    idle clock.  ``layer_key`` is the key the service serves the layer
+    under, which need not be the layer's own name.
     """
 
     def __init__(self, token: str, session: ExplorationSession,
-                 layer_name: str, start: str, now: float) -> None:
+                 layer_key: str, start: str, now: float) -> None:
         self._lock = threading.RLock()
         self.token = token
-        self.layer_name = layer_name
+        self.layer_key = layer_key
         self.start = start
         self._session = session
         self._last_used = now
@@ -134,13 +134,13 @@ class SessionManager:
             return victims
 
     def open(self, factory: Callable[[], ExplorationSession],
-             layer_name: str, start: str) -> ServedSession:
+             layer_key: str, start: str) -> ServedSession:
         """Create, register and return a new served session."""
         now = self._clock()
         session = factory()
         # dsa: allow[DSA041] -- tokens are addresses, unpredictable by design
         token = secrets.token_hex(16)
-        served = ServedSession(token, session, layer_name, start, now)
+        served = ServedSession(token, session, layer_key, start, now)
         with self._lock:
             victims = self._evict_expired(now)
             if len(self._sessions) >= self._max_sessions:

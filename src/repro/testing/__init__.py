@@ -1,10 +1,10 @@
 """Public stress-testing library: randomized design-space scenarios.
 
 Every subsystem in this repo — indexed pruning, exploration strategies,
-the analyzer's sanitizer — is correctness-tested
-against *randomized* layer shapes, not just the hand-built crypto/idct
-domains.  The generators lived as private helpers inside individual test
-files; this package promotes them (ROADMAP: "randomized-hierarchy
+the serving stack — is correctness-tested against *randomized* layer
+shapes, not just the hand-built crypto/idct domains.  The generators
+lived as private helpers inside individual test files; this package
+promotes them (ROADMAP: "randomized-hierarchy
 scenario generator promoted from test helpers to a public stress
 library") so new subsystems, benchmarks, and downstream users can
 exercise diverse hierarchies with one import::

@@ -464,7 +464,7 @@ class TestAnalyze:
         data = json.loads(out)
         assert data["acyclic"] is True
         assert data["cycles"] == []
-        assert any(lock["lock"] == "SnapshotManager._lock"
+        assert any(lock["lock"] == "SessionManager._lock"
                    for lock in data["locks"])
 
     def test_lock_graph_exits_nonzero_on_fixture_cycle(self, capsys):

@@ -75,12 +75,29 @@ class TestStatelessVerbs:
                       requirements=(("Width", 64),)).to_dict()}
         assert canonical_json(served) == canonical_json(direct)
 
-    def test_verify_is_served_from_the_manager_cache(self, service):
-        ok(service, "verify", layer="widgets")
-        ok(service, "verify", layer="widgets")
-        hits = service.metrics.counter("dsl_verify_cache_hits_total",
-                                       layer="widgets")
-        assert hits.value == 1.0
+    def test_verify_is_served_from_the_layer_cache(self, service, layer,
+                                                   monkeypatch):
+        served = []
+        direct = layer.verify
+
+        def spy(**kwargs):
+            served.append(direct(**kwargs))
+            return served[-1]
+
+        monkeypatch.setattr(layer, "verify", spy)
+        ok(service, "verify", layer="widgets", require={"Width": 64})
+        ok(service, "verify", layer="widgets", require={"Width": 64})
+        assert served[0] is served[1]
+        assert direct(requirements=(("Width", 64),)) is served[0]
+
+    def test_verify_with_a_list_requirement_matches_direct_call(
+            self, service, layer):
+        served = ok(service, "verify", layer="widgets",
+                    require={"Width": [64, 32]})
+        direct = {"layer": layer.name,
+                  "report": layer.verify(
+                      requirements=(("Width", [64, 32]),)).to_dict()}
+        assert canonical_json(served) == canonical_json(direct)
 
     def test_explore_matches_direct_library_call(self, service, layer):
         served = ok(service, "explore", layer="widgets", start="Widget",
@@ -129,6 +146,41 @@ class TestSessionVerbs:
             outcome.survivors_after
         assert served_decide["report"]["digest"] == \
             session.prune_report().digest()
+
+    def test_walk_under_a_service_key_other_than_the_layer_name(
+            self, layer):
+        assert layer.name != "w"
+        with DesignSpaceService(layers={"w": layer}) as svc:
+            opened = ok(svc, "session/open", layer="w", start="Widget")
+            token = opened["token"]
+            assert opened["layer"] == layer.name
+            ok(svc, "session/require", token=token, name="Width", value=64)
+            ok(svc, "session/decide", token=token, issue="Style",
+               option="hw")
+            served = ok(svc, "session/report", token=token)
+            assert ok(svc, "session/close", token=token)["closed"]
+
+        session = ExplorationSession(layer, "Widget")
+        session.set_requirement("Width", 64)
+        session.decide("Style", "hw")
+        report = session.prune_report()
+        assert served["survivors"] == len(report.survivor_ids)
+        assert served["digest"] == report.digest()
+
+    def test_report_follows_a_layer_mutation_mid_session(self, service,
+                                                         layer):
+        token = ok(service, "session/open", layer="widgets",
+                   start="Widget")["token"]
+        before = ok(service, "session/report", token=token)
+        layer.libraries.library("lib-a").add(DesignObject(
+            "h4", "Widget.hw", {"Tech": "t35", "Pipeline": 4, "Width": 128},
+            {"area": 90.0, "latency_ns": 3.0, "MaxDelay": 3.0}))
+        after = ok(service, "session/report", token=token)
+
+        report = ExplorationSession(layer, "Widget").prune_report()
+        assert after["survivors"] == len(report.survivor_ids) \
+            == before["survivors"] + 1
+        assert after["digest"] == report.digest() != before["digest"]
 
     def test_served_ranges_equal_the_naive_scan(self, service, layer):
         # The service reads ranges off the index; the naive scan over the

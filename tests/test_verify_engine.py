@@ -13,6 +13,8 @@ from repro.domains.crypto import build_crypto_layer
 from repro.domains.idct import build_idct_layer
 from repro.errors import LintError
 
+from conftest import build_widget_layer
+
 OMM_H = "Operator.Modular.Multiplier.Hardware"
 
 
@@ -148,6 +150,51 @@ class TestEpochCache:
         after = analyze_layer(crypto)
         assert after is not before
         assert after.epoch > before.epoch
+
+
+class TestReportCache:
+    """``layer.verify()`` keeps its report next to the analysis in the
+    epoch cache, so a served verify and a direct one are one lookup."""
+
+    @pytest.fixture
+    def widgets(self):
+        return build_widget_layer()
+
+    def test_warm_repeat_returns_the_same_report(self, widgets):
+        first = widgets.verify(requirements=(("Width", 64),))
+        assert widgets.verify(requirements=(("Width", 64),)) is first
+
+    def test_keyed_by_requirements_and_start(self, widgets):
+        base = widgets.verify()
+        assert widgets.verify(requirements=(("Width", 64),)) is not base
+        assert widgets.verify(start="Widget.hw") is not base
+        assert widgets.verify() is base
+
+    def test_requirement_order_does_not_split_the_cache(self, widgets):
+        a = widgets.verify(requirements=(("Width", 64), ("MaxDelay", 50)))
+        b = widgets.verify(requirements=(("MaxDelay", 50), ("Width", 64)))
+        assert a is b
+
+    def test_one_library_mutation_yields_a_fresh_report(self, widgets):
+        before = widgets.verify(requirements=(("Width", 64),))
+        widgets.libraries.library("lib-a").add(DesignObject(
+            "h4", "Widget.hw", {"Tech": "t35", "Pipeline": 4, "Width": 128},
+            {"area": 90.0, "latency_ns": 3.0, "MaxDelay": 3.0}))
+        after = widgets.verify(requirements=(("Width", 64),))
+        assert after is not before
+        assert after.analysis.epoch > before.analysis.epoch
+        assert widgets.verify(requirements=(("Width", 64),)) is after
+
+    def test_unhashable_requirement_values_skip_the_cache(self, widgets):
+        first = widgets.verify(requirements=(("Width", [64]),))
+        again = widgets.verify(requirements=(("Width", [64]),))
+        assert again is not first
+        assert again.to_json() == first.to_json()
+
+    def test_a_configured_verify_is_not_cached(self, widgets):
+        config = LintConfig(select=("verify",))
+        assert widgets.verify(config=config) is not \
+            widgets.verify(config=config)
 
 
 class TestDiagnosticsOptIn:
