@@ -115,22 +115,25 @@ def overhead_measurements(num_cores: int = 50000, repeat: int = 5,
 
     Returns per-run times for the no-op-recorder baseline and the traced
     walk (recorder cleared between runs), the per-run event count, and
-    the min-over-min overhead ratio.
+    the min-over-min overhead ratio.  Untraced and traced runs alternate,
+    one pair at a time, so drift on the host lands on both sides of the
+    ratio alike instead of on whichever block ran second.
     """
     if layer is None:
         from test_bench_scaling import synthetic_layer
         layer = synthetic_layer(num_cores)
     walk = make_pruning_walk(layer)
+    recorder = layer.observe()
     layer.observe(None)
     walk()  # warm-up (index build)
-    noop = _runs(walk, repeat)
-    recorder = layer.observe()
+    noop: List[float] = []
     traced: List[float] = []
     for _ in range(repeat):
+        layer.observe(None)
+        noop.extend(_runs(walk, 1))
+        layer.observe(recorder)
         recorder.clear()
-        t0 = time.perf_counter()
-        walk()
-        traced.append(time.perf_counter() - t0)
+        traced.extend(_runs(walk, 1))
     events_per_run = len(recorder.events)
     layer.observe(None)
     return {

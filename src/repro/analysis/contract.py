@@ -119,9 +119,8 @@ DEFAULT_CONTRACT = ConcurrencyContract(
             "add_root", "add_alias", "add_constraint", "register_tool",
             "attach_library", "observe",
         }),
-        "LibraryFederation": frozenset({"attach", "detach", "observe"}),
-        "ReuseLibrary": frozenset({"add", "add_all", "remove", "observe",
-                                   "_bump"}),
+        "LibraryFederation": frozenset({"attach", "detach"}),
+        "ReuseLibrary": frozenset({"add", "add_all", "remove"}),
         "DesignObject": frozenset({"set_property", "set_merit", "set_view",
                                    "_touch"}),
         "ConstraintSet": frozenset({"add"}),
@@ -145,8 +144,7 @@ DEFAULT_CONTRACT = ConcurrencyContract(
                       bump_methods=("_touch",)),
         EpochContract("ReuseLibrary",
                       stores=("_cores",),
-                      bump_methods=("_bump",),
-                      epoch_attrs=("_epoch",)),
+                      bump_methods=("_bump",)),
         EpochContract("LibraryFederation",
                       stores=("_libraries",),
                       bump_methods=("_bump",),
@@ -182,7 +180,6 @@ DEFAULT_CONTRACT = ConcurrencyContract(
         "PruneBatcher._lock",
         "DesignSpaceLayer._cache_lock",
         "LibraryFederation._lock",
-        "ReuseLibrary._lock",
         "TraceRecorder._lock",
         "MetricsRegistry._lock",
         "Counter._lock",

@@ -1,17 +1,18 @@
 """Epoch-bump verifier (DSA010/DSA011).
 
-Every epoch-keyed cache in the repo (library indexes, the verify
-engine's layer cache, pruning frontiers) trusts one invariant: *a store
-never changes without its epoch moving*.  The contract's
-:class:`~repro.analysis.contract.EpochContract` entries pin down, per
-class, which attributes are the stores and what counts as the paired
-invalidation.
+Every epoch-keyed cache in the repo (the federation's core index, the
+layer's hierarchy caches, the verify engine's layer cache) trusts one
+invariant: *a store never changes without its epoch moving*.  The
+contract's :class:`~repro.analysis.contract.EpochContract` entries pin
+down, per class, which attributes are the stores and what counts as the
+paired invalidation.
 
-Every epoch is a counter (``ReuseLibrary``, ``LibraryFederation``,
-``DesignSpaceLayer`` via ``_bump()``; ``DesignObject``,
-``ClassOfDesignObjects`` and ``ConstraintSet`` push to the counters
-that index them): a method that writes a store must call a bump method
-or increment the counter in the same body, else **DSA010**.
+Two classes own a counter (``LibraryFederation`` and
+``DesignSpaceLayer``, moved by ``_bump()``); ``DesignObject``,
+``ReuseLibrary``, ``ClassOfDesignObjects`` and ``ConstraintSet`` keep
+none and push each change on to the counters that index them.  Either
+way, a method that writes a store must call a bump method or increment
+the counter in the same body, else **DSA010**.
 Re-*assigning* the counter outside ``__init__`` breaks monotonicity —
 a rebound counter can collide with an epoch a cache already keyed — so
 that is **DSA011** regardless of store writes.

@@ -424,9 +424,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     layer = _build_layer(args.layer, args.eol)
     recorder = layer.observe()
     session = _run_scripted_session(layer, args)
-    # Exercise the query path too, so the dump covers prune/cache
-    # metrics and not just the mutation counters.
-    session.prune_report()
+    # Exercise the query path too, so the dump covers the prune metrics
+    # and not just the mutation counters.
     session.prune_report()
     metrics = recorder.metrics
     if args.json:

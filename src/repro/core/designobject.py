@@ -46,9 +46,10 @@ class DesignObject:
             raise LibraryError("design object name must be non-empty")
         if not cdo_name:
             raise LibraryError(f"design object {name!r} needs a CDO name")
-        #: Containers (reuse libraries) whose indexes cover this core;
-        #: notified on every characterization change so epoch-cached
-        #: queries never serve a stale position in the design space.
+        #: Reuse libraries holding this core; notified on every
+        #: characterization change, which they push on to their
+        #: federations, so epoch-cached queries never serve a stale
+        #: position in the design space.
         self._watchers: list = []
         self.name = name
         #: Qualified name of the (typically leaf) CDO the core belongs to.

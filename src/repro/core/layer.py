@@ -77,9 +77,10 @@ class DesignSpaceLayer:
         """Monotonic generation counter covering hierarchy edits, alias /
         constraint / tool registration and every library mutation.
 
-        Caches throughout the query stack (CDO resolution, core indexes,
-        session memoization) key on this value, so they expire lazily and
-        no mutation site ever has to flush them explicitly.
+        Caches throughout the query stack (CDO resolution, applicable
+        constraints, verify reports, served prune results) key on this
+        value, so they expire lazily and no mutation site ever has to
+        flush them explicitly.
         """
         return self._epoch
 
@@ -97,11 +98,11 @@ class DesignSpaceLayer:
         * ``layer.observe(None)`` — switch tracing off (reinstalls the
           shared no-op recorder).
 
-        The recorder is propagated to the library federation and every
-        attached library so index rebuilds are traced too; sessions pick
-        it up lazily on their next instrumented operation, announcing
-        themselves with a ``session_open`` event that carries any state
-        accumulated before tracing was switched on.
+        The recorder is propagated to the library federation so its
+        index rebuilds are traced too; sessions pick it up lazily on
+        their next instrumented operation, announcing themselves with a
+        ``session_open`` event that carries any state accumulated before
+        tracing was switched on.
         """
         if recorder is _UNSET:
             if not self.observer.enabled:
@@ -111,8 +112,6 @@ class DesignSpaceLayer:
             recorder = NULL_RECORDER
         self.observer = recorder
         self.libraries.observer = recorder
-        for library in self.libraries.libraries:
-            library.observer = recorder
         return recorder
 
     def _hierarchy_caches(self) -> Dict[str, ClassOfDesignObjects]:
@@ -226,7 +225,6 @@ class DesignSpaceLayer:
     def attach_library(self, library: ReuseLibrary) -> ReuseLibrary:
         """Attach a reuse library; every core must index under a known CDO."""
         self._check_cores(library)
-        library.observer = self.observer
         return self.libraries.attach(library)
 
     def _check_cores(self, cores: Iterable[DesignObject]) -> None:

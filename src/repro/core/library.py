@@ -7,17 +7,18 @@ libraries — possibly maintained by different IP providers — and the layer
 queryable collection, which is how the layer "transparently indexes
 designs residing in different libraries".
 
-Both classes answer subtree queries through a lazily (re)built
+The federation answers subtree queries through a lazily (re)built
 :class:`~repro.core.index.CoreIndex` instead of scanning: every mutation
 (add/remove/attach/detach, and characterization changes on the cores
-themselves) bumps an epoch counter, and the index rebuilds on the next
+themselves) bumps its epoch counter, and the index rebuilds on the next
 query whenever its epoch is behind.  Correctness therefore never depends
-on callers remembering to flush anything.
+on callers remembering to flush anything.  A single library keeps no
+index of its own; its queries scan its cores.
 
 Epochs are *pushed*: a core bumps the libraries holding it, a library
-bumps the federations it is attached to, and a federation bumps the
-layers it serves, so reading an epoch is a plain attribute read.  Every
-``_bump`` keeps two ordering rules:
+pushes the bump on to the federations it is attached to, and a
+federation bumps the layers it serves, so reading an epoch is a plain
+attribute read.  Every counting ``_bump`` keeps two ordering rules:
 
 * the caller writes the store first and bumps after, so a reader that
   keyed a cache on the epoch it read before the bump only rebuilds once
@@ -25,14 +26,13 @@ layers it serves, so reading an epoch is a plain attribute read.  Every
 * the increment runs under the owner's own lock (unlocked, concurrent
   writers can move a counter backwards: read 5, ..., write 6 over 7),
   and the push to the watchers runs after that lock is released, so no
-  library -> federation -> layer edge runs against the contract's
-  ``lock_order``.
+  federation -> layer edge runs against the contract's ``lock_order``.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence
 
 from repro.core.cdo import QNAME_SEP
 from repro.core.designobject import DesignObject
@@ -56,47 +56,13 @@ class ReuseLibrary:
         self.name = name
         self.doc = doc
         self._cores: Dict[str, DesignObject] = {}
-        self._epoch = 0
-        #: Federations this library is attached to; every bump is pushed
-        #: to them.
+        #: Federations this library is attached to; every mutation of
+        #: the library or of a core it holds is pushed to them.
         self._watchers: list = []
-        self._index = None
-        self._index_epoch = -1
-        #: Guards the epoch increment and the lazy index rebuild:
-        #: concurrent readers must agree on one index object instead of
-        #: each building their own.
-        self._lock = threading.RLock()
-        #: Trace recorder index rebuilds report to; installed by
-        #: :meth:`repro.core.layer.DesignSpaceLayer.observe`.
-        self.observer = NULL_RECORDER
 
-    # ------------------------------------------------------------------
-    # epoch / index machinery
-    # ------------------------------------------------------------------
     def _bump(self) -> None:
-        with self._lock:
-            self._epoch += 1
         for watcher in self._watchers:
             watcher._bump()
-
-    @property
-    def epoch(self) -> int:
-        """Generation counter; moves on every mutation of the library or
-        of any core it contains."""
-        return self._epoch
-
-    def index(self):
-        """The library's :class:`~repro.core.index.CoreIndex`, rebuilt
-        lazily when the epoch has moved."""
-        from repro.core.index import CoreIndex
-        with self._lock:
-            if self._index is None or self._index_epoch != self._epoch:
-                with self.observer.span(_ev.INDEX_REBUILD,
-                                        owner=f"library:{self.name}") as span:
-                    self._index = CoreIndex(self._cores.values())
-                    self._index_epoch = self._epoch
-                    span.note(cores=len(self._cores), epoch=self._epoch)
-            return self._index
 
     # ------------------------------------------------------------------
     # mutation
@@ -154,7 +120,10 @@ class ReuseLibrary:
         """Cores indexed at ``cdo_name`` (and, by default, below it —
         "all available IDCT cores are indexed through the top IDCT
         node")."""
-        return self.index().cores_under(cdo_name, include_descendants)
+        if include_descendants:
+            return [c for c in self._cores.values()
+                    if _is_same_or_descendant(c.cdo_name, cdo_name)]
+        return [c for c in self._cores.values() if c.cdo_name == cdo_name]
 
     def select(self, predicate: Callable[[DesignObject], bool]
                ) -> List[DesignObject]:
@@ -178,9 +147,9 @@ class LibraryFederation:
         self._watchers: list = []
         self._index = None
         self._index_epoch = -1
-        self._bare_names: Optional[Dict[str, List[ReuseLibrary]]] = None
-        self._bare_names_epoch = -1
-        #: Guards the epoch increment and both lazy caches.
+        #: Guards the epoch increment and the lazy index rebuild:
+        #: concurrent readers must agree on one index object instead of
+        #: each building their own.
         self._lock = threading.RLock()
         #: Trace recorder index rebuilds report to; installed by
         #: :meth:`repro.core.layer.DesignSpaceLayer.observe`.
@@ -267,7 +236,7 @@ class LibraryFederation:
         if "/" in name:
             library_name, _, core_name = name.partition("/")
             return self.library(library_name).get(core_name)
-        owners = self._bare_name_map().get(name, ())
+        owners = [lib for lib in self._libraries.values() if name in lib]
         if not owners:
             raise LibraryError(f"no core named {name!r} in any attached library")
         if len(owners) > 1:
@@ -276,19 +245,6 @@ class LibraryFederation:
                 f"core name {name!r} is ambiguous across libraries "
                 f"{provenances}; use 'library/core'")
         return owners[0].get(name)
-
-    def _bare_name_map(self) -> Dict[str, List[ReuseLibrary]]:
-        """bare core name -> owning libraries, epoch-cached."""
-        with self._lock:
-            epoch = self._epoch
-            if self._bare_names is None or self._bare_names_epoch != epoch:
-                mapping: Dict[str, List[ReuseLibrary]] = {}
-                for library in self._libraries.values():
-                    for core_name in library._cores:
-                        mapping.setdefault(core_name, []).append(library)
-                self._bare_names = mapping
-                self._bare_names_epoch = epoch
-            return self._bare_names
 
     def select(self, predicate: Callable[[DesignObject], bool]
                ) -> List[DesignObject]:

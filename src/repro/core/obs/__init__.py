@@ -17,8 +17,6 @@ time user code does that, the core modules are fully initialised.
 
 from repro.core.obs.events import (
     ACKNOWLEDGE,
-    CACHE_HIT,
-    CACHE_MISS,
     CHECKPOINT,
     CONSTRAINT_FIRED,
     DECIDE,
@@ -64,8 +62,6 @@ from repro.core.obs.recorder import (
 
 __all__ = [
     "ACKNOWLEDGE",
-    "CACHE_HIT",
-    "CACHE_MISS",
     "CHECKPOINT",
     "CONSTRAINT_FIRED",
     "DECIDE",

@@ -3,8 +3,8 @@
 A trace is an append-only stream of :class:`TraceEvent` records.  Each
 event is one *observation* of the design space layer at work: a designer
 action (``session_open``, ``require``, ``decide``, ``retract``, ...), a
-machine reaction (``constraint_fired``, ``prune``, ``cache_hit``,
-``index_rebuild``, ``estimate_invoked``), or a tool run (``lint_run``).
+machine reaction (``constraint_fired``, ``prune``, ``index_rebuild``,
+``estimate_invoked``), or a tool run (``lint_run``).
 
 Events are flat and JSON-serializable by construction so they can be
 written to JSONL files and replayed later (:mod:`repro.core.obs.replay`).
@@ -42,12 +42,9 @@ ACKNOWLEDGE = "acknowledge"
 CONSTRAINT_FIRED = "constraint_fired"
 #: One actual pruning pass over the core index (span).
 PRUNE = "prune"
-#: Session prune memo hit / miss.
-CACHE_HIT = "cache_hit"
-CACHE_MISS = "cache_miss"
 #: An early estimation tool ran inside a CC relation (span).
 ESTIMATE_INVOKED = "estimate_invoked"
-#: A library / federation core index was (re)built (span).
+#: The library federation's core index was (re)built (span).
 INDEX_REBUILD = "index_rebuild"
 #: The static-analysis rules ran over a layer (span).
 LINT_RUN = "lint_run"
@@ -70,8 +67,8 @@ UNSAT_CORE_FOUND = "unsat_core_found"
 
 EVENT_KINDS = frozenset({
     SESSION_OPEN, REQUIRE, DECIDE, RETRACT, UNDO, CHECKPOINT, RESTORE,
-    ACKNOWLEDGE, CONSTRAINT_FIRED, PRUNE, CACHE_HIT, CACHE_MISS,
-    ESTIMATE_INVOKED, INDEX_REBUILD, LINT_RUN,
+    ACKNOWLEDGE, CONSTRAINT_FIRED, PRUNE, ESTIMATE_INVOKED,
+    INDEX_REBUILD, LINT_RUN,
     EXPLORE_START, BRANCH_OPEN, BRANCH_PRUNED, FRONTIER_UPDATE,
     VERIFY_RUN, DEAD_BRANCH_PROVED, UNSAT_CORE_FOUND,
 })

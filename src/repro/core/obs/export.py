@@ -20,7 +20,6 @@ import json
 import os
 from typing import IO, Dict, List, Sequence, Union
 
-from repro.core.obs import events as ev
 from repro.core.obs.events import TraceEvent
 from repro.errors import ObservabilityError
 
@@ -108,23 +107,17 @@ def summarize_dict(events: Sequence[TraceEvent]) -> Dict[str, object]:
                     "total_ms": span_time[kind] * 1e3,
                     "mean_ms": span_time[kind] / span_count[kind] * 1e3}
              for kind in span_time}
-    hits = counts.get(ev.CACHE_HIT, 0)
-    misses = counts.get(ev.CACHE_MISS, 0)
-    out: Dict[str, object] = {
+    return {
         "events": len(events),
         "sessions": len(sessions),
         "wall_ms": wall_ms,
         "by_kind": dict(sorted(counts.items())),
         "spans": spans,
     }
-    if hits or misses:
-        out["prune_cache"] = {"hits": hits, "misses": misses,
-                              "hit_rate": hits / (hits + misses)}
-    return out
 
 
 def summarize(events: Sequence[TraceEvent]) -> str:
-    """Aggregate view: events per kind, span time per kind, cache rate."""
+    """Aggregate view: events per kind, span time per kind."""
     if not events:
         return "(empty trace)"
     data = summarize_dict(events)
@@ -139,11 +132,6 @@ def summarize(events: Sequence[TraceEvent]) -> str:
             line += (f"   total {spans[kind]['total_ms']:.3f} ms"
                      f"   mean {spans[kind]['mean_ms']:.3f} ms")
         lines.append(line)
-    cache = data.get("prune_cache")
-    if cache:
-        lines.append(f"  prune cache: {cache['hits']} hits / "
-                     f"{cache['misses']} misses "
-                     f"({cache['hit_rate']:.0%} hit rate)")
     return "\n".join(lines)
 
 

@@ -281,10 +281,6 @@ class TraceRecorder:
                 m.gauge("dsl_surviving_cores",
                         "surviving-core count after the last prune"
                         ).set(survivors)
-        elif kind in (ev.CACHE_HIT, ev.CACHE_MISS):
-            result = "hit" if kind == ev.CACHE_HIT else "miss"
-            m.counter("dsl_prune_cache_total",
-                      "session prune-memo lookups", result=result).inc()
         elif kind == ev.CONSTRAINT_FIRED:
             m.counter("dsl_constraint_fired_total",
                       "consistency-constraint evaluations",

@@ -53,8 +53,7 @@ class ReplayReport:
 
     @property
     def checks(self) -> int:
-        return sum(1 for s in self.steps
-                   if s.kind in (ev.PRUNE, ev.CACHE_HIT))
+        return sum(1 for s in self.steps if s.kind == ev.PRUNE)
 
     @property
     def mismatches(self) -> List[ReplayStep]:
@@ -196,9 +195,7 @@ def replay_trace(layer, events: Sequence[TraceEvent],
         elif kind == ev.ACKNOWLEDGE:
             attempt(event.seq, kind, str(payload["name"]),
                     lambda: live.acknowledge(payload["name"]))
-        elif kind in (ev.PRUNE, ev.CACHE_HIT):
-            if payload.get("extra"):
-                continue  # what-if prune with caller-supplied overrides
+        elif kind == ev.PRUNE:
             report.steps.append(_check_prune(live, event))
     try:
         report.final_survivors = [c.name for c in live.candidates()]

@@ -77,7 +77,7 @@ class PruneReport:
         """Fingerprint of the surviving-core names (order-sensitive).
 
         Memoized: the survivor list never changes after construction,
-        and the trace path asks repeatedly (prune span, cache hits)."""
+        and both the prune span and the served report ask for it."""
         if self._digest is None:
             self._digest = names_digest(self.survivor_names)
         return self._digest

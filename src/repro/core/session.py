@@ -56,10 +56,10 @@ from repro.errors import (
 
 
 #: Traced pruning payloads are *bounded*: above this survivor count the
-#: per-core digest and merit ranges are omitted from ``prune`` /
-#: ``cache_hit`` events (computing them would scale with the library and
-#: blow the tracing overhead budget).  The survivor count itself is free,
-#: always recorded, and always verified on replay.
+#: per-core digest and merit ranges are omitted from ``prune`` events
+#: (computing them would scale with the library and blow the tracing
+#: overhead budget).  The survivor count itself is free, always
+#: recorded, and always verified on replay.
 TRACE_SET_LIMIT = 4096
 
 
@@ -126,45 +126,45 @@ class DecisionOutcome:
 
     Returned by :meth:`ExplorationSession.decide`.  The pruning effect
     (how many cores the decision eliminated, and which) is computed
-    *lazily* from an immutable :class:`~repro.core.index.CoreIndex`
-    snapshot captured at commit time, so the first read and every later
-    read see byte-identical numbers even if the layer or the session
-    moved on in between.
+    *lazily*, on the first read, from an immutable
+    :class:`~repro.core.index.CoreIndex` snapshot and the session state
+    (position, decisions, requirements) captured at commit time, so the
+    first read and every later read see byte-identical numbers even if
+    the layer or the session moved on in between.  A caller that never
+    reads the outcome pays for none of it.
     """
 
     def __init__(self, issue: str, option: object, generalized: bool,
-                 cdo_before: str, cdo_after: str,
+                 before: "_Filters", after: "_Filters",
                  stale: Tuple[str, ...],
-                 index: CoreIndex, policy: MissingPolicy,
-                 filters_before: Tuple[Dict[str, object], tuple],
-                 filters_after: Tuple[Dict[str, object], tuple]):
+                 index: CoreIndex, policy: MissingPolicy):
         #: The design issue the decision addressed.
         self.issue = issue
         self.option = option
         self.generalized = generalized
-        self.cdo_before = cdo_before
+        self.cdo_before = before[0].qualified_name
         #: Session position after the decision (descended when generalized).
-        self.cdo = cdo_after
+        self.cdo = after[0].qualified_name
         #: Previously-addressed dependents marked stale by this decision.
         self.stale = stale
         self._index = index
         self._policy = policy
-        self._filters_before = filters_before
-        self._filters_after = filters_after
+        self._before = before
+        self._after = after
         self._ids_memo: Optional[Tuple[IdSet, IdSet]] = None
+
+    def _survivor_ids(self, state: "_Filters") -> IdSet:
+        cdo, decisions, requirements = state
+        index = self._index
+        return index.prune_ids(
+            index.subtree_ids(cdo.qualified_name),
+            _filter_decisions(cdo, decisions),
+            _requirement_pairs(cdo, requirements), self._policy)
 
     def _ids(self) -> Tuple[IdSet, IdSet]:
         if self._ids_memo is None:
-            index = self._index
-            decisions, requirements = self._filters_before
-            before = index.prune_ids(
-                index.subtree_ids(self.cdo_before), decisions,
-                requirements, self._policy)
-            decisions, requirements = self._filters_after
-            after = index.prune_ids(
-                index.subtree_ids(self.cdo), decisions,
-                requirements, self._policy)
-            self._ids_memo = (before, after)
+            self._ids_memo = (self._survivor_ids(self._before),
+                              self._survivor_ids(self._after))
         return self._ids_memo
 
     @property
@@ -214,6 +214,40 @@ class DecisionOutcome:
         return f"<DecisionOutcome {self.describe()}>"
 
 
+#: A session position with the decisions and requirements in force
+#: there, as raw name -> value dicts; filtered on demand.
+_Filters = Tuple[ClassOfDesignObjects, Dict[str, object], Dict[str, object]]
+
+
+def _requirement_pairs(cdo: ClassOfDesignObjects,
+                       requirements: Mapping[str, object]
+                       ) -> List[Tuple[Requirement, object]]:
+    pairs: List[Tuple[Requirement, object]] = []
+    for name, value in requirements.items():
+        prop = cdo.find_property(name)
+        assert isinstance(prop, Requirement)
+        pairs.append((prop, value))
+    return pairs
+
+
+def _filter_decisions(cdo: ClassOfDesignObjects,
+                      decisions: Mapping[str, object]) -> Dict[str, object]:
+    """Decisions used for core filtering at ``cdo``.
+
+    Generalized decisions are realized by subtree indexing (the session
+    already descended), so they are excluded from the property filter —
+    a hard core indexed under ``...Hardware`` need not re-document
+    "Implementation Style".
+    """
+    out: Dict[str, object] = {}
+    for name, option in decisions.items():
+        prop = cdo.find_property(name)
+        if isinstance(prop, DesignIssue) and prop.generalized:
+            continue
+        out[name] = option
+    return out
+
+
 @dataclass
 class _State:
     """Snapshot of all mutable session state (for undo)."""
@@ -245,15 +279,8 @@ class ExplorationSession:
         self._log: List[str] = []
         self._history: List[_State] = []
         self._checkpoints: Dict[str, _State] = {}
-        #: Epoch-keyed memo of prune reports; every mutation clears it
-        #: (the layer-epoch component of each key additionally guards
-        #: against library/hierarchy changes behind the session's back).
-        self._prune_cache: Dict[tuple, IndexedPruneReport] = {}
         self._constraints_cache_key: object = None
         self._constraints_cache: List[ConsistencyConstraint] = []
-        #: Number of actual (non-memoized) prune computations; exposed
-        #: for tests and benchmarks asserting query-plan economy.
-        self._prune_calls = 0
         #: Recorder this session last announced itself to (see ``_obs``).
         self._obs_recorder: object = None
         self._obs_session = 0
@@ -510,16 +537,7 @@ class ExplorationSession:
         self._derived = dict(state.derived)
         self._stale = set(state.stale)
         self._log = list(state.log)
-        self._invalidate_queries()
         self._refresh_constraints(enforce=False)
-
-    def _invalidate_queries(self) -> None:
-        """Drop memoized prune reports after a session mutation.
-
-        The layer-epoch component of every cache key already protects
-        against library/hierarchy changes; clearing here simply bounds
-        the cache to the current exploration state."""
-        self._prune_cache.clear()
 
     def checkpoint(self, tag: str) -> None:
         """Save the current state under a name for branched what-ifs.
@@ -602,7 +620,6 @@ class ExplorationSession:
             raise
         stale = self._mark_dependents_stale(name)
         self._stale.discard(name)
-        self._invalidate_queries()
         self._log.append(f"requirement {name} = {value!r}")
         if obs.enabled:
             obs.emit(_ev.REQUIRE, session=self._obs_session,
@@ -614,8 +631,8 @@ class ExplorationSession:
         Returns a :class:`DecisionOutcome` summarizing the pruning effect
         (candidate counts before/after, eliminated cores with reasons
         naming this issue).  The outcome is computed lazily from a
-        commit-time index snapshot, so reading it never perturbs — and is
-        never perturbed by — the session's own memoized queries.
+        commit-time index snapshot and state, so reading it never
+        perturbs — and is never perturbed by — the session's own queries.
         """
         obs = self._obs
         prop = self._cdo.find_property(name)
@@ -647,15 +664,12 @@ class ExplorationSession:
         # Tentative evaluation before committing.
         self._refresh_constraints(overrides={name: option})
         snapshot_index = self.layer.libraries.index()
-        cdo_before = self._cdo.qualified_name
-        filters_before = (self._filter_decisions(),
-                          tuple(self._requirement_pairs()))
+        cdo_before = self._cdo
         self._checkpoint()
         self._decisions[name] = option
         self._refresh_constraints()
         stale = self._mark_dependents_stale(name)
         self._stale.discard(name)
-        self._invalidate_queries()
         self._log.append(f"decision {name} = {option!r}")
         if prop.generalized:
             owner = self._cdo.find_property_owner(name)
@@ -681,14 +695,16 @@ class ExplorationSession:
                     f"inside {position}")
             # else: the option is the one this position already implies;
             # record it without moving.
+        # The checkpoint pushed above already holds copies of the
+        # state before the decision.
+        saved = self._history[-1]
         outcome = DecisionOutcome(
             issue=name, option=option, generalized=prop.generalized,
-            cdo_before=cdo_before, cdo_after=self._cdo.qualified_name,
+            before=(cdo_before, saved.decisions, saved.requirements),
+            after=(self._cdo, dict(self._decisions),
+                   dict(self._requirements)),
             stale=tuple(sorted(stale)),
-            index=snapshot_index, policy=self.missing_policy,
-            filters_before=filters_before,
-            filters_after=(self._filter_decisions(),
-                           tuple(self._requirement_pairs())))
+            index=snapshot_index, policy=self.missing_policy)
         if obs.enabled:
             obs.emit(_ev.DECIDE, session=self._obs_session,
                      issue=name, option=option,
@@ -724,7 +740,6 @@ class ExplorationSession:
                         f"dropped deeper bindings: {sorted(dropped)}")
                 self._log.append(f"ascended to {owner.qualified_name}")
         self._mark_dependents_stale(name)
-        self._invalidate_queries()
         self._refresh_constraints(enforce=False)
         if obs.enabled:
             obs.emit(_ev.RETRACT, session=self._obs_session, name=name,
@@ -784,93 +799,33 @@ class ExplorationSession:
     # ------------------------------------------------------------------
     # queries: candidates, options, ranges
     # ------------------------------------------------------------------
-    def _requirement_pairs(self) -> List[Tuple[Requirement, object]]:
-        pairs: List[Tuple[Requirement, object]] = []
-        for name, value in self._requirements.items():
-            prop = self._cdo.find_property(name)
-            assert isinstance(prop, Requirement)
-            pairs.append((prop, value))
-        return pairs
-
-    def _filter_decisions(self) -> Dict[str, object]:
-        """Decisions used for core filtering.
-
-        Generalized decisions are realized by subtree indexing (the
-        session already descended), so they are excluded from the
-        property filter — a hard core indexed under ``...Hardware`` need
-        not re-document "Implementation Style".
-        """
-        out: Dict[str, object] = {}
-        for name, option in self._decisions.items():
-            prop = self._cdo.find_property(name)
-            if isinstance(prop, DesignIssue) and prop.generalized:
-                continue
-            out[name] = option
-        return out
-
-    def _prune_cache_key(self, decisions: Mapping[str, object],
-                         requirements: Sequence[Tuple[Requirement, object]]
-                         ) -> Optional[tuple]:
-        """Memo key for one prune, or None when a value is unhashable."""
-        try:
-            return (self.layer.epoch, self._cdo.qualified_name,
-                    self.missing_policy,
-                    frozenset(decisions.items()),
-                    tuple((req.name, req.sense, value)
-                          for req, value in requirements))
-        except TypeError:
-            return None
-
-    def prune_report(self,
-                     extra: Optional[Mapping[str, object]] = None
-                     ) -> IndexedPruneReport:
+    def prune_report(self) -> IndexedPruneReport:
         """Current survivors with (lazily computed) elimination reasons.
 
-        Reports are memoized on (layer epoch, position, decisions,
-        requirements): repeated queries between mutations hit the cache,
-        and any mutation of the layer or its libraries moves the epoch,
-        so no caller ever observes a stale report.
+        Each call prunes the layer's current index afresh; the index is
+        rebuilt whenever the layer's epoch has moved, so no caller ever
+        observes a stale report.
         """
         obs = self._obs
-        decisions = self._filter_decisions()
-        if extra:
-            decisions.update(extra)
-        requirements = self._requirement_pairs()
-        key = self._prune_cache_key(decisions, requirements)
-        if key is not None:
-            hit = self._prune_cache.get(key)
-            if hit is not None:
-                if obs.enabled:
-                    count = len(hit.survivor_ids)
-                    payload = dict(session=self._obs_session,
-                                   survivors=count, extra=bool(extra))
-                    if count <= TRACE_SET_LIMIT:
-                        payload["digest"] = hit.digest()
-                    obs.emit(_ev.CACHE_HIT, **payload)
-                return hit
-        self._prune_calls += 1
-        if obs.enabled and key is not None:
-            obs.emit(_ev.CACHE_MISS, session=self._obs_session)
         with obs.span(_ev.PRUNE, session=self._obs_session) as span:
             index = self.layer.libraries.index()
             report = index.prune(
-                self._cdo.qualified_name, decisions, requirements,
+                self._cdo.qualified_name,
+                _filter_decisions(self._cdo, self._decisions),
+                _requirement_pairs(self._cdo, self._requirements),
                 self.missing_policy)
             if obs.enabled:
                 count = len(report.survivor_ids)
                 span.note(
                     cdo=self._cdo.qualified_name,
                     survivors=count,
-                    epoch=self.layer.epoch,
-                    extra=bool(extra))
+                    epoch=self.layer.epoch)
                 if count <= TRACE_SET_LIMIT:
                     ranges = index.merit_ranges_for(
                         report.survivor_ids, self.merit_metrics)
                     span.note(
                         digest=report.digest(),
                         ranges={m: list(b) for m, b in ranges.items()})
-        if key is not None:
-            self._prune_cache[key] = report
         return report
 
     def candidates(self) -> List[DesignObject]:
@@ -905,9 +860,9 @@ class ExplorationSession:
         for option, reason in self.eliminations_for(issue_name):
             eliminated[option] = reason
         index = self.layer.libraries.index()
-        decisions = self._filter_decisions()
+        decisions = _filter_decisions(self._cdo, self._decisions)
         decisions.pop(issue_name, None)
-        requirements = self._requirement_pairs()
+        requirements = _requirement_pairs(self._cdo, self._requirements)
         base_ids = index.prune_ids(
             index.subtree_ids(self._cdo.qualified_name),
             decisions, requirements, self.missing_policy)
@@ -999,7 +954,8 @@ class ExplorationSession:
                 lines.append(f"    {name} = {value!r}")
         prune_report = self.prune_report()
         lines.append(f"  candidate cores: {len(prune_report.survivor_ids)}")
-        ranges = self.fom_ranges()
+        ranges = prune_report.index.merit_ranges_for(
+            prune_report.survivor_ids, self.merit_metrics)
         for metric, (lo, hi) in sorted(ranges.items()):
             lines.append(f"    {metric}: {lo:g} .. {hi:g}")
         pending = self.pending_constraints()

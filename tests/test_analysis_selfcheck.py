@@ -50,11 +50,30 @@ def test_default_contract_matches_live_code():
         "ConstraintSet": ConstraintSet,
         "ClassOfDesignObjects": ClassOfDesignObjects,
     }
+    instances = {
+        "DesignSpaceLayer": DesignSpaceLayer("layer", "contract probe"),
+        "LibraryFederation": LibraryFederation(),
+        "ReuseLibrary": ReuseLibrary("library"),
+        "DesignObject": DesignObject("core", "Root"),
+        "ConstraintSet": ConstraintSet(),
+        "ClassOfDesignObjects": ClassOfDesignObjects("Root", "probe"),
+    }
     for ec in DEFAULT_CONTRACT.epoch_contracts:
         cls = live.get(ec.class_name)
         assert cls is not None, f"unknown epoch class {ec.class_name}"
         for bump in ec.bump_methods:
             assert hasattr(cls, bump), f"{ec.class_name}.{bump} missing"
+        # A store or counter the class no longer has would make the
+        # epoch pass check a name no method writes.
+        for attr in ec.stores + ec.epoch_attrs:
+            assert hasattr(instances[ec.class_name], attr), \
+                f"{ec.class_name} instances have no {attr!r}"
+    for class_name, mutators in DEFAULT_CONTRACT.owned_mutators.items():
+        cls = live.get(class_name)
+        assert cls is not None, f"unknown owned-mutator class {class_name}"
+        for name in mutators:
+            assert callable(getattr(cls, name, None)), \
+                f"owned mutator {class_name}.{name} is not a live method"
     import importlib
 
     for entry in DEFAULT_CONTRACT.extra_entry_points:

@@ -338,7 +338,7 @@ class TestStatsCommand:
         assert code == 0
         assert "counters:" in out
         assert "dsl_events_total" in out
-        assert "dsl_prune_cache_total" in out
+        assert "dsl_prune_seconds" in out
 
     def test_prometheus(self, capsys):
         code, out, _err = run_cli(capsys, *self.ARGS, "--prometheus")

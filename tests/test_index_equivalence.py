@@ -129,3 +129,34 @@ def test_fresh_index_over_mutated_snapshot():
     index = CoreIndex(cores)
     report = index.prune("A", {"K": 0})
     assert report.survivor_names == [f"c{i}" for i in range(0, 10, 2)]
+
+
+#: CDO names a library's cores sit under, plus query-only names: a
+#: name-prefix that is not a hierarchy ancestor ("Block.f"), and a name
+#: no core uses.
+CDO_NAMES = ("Block", "Block.f0", "Block.f1", "Block.f1.x", "Block.f10")
+QUERY_NAMES = CDO_NAMES + ("Block.f", "Other")
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 11),
+                              st.sampled_from(CDO_NAMES)),
+                    max_size=40))
+def test_library_cores_under_equivalent_to_naive(ops):
+    """``ReuseLibrary.cores_under`` equals the naive descendant scan
+    after any sequence of adds and removes."""
+    from repro.core import ReuseLibrary
+
+    library = ReuseLibrary("lib", "random adds and removes")
+    for add, n, cdo_name in ops:
+        name = f"c{n}"
+        if add and name not in library:
+            library.add(DesignObject(name, cdo_name, {}, {}))
+        elif not add and name in library:
+            library.remove(name)
+        for query in QUERY_NAMES:
+            assert library.cores_under(query) == [
+                core for core in library
+                if _is_same_or_descendant(core.cdo_name, query)]
+            assert library.cores_under(query, include_descendants=False) \
+                == [core for core in library if core.cdo_name == query]

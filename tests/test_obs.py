@@ -7,8 +7,6 @@ import os
 import pytest
 
 from repro.core.obs import (
-    CACHE_HIT,
-    CACHE_MISS,
     CONSTRAINT_FIRED,
     DECIDE,
     ESTIMATE_INVOKED,
@@ -83,7 +81,7 @@ class TestTraceRecorder:
     def test_span_measures_and_nests(self):
         rec = fake_recorder()
         with rec.span(PRUNE, cdo="Widget") as outer:
-            rec.emit(CACHE_MISS)
+            rec.emit(INDEX_REBUILD)
             with rec.span(ESTIMATE_INVOKED, tool="t") as inner:
                 inner.note(value=3.0)
         events = {e.kind: e for e in rec.events}
@@ -92,7 +90,7 @@ class TestTraceRecorder:
         assert prune.is_span and prune.duration_s > 0
         assert outer.span_id == prune.span
         # both children carry the outer span as parent
-        assert events[CACHE_MISS].parent == prune.span
+        assert events[INDEX_REBUILD].parent == prune.span
         assert estimate.parent == prune.span
         assert estimate.payload["value"] == 3.0
         # the span event is emitted at close, after its children
@@ -128,14 +126,8 @@ class TestTraceRecorder:
 
     def test_metrics_derived_from_events(self):
         rec = fake_recorder()
-        rec.emit(CACHE_HIT)
-        rec.emit(CACHE_MISS)
-        rec.emit(CACHE_MISS)
         with rec.span(PRUNE) as span:
             span.note(survivors=7)
-        hits = rec.metrics.counter("dsl_prune_cache_total", result="hit")
-        misses = rec.metrics.counter("dsl_prune_cache_total", result="miss")
-        assert (hits.value, misses.value) == (1, 2)
         assert rec.metrics.gauge("dsl_surviving_cores").value == 7
         assert rec.metrics.histogram("dsl_prune_seconds").count == 1
 
@@ -254,7 +246,7 @@ class TestEventsAndExport:
 
     def test_jsonl_round_trip_through_buffer(self):
         rec = fake_recorder()
-        rec.emit(CACHE_HIT, digest="abc")
+        rec.emit(PRUNE, digest="abc")
         text = dumps_jsonl(rec.events)
         assert read_jsonl(io.StringIO(text)) == list(rec.events)
 
@@ -273,26 +265,24 @@ class TestEventsAndExport:
 
     def test_summarize_counts_and_cache_rate(self):
         rec = fake_recorder()
-        rec.emit(CACHE_HIT)
-        rec.emit(CACHE_MISS)
+        rec.emit(REQUIRE)
+        rec.emit(DECIDE)
         with rec.span(PRUNE):
             pass
         text = summarize(rec.events)
         assert "3 events" in text
-        assert "1 hits / 1 misses (50% hit rate)" in text
         data = summarize_dict(rec.events)
         assert data["by_kind"][PRUNE] == 1
-        assert data["prune_cache"]["hit_rate"] == 0.5
         assert summarize([]) == "(empty trace)"
 
     def test_timeline_orders_by_start_and_indents_children(self):
         rec = fake_recorder()
         with rec.span(PRUNE, cdo="Widget"):
-            rec.emit(CACHE_MISS)
+            rec.emit(INDEX_REBUILD)
         lines = render_timeline(rec.events).splitlines()
         # span started first -> printed first despite later seq
         assert "prune" in lines[0]
-        assert "cache_miss" in lines[1]
+        assert "index_rebuild" in lines[1]
         assert lines[1].split("] ")[1].startswith("  ")
 
 
@@ -309,8 +299,6 @@ class TestLayerObserve:
         assert rec.enabled
         assert widget_layer.observe() is rec
         assert widget_layer.libraries.observer is rec
-        for library in widget_layer.libraries.libraries:
-            assert library.observer is rec
 
     def test_observe_none_disables(self, widget_layer):
         widget_layer.observe()
@@ -324,11 +312,16 @@ class TestLayerObserve:
         assert widget_layer.observer is rec
 
     def test_attach_library_inherits_observer(self, widget_layer):
-        from repro.core import ReuseLibrary
-        rec = widget_layer.observe()
+        from repro.core import DesignObject, ReuseLibrary
+        rec = widget_layer.observe(fake_recorder())
         extra = ReuseLibrary("lib-b", "late attach")
+        extra.add(DesignObject("late", "Widget.hw", {"Tech": "t35"}))
         widget_layer.attach_library(extra)
-        assert extra.observer is rec
+        # a late library is indexed (and traced) through the federation
+        widget_layer.libraries.index()
+        (rebuild,) = [e for e in rec.events if e.kind == INDEX_REBUILD]
+        assert rebuild.payload["owner"] == "federation"
+        assert rebuild.payload["cores"] == 6
 
     def test_index_rebuild_traced(self, widget_layer):
         rec = widget_layer.observe(fake_recorder())
@@ -394,20 +387,16 @@ class TestSessionTracing:
         assert decide.payload["generalized"] is True
         assert decide.payload["cdo"] == "Widget.hw"
 
-    def test_prune_cache_hit_and_miss_events(self, widget_layer):
+    def test_prune_span_carries_digest_and_ranges(self, widget_layer):
         rec = widget_layer.observe(fake_recorder())
         session = ExplorationSession(widget_layer, "Widget")
         session.set_requirement("Width", 64)
-        first = session.prune_report()
-        session.prune_report()
-        hits = [e for e in rec.events if e.kind == CACHE_HIT]
-        misses = [e for e in rec.events if e.kind == CACHE_MISS]
-        prunes = [e for e in rec.events if e.kind == PRUNE]
-        assert len(misses) == 1 and len(prunes) == 1 and len(hits) == 1
-        assert prunes[0].payload["survivors"] == len(first.survivors)
-        assert prunes[0].payload["digest"] == first.digest()
-        assert hits[0].payload["digest"] == first.digest()
-        assert "ranges" in prunes[0].payload
+        report = session.prune_report()
+        (prune,) = [e for e in rec.events if e.kind == PRUNE]
+        assert prune.is_span
+        assert prune.payload["survivors"] == len(report.survivors)
+        assert prune.payload["digest"] == report.digest()
+        assert "ranges" in prune.payload
 
     def test_failed_mutations_leave_no_event(self, widget_layer):
         from repro.errors import SessionError
@@ -459,13 +448,13 @@ class TestSessionTracing:
         rec = widget_layer.observe(fake_recorder())
         session = ExplorationSession(widget_layer, "Widget")
         session.prune_report()   # 5 survivors > limit
-        session.prune_report()   # cached
-        (prune,) = [e for e in rec.events if e.kind == PRUNE]
-        (hit,) = [e for e in rec.events if e.kind == CACHE_HIT]
-        assert prune.payload["survivors"] == 5
-        assert "digest" not in prune.payload
-        assert "ranges" not in prune.payload
-        assert "digest" not in hit.payload
+        session.prune_report()
+        prunes = [e for e in rec.events if e.kind == PRUNE]
+        assert len(prunes) == 2
+        for prune in prunes:
+            assert prune.payload["survivors"] == 5
+            assert "digest" not in prune.payload
+            assert "ranges" not in prune.payload
         # the count alone still replays as a verified checkpoint
         from repro.core.obs import replay
         from conftest import build_widget_layer as rebuild

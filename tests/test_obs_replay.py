@@ -178,16 +178,3 @@ def test_divergence_detected_against_changed_layer():
     assert "DIVERGED" in report.render_text()
     assert report.to_dict()["ok"] is False
 
-
-def test_what_if_prunes_are_not_checkpoints():
-    """prune_report(extra=...) what-ifs are recorded but not replayed as
-    checkpoints (the overrides are not part of the session state)."""
-    layer = build_widget_layer()
-    layer.observe()
-    session = ExplorationSession(layer, "Widget")
-    session.decide("Style", "hw")
-    session.prune_report(extra={"Tech": "t70"})
-    report = replay.replay_trace(build_widget_layer(),
-                                 layer.observer.events)
-    assert report.ok, report.render_text()
-    assert report.checks == 0

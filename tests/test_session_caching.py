@@ -1,14 +1,12 @@
-"""Session-level memoization and the sibling-branch decide regression.
-
-Two satellites of the indexed-query-engine change live here:
+"""Session query freshness and the sibling-branch decide regression.
 
 * ``decide()`` on a generalized ancestor issue that selects a *sibling*
   branch must roll the whole session state back before raising — the
   tentative constraint evaluation must not leak derived values,
   eliminations, staleness or log entries into subsequent queries.
-* ``report()`` / ``fom_ranges()`` / ``candidates()`` must be answered
-  from one memoized prune per session state, verified with a
-  prune-call counter rather than timing.
+* ``report()`` / ``fom_ranges()`` / ``candidates()`` prune the layer's
+  current index on every call: repeated queries agree, and every
+  session or library mutation shows in the next answer.
 """
 
 import pytest
@@ -19,6 +17,7 @@ from repro.core import (
     ExplorationSession,
     Formula,
 )
+from repro.core.obs import PRUNE
 from repro.errors import SessionError
 
 from conftest import build_widget_layer
@@ -91,50 +90,77 @@ class TestSiblingBranchDecideRegression:
         assert session.current_cdo.qualified_name == "Widget.hw"
 
 
-class TestPruneCallCounter:
-    def test_report_triggers_exactly_one_prune(self):
-        session = ExplorationSession(build_widget_layer(), "Widget")
-        assert session._prune_calls == 0
-        session.report()
-        assert session._prune_calls == 1
+def names(session):
+    return [core.name for core in session.candidates()]
 
-    def test_repeated_queries_reuse_the_prune(self):
+
+def answers(session):
+    """Everything a designer can read off the current state, next to
+    what a new session holding the same state answers."""
+    twin = session.fork()
+    return ((names(session), session.fom_ranges()),
+            (names(twin), twin.fom_ranges()))
+
+
+class TestPruneCallCounter:
+    """Prunes are counted from the ``prune`` spans of the layer's trace;
+    with no session-level memo, each query prunes afresh and each
+    mutation must show in the next answer."""
+
+    def test_report_triggers_exactly_one_prune(self):
+        layer = build_widget_layer()
+        layer.observe()
+        session = ExplorationSession(layer, "Widget")
+        session.report()
+        assert sum(1 for e in session.trace if e.kind == PRUNE) == 1
+
+    def test_repeated_queries_are_equal(self):
         session = ExplorationSession(build_widget_layer(), "Widget")
-        session.report()
-        session.candidates()
-        session.fom_ranges()
-        session.explain("h1")
-        session.report()
-        assert session._prune_calls == 1
+        session.decide("Style", "hw")
+
+        def read():
+            return (session.report(), names(session), session.fom_ranges(),
+                    session.explain("h3"), session.prune_report().digest())
+
+        assert read() == read()
 
     def test_decision_invalidates(self):
         session = ExplorationSession(build_widget_layer(), "Widget")
-        session.candidates()
+        assert len(names(session)) == 5
         session.decide("Style", "hw")
-        session.candidates()
-        assert session._prune_calls == 2
-        session.fom_ranges()
-        assert session._prune_calls == 2
+        got, fresh = answers(session)
+        assert got == fresh
+        assert got[0] == ["h1", "h2", "h3"]
+        session.decide("Tech", "t70")
+        got, fresh = answers(session)
+        assert got == fresh
+        assert got[0] == ["h3"]
 
     def test_requirement_invalidates(self):
         session = ExplorationSession(build_widget_layer(), "Widget")
-        session.candidates()
-        session.set_requirement("Width", 32)
-        session.candidates()
-        session.revise("Width", 64)
-        session.candidates()
-        assert session._prune_calls == 3
+        session.decide("Style", "hw")
+        session.set_requirement("Width", 64)
+        got, fresh = answers(session)
+        assert got == fresh
+        assert got[0] == ["h1", "h2"]
+        session.revise("Width", 32)
+        got, fresh = answers(session)
+        assert got == fresh
+        assert got[0] == ["h1", "h2", "h3"]
 
     def test_library_mutation_invalidates(self):
         layer = build_widget_layer()
         session = ExplorationSession(layer, "Widget")
-        session.candidates()
+        session.decide("Style", "hw")
+        before = session.fom_ranges()
         layer.libraries.library("lib-a").add(DesignObject(
             "h9", "Widget.hw", {"Tech": "t35"}, {"area": 1.0}))
-        assert "h9" in [c.name for c in session.candidates()]
-        assert session._prune_calls == 2
-        session.candidates()
-        assert session._prune_calls == 2
+        got, fresh = answers(session)
+        assert got == fresh
+        assert "h9" in got[0]
+        assert got[1]["area"] == (1.0, before["area"][1])
+        layer.libraries.library("lib-a").remove("h9")
+        assert session.fom_ranges() == before
 
     def test_undo_and_restore_hit_fresh_state(self):
         session = ExplorationSession(build_widget_layer(), "Widget")

@@ -62,14 +62,6 @@ class TestEstimatorThroughLayer:
 
 
 class TestWhatIfViaPruneReport:
-    def test_extra_decisions_do_not_commit(self):
-        session = ExplorationSession(build_widget_layer(), "Widget")
-        session.decide("Style", "hw")
-        report = session.prune_report(extra={"Tech": "t70"})
-        assert report.survivor_names == ["h3"]
-        assert "Tech" not in session.decisions
-        assert len(session.candidates()) == 3
-
     def test_elimination_reasons_exposed(self):
         session = ExplorationSession(build_widget_layer(), "Widget")
         session.decide("Style", "hw")
