@@ -3,8 +3,9 @@
 The observability subsystem's budget: a pruning walk over a 50k-core
 synthetic library with a :class:`~repro.core.obs.recorder.TraceRecorder`
 attached must cost less than 10% over the same walk against the default
-no-op recorder (best-of-N over best-of-N, so scheduler noise does not
-produce false failures).  This is the gate CI runs; the same helpers
+no-op recorder.  Untraced and traced runs alternate, and the gate reads
+the median of the per-pair traced/untraced ratios, so one run that
+lands in the walk's fast mode on one side does not decide it.  This is the gate CI runs; the same helpers
 feed ``benchmarks/record.py``, which commits the numbers to
 ``BENCH_pruning.json``.
 """
@@ -28,7 +29,8 @@ def test_bench_tracing_overhead_within_budget(layer_50k):
          f"noop   best: {min(data['noop']) * 1e3:8.2f} ms\n"
          f"traced best: {min(data['traced']) * 1e3:8.2f} ms "
          f"({data['events_per_run']} events/run)\n"
-         f"ratio: x{data['ratio']:.3f}  (budget x{OVERHEAD_BUDGET})")
+         f"median pair ratio: x{data['ratio']:.3f}  "
+         f"(budget x{OVERHEAD_BUDGET})")
     assert data["ratio"] < OVERHEAD_BUDGET, (
         f"tracing overhead x{data['ratio']:.3f} exceeds the "
         f"x{OVERHEAD_BUDGET} budget")

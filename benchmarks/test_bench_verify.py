@@ -19,7 +19,6 @@ from record import VERIFY_WARM_BUDGET, verify_measurements
 from test_bench_scaling import synthetic_layer
 
 from repro.core.verify import analyze_layer
-from repro.core.verify.engine import _CACHE
 
 
 def test_bench_verify_cold_5k(benchmark):
@@ -28,7 +27,7 @@ def test_bench_verify_cold_5k(benchmark):
     analyze_layer(layer)  # warm-up (index build)
 
     def cold():
-        _CACHE.pop(layer, None)
+        layer._bump()  # a fresh epoch: the memo starts empty
         return analyze_layer(layer)
 
     analysis = benchmark(cold)

@@ -1,8 +1,8 @@
 """Epoch-bump verifier (DSA010/DSA011).
 
-Every epoch-keyed cache in the repo (the federation's core index, the
-layer's hierarchy caches, the verify engine's layer cache) trusts one
-invariant: *a store never changes without its epoch moving*.  The
+Every epoch-keyed cache in the repo (the federation's core index and
+the layer's memo of CDO resolution, applicable constraints and verify
+results) trusts one invariant: *a store never changes without its epoch moving*.  The
 contract's :class:`~repro.analysis.contract.EpochContract` entries pin
 down, per class, which attributes are the stores and what counts as the
 paired invalidation.

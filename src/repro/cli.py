@@ -302,7 +302,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     config = LintConfig(select=args.select or None,
                         disable=tuple(args.disable or ()))
     report = layer.lint(config=config)
-    if args.json or args.format == "json":
+    if args.json:
         _emit_json(args, report.to_dict())
     else:
         _emit(args, report.render_text())
@@ -328,7 +328,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             graph = lock_graph_paths(args.path)
         else:
             graph = lock_graph_package(args.package)
-        if args.json or args.format == "json":
+        if args.json:
             _emit_json(args, graph.to_dict())
         else:
             _emit(args, graph.render_text())
@@ -339,7 +339,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         report = analyze_paths(args.path, config=config)
     else:
         report = analyze_package(args.package, config=config)
-    if args.json or args.format == "json":
+    if args.json:
         _emit_json(args, report.to_dict())
     else:
         _emit(args, report.render_text())
@@ -352,7 +352,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     layer = _build_layer(args.layer, args.eol)
     requirements = tuple(_parse_binding(b) for b in args.require or ())
     report = layer.verify(requirements=requirements, start=args.start)
-    if args.json or args.format == "json":
+    if args.json:
         _emit_json(args, report.to_dict())
     else:
         _emit(args, report.render_text())
@@ -573,8 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lint", help="static analysis of a layer",
                        parents=[output_parent])
     add_layer_args(p)
-    p.add_argument("--format", default="text", choices=("text", "json"),
-                   help="report format (legacy spelling of --json)")
     p.add_argument("--fail-on", default="error",
                    choices=("error", "warning", "info"),
                    help="exit non-zero when findings at or above this "
@@ -599,8 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--package", default="repro",
                    help="importable package to analyze when no paths "
                         "are given (default: repro)")
-    p.add_argument("--format", default="text", choices=("text", "json"),
-                   help="report format (legacy spelling of --json)")
     p.add_argument("--fail-on", default="error",
                    choices=("error", "warning", "info"),
                    help="exit non-zero when unsuppressed findings at or "
@@ -630,8 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--require", action="append", metavar="NAME=VALUE",
                    help="requirement value to verify against "
                         "(repeatable)")
-    p.add_argument("--format", default="text", choices=("text", "json"),
-                   help="report format (legacy spelling of --json)")
     p.add_argument("--fail-on", default="error",
                    choices=("error", "warning", "info"),
                    help="exit non-zero when findings at or above this "

@@ -18,8 +18,8 @@ The layer is purely a *representation* — exploration state lives in
 from __future__ import annotations
 
 import threading
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Callable, Dict, Hashable, Iterable, List, Mapping,
+                    Optional, Sequence, Set, Tuple, TypeVar)
 
 from repro.core.cdo import QNAME_SEP, ClassOfDesignObjects
 from repro.core.constraints import ConsistencyConstraint, ConstraintSet
@@ -31,8 +31,11 @@ from repro.core.path import PropertyPath, SelectorRegistry, parse_path
 from repro.core.properties import Property
 from repro.errors import HierarchyError, LibraryError, PathError
 
-#: Sentinel distinguishing ``layer.observe()`` from ``layer.observe(None)``.
+#: Sentinel distinguishing ``layer.observe()`` from ``layer.observe(None)``,
+#: and a memo miss from a memoized ``None``.
 _UNSET = object()
+
+T = TypeVar("T")
 
 
 class DesignSpaceLayer:
@@ -55,10 +58,10 @@ class DesignSpaceLayer:
         #: default is the shared no-op (see :meth:`observe`).
         self.observer = NULL_RECORDER
         self._epoch = 0
-        self._cdo_cache: Dict[str, ClassOfDesignObjects] = {}
-        self._cdo_cache_epoch = -1
-        self._all_cdos_cache: Optional[List[ClassOfDesignObjects]] = None
-        #: Guards the epoch increment and the hierarchy caches.
+        #: Facts derived from the layer at the current epoch (see
+        #: :meth:`memo`); :meth:`_bump` drops them all.
+        self._memo: Dict[Hashable, object] = {}
+        #: Guards the epoch increment and the memo.
         self._cache_lock = threading.RLock()
         # Constraint additions and library mutations are pushed here
         # (see repro.core.library for the ordering rules of a bump).
@@ -71,18 +74,43 @@ class DesignSpaceLayer:
     def _bump(self) -> None:
         with self._cache_lock:
             self._epoch += 1
+            self._memo = {}
 
     @property
     def epoch(self) -> int:
         """Monotonic generation counter covering hierarchy edits, alias /
         constraint / tool registration and every library mutation.
 
-        Caches throughout the query stack (CDO resolution, applicable
-        constraints, verify reports, served prune results) key on this
-        value, so they expire lazily and no mutation site ever has to
-        flush them explicitly.
+        The layer's :meth:`memo` (CDO resolution, applicable
+        constraints, verify reports) lives for one value of it, and
+        served prune results key on it, so no mutation site ever has to
+        flush a cache explicitly.
         """
         return self._epoch
+
+    def memo(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """``compute()``, kept under ``key`` until the epoch moves.
+
+        The one cache of facts derived from the layer.  The lookup and
+        the publish run under ``_cache_lock`` and ``compute`` runs
+        outside it; a value computed while the epoch moved is returned
+        but not kept, and of two racing computes the first published
+        wins, so every caller at one epoch sees one object.  An
+        unhashable ``key`` skips the memo.
+        """
+        try:
+            with self._cache_lock:
+                epoch = self._epoch
+                hit = self._memo.get(key, _UNSET)
+        except TypeError:
+            return compute()
+        if hit is not _UNSET:
+            return hit  # type: ignore[return-value]
+        value = compute()
+        with self._cache_lock:
+            if self._epoch == epoch:
+                value = self._memo.setdefault(key, value)  # type: ignore[assignment]
+        return value
 
     # ------------------------------------------------------------------
     # observability
@@ -114,15 +142,6 @@ class DesignSpaceLayer:
         self.libraries.observer = recorder
         return recorder
 
-    def _hierarchy_caches(self) -> Dict[str, ClassOfDesignObjects]:
-        with self._cache_lock:
-            epoch = self._epoch
-            if epoch != self._cdo_cache_epoch:
-                self._cdo_cache = {}
-                self._all_cdos_cache = None
-                self._cdo_cache_epoch = epoch
-            return self._cdo_cache
-
     # ------------------------------------------------------------------
     # hierarchy management
     # ------------------------------------------------------------------
@@ -142,23 +161,16 @@ class DesignSpaceLayer:
         return tuple(self._roots.values())
 
     def all_cdos(self) -> List[ClassOfDesignObjects]:
-        with self._cache_lock:
-            self._hierarchy_caches()
-            if self._all_cdos_cache is None:
-                out: List[ClassOfDesignObjects] = []
-                for root in self._roots.values():
-                    out.extend(root.walk())
-                self._all_cdos_cache = out
-            return list(self._all_cdos_cache)
+        return list(self.memo("all_cdos", lambda: [
+            node for root in self._roots.values() for node in root.walk()]))
 
     def cdo(self, qualified_name: str) -> ClassOfDesignObjects:
         """Look up a CDO by qualified name or registered alias
-        (resolutions are epoch-cached)."""
-        cache = self._hierarchy_caches()
-        hit = cache.get(qualified_name)
-        if hit is not None:
-            return hit
-        requested = qualified_name
+        (resolutions are memoized)."""
+        return self.memo(("cdo", qualified_name),
+                         lambda: self._resolve_cdo(qualified_name))
+
+    def _resolve_cdo(self, qualified_name: str) -> ClassOfDesignObjects:
         qualified_name = self._aliases.get(qualified_name, qualified_name)
         parts = qualified_name.split(QNAME_SEP)
         try:
@@ -174,7 +186,6 @@ class DesignSpaceLayer:
                     f"layer {self.name!r}: {node.qualified_name} has no "
                     f"child {part!r}")
             node = matches[0]
-        cache[requested] = node
         return node
 
     def has_cdo(self, qualified_name: str) -> bool:
@@ -206,6 +217,13 @@ class DesignSpaceLayer:
     def add_constraint(self, constraint: ConsistencyConstraint
                        ) -> ConsistencyConstraint:
         return self.constraints.add(constraint)
+
+    def applicable_constraints(self, cdo: ClassOfDesignObjects
+                               ) -> List[ConsistencyConstraint]:
+        """The constraints that govern an exploration positioned at
+        ``cdo`` (memoized; the list is shared, not a copy)."""
+        return self.memo(("applicable", cdo),
+                         lambda: self.constraints.applicable(cdo, self._aliases))
 
     def register_tool(self, name: str, tool: Callable) -> None:
         """Register an early estimation tool, addressable from

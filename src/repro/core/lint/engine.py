@@ -64,8 +64,6 @@ class LintContext:
                         self.core_counts_under[qname] = \
                             self.core_counts_under.get(qname, 0) + 1
 
-        self._applicable_cache: Dict[str, List[ClassOfDesignObjects]] = {}
-
     # ------------------------------------------------------------------
     # helpers shared by rule implementations
     # ------------------------------------------------------------------
@@ -75,14 +73,10 @@ class LintContext:
 
     def applicable_cdos(self, constraint: ConsistencyConstraint
                         ) -> List[ClassOfDesignObjects]:
-        """CDOs where every reference of ``constraint`` is meaningful
-        (cached per constraint name within one run)."""
-        hit = self._applicable_cache.get(constraint.name)
-        if hit is None:
-            hit = [cdo for cdo in self.cdos
-                   if constraint.applies_to(cdo, self.aliases)]
-            self._applicable_cache[constraint.name] = hit
-        return hit
+        """CDOs where every reference of ``constraint`` is meaningful,
+        read off the layer's memoized per-CDO answer."""
+        return [cdo for cdo in self.cdos
+                if constraint in self.layer.applicable_constraints(cdo)]
 
     def resolve_ref(self, ref: PropertyPath
                     ) -> List[Tuple[ClassOfDesignObjects, object]]:

@@ -279,8 +279,6 @@ class ExplorationSession:
         self._log: List[str] = []
         self._history: List[_State] = []
         self._checkpoints: Dict[str, _State] = {}
-        self._constraints_cache_key: object = None
-        self._constraints_cache: List[ConsistencyConstraint] = []
         #: Recorder this session last announced itself to (see ``_obs``).
         self._obs_recorder: object = None
         self._obs_session = 0
@@ -363,14 +361,9 @@ class ExplorationSession:
     # constraint machinery
     # ------------------------------------------------------------------
     def applicable_constraints(self) -> List[ConsistencyConstraint]:
-        """Constraints that apply at the current position, cached per
-        (layer epoch, position); the list is shared, not a copy."""
-        key = (self.layer.epoch, self._cdo.qualified_name)
-        if key != self._constraints_cache_key:
-            self._constraints_cache = self.layer.constraints.applicable(
-                self._cdo, self.layer.aliases)
-            self._constraints_cache_key = key
-        return self._constraints_cache
+        """Constraints that apply at the current position, as the layer
+        memoizes them; the list is shared, not a copy."""
+        return self.layer.applicable_constraints(self._cdo)
 
     def _bind_ref(self, ref: Union[PropertyPath, SessionBinding]) -> object:
         """Resolve one constraint reference to a value, or UNBOUND."""

@@ -58,7 +58,7 @@ def verify_layer(layer: "DesignSpaceLayer",
     :class:`~repro.core.lint.LintConfig` (severity overrides,
     disables); its rule options are augmented with the verifier opt-in.
     Without a ``config`` the report is kept next to its analysis in the
-    epoch cache, so a repeated verify of an unchanged layer returns the
+    layer's memo, so a repeated verify of an unchanged layer returns the
     same report object.
     """
     if config is None:

@@ -56,7 +56,6 @@ enforces and the lint sampler (DSL014) assumes.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, List, Mapping,
                     Optional, Sequence, Set, Tuple, Union)
@@ -230,7 +229,6 @@ class _Analyzer:
     def __init__(self, layer: "DesignSpaceLayer", requirements: Given,
                  start: Optional[str]):
         self.layer = layer
-        self.aliases: Dict[str, str] = dict(layer.aliases)
         self.given: Dict[str, object] = dict(requirements)
         self.start = start
         self.index = layer.libraries.index()
@@ -608,9 +606,8 @@ class _Analyzer:
         for name in sorted(self.given):
             if self._sees_requirement(region, name):
                 elements.append(("requirement", name, self.given[name]))
-        for c in self.constraints:
-            if (c.applies_to(region, self.aliases)
-                    and not isinstance(c.relation, EstimatorInvocation)):
+        for c in self.layer.applicable_constraints(region):
+            if not isinstance(c.relation, EstimatorInvocation):
                 elements.append(("constraint", c.name, c))
         return elements
 
@@ -653,8 +650,7 @@ class _Analyzer:
         cores: List[UnsatCore] = []
         infeasible: List[str] = []
         for region in regions:
-            applicable = [c for c in self.constraints
-                          if c.applies_to(region, self.aliases)]
+            applicable = self.layer.applicable_constraints(region)
             derived_targets = self._derived_targets(applicable)
             elements = self._elements(region)
             if not self._infeasible(region, elements, derived_targets):
@@ -752,8 +748,7 @@ class _Analyzer:
         regions: Dict[str, CdoRegion] = {}
         proofs: List[DeadBranchProof] = []
         for cdo in scope:
-            applicable = [c for c in self.constraints
-                          if c.applies_to(cdo, self.aliases)]
+            applicable = self.layer.applicable_constraints(cdo)
             cdo_proofs = self._dead_proofs(cdo, applicable)
             proofs.extend(cdo_proofs)
             regions[cdo.qualified_name] = self._region(cdo, applicable,
@@ -773,41 +768,22 @@ class _Analyzer:
 # Epoch-cached entry point
 # ----------------------------------------------------------------------
 
-_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def epoch_cached(layer: "DesignSpaceLayer",
                  requirements: Sequence[Tuple[str, object]],
                  start: Optional[str], slot: str,
                  compute: Callable[[Given], object]) -> object:
-    """``compute(given)`` for ``layer``, cached in ``slot`` of the
-    ``(layer.epoch, given, start)`` entry.
+    """``compute(given)`` for ``layer``, kept in the layer's memo under
+    ``(slot, given, start)``.
 
     ``given`` is ``requirements`` sorted by name, so requirement order
-    does not split an entry.  Any mutation bumps the epoch, and storing
-    at a new epoch evicts every older entry; a value computed while the
-    layer moved is returned but not kept.  Unhashable requirement
-    values simply skip the cache.
+    does not split an entry.  Any mutation moves the epoch and drops
+    the entry (see :meth:`DesignSpaceLayer.memo`), and unhashable
+    requirement values skip it.
     """
     given: Given = tuple(sorted(dict(requirements).items(),
                                 key=lambda kv: kv[0]))
-    epoch = layer.epoch
-    key = (epoch, given, start)
-    per_layer = _CACHE.get(layer)
-    if per_layer is None:
-        per_layer = _CACHE.setdefault(layer, {})
-    try:
-        entry = per_layer.get(key)
-    except TypeError:
-        return compute(given)
-    if entry is not None and slot in entry:
-        return entry[slot]
-    value = compute(given)
-    if layer.epoch == epoch:
-        for stale in [k for k in list(per_layer) if k[0] != epoch]:
-            per_layer.pop(stale, None)
-        per_layer.setdefault(key, {})[slot] = value
-    return value
+    return layer.memo(("verify", slot, given, start),
+                      lambda: compute(given))
 
 
 def analyze_layer(layer: "DesignSpaceLayer",
@@ -815,7 +791,7 @@ def analyze_layer(layer: "DesignSpaceLayer",
                   start: Optional[str] = None) -> VerifyAnalysis:
     """Run (or replay) the verifier for ``layer``.
 
-    Results are cached per ``(layer.epoch, requirements, start)`` (see
+    Results are memoized per ``(layer.epoch, requirements, start)`` (see
     :func:`epoch_cached`), so a repeated verify of an unchanged layer is
     a dictionary lookup.
     """

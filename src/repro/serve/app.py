@@ -278,14 +278,20 @@ class DesignSpaceService:
             payload = {"error": {"code": type(exc).__name__,
                                  "message": str(exc)}}
         # dsa: allow[DSA040] -- latency lands in metrics, not response bytes
-        elapsed = time.perf_counter() - started
+        self.record_request(route, status, time.perf_counter() - started)
+        return status, payload
+
+    def record_request(self, route: str, status: int,
+                       elapsed: float) -> None:
+        """Count one request, API verb or plain ``GET`` route, in the
+        per-route latency histogram and the route+status counter that
+        ``/metrics`` exposes."""
         self.metrics.histogram(
             REQUEST_SECONDS, "Request latency by route",
             route=route).observe(elapsed)
         self.metrics.counter(
             REQUESTS_TOTAL, "Requests by route and status",
             route=route, status=str(status)).inc()
-        return status, payload
 
     def handle_json(self, verb: str, body: bytes) -> Tuple[int, bytes]:
         """The byte-level entry the HTTP layer uses: JSON in, JSON out."""

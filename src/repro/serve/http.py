@@ -98,13 +98,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self._send(status, canonical_json(
                 {"error": {"code": "not-found",
                            "message": f"no route {self.path!r}"}}))
-        elapsed = time.perf_counter() - started
-        service.metrics.histogram(
-            "dsl_request_seconds", "Request latency by route",
-            route=route).observe(elapsed)
-        service.metrics.counter(
-            "dsl_requests_total", "Requests by route and status",
-            route=route, status=str(status)).inc()
+        service.record_request(route, status, time.perf_counter() - started)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         service = self._service()

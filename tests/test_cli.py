@@ -119,7 +119,7 @@ class TestLint:
 
     def test_idct_json_format(self, capsys):
         code, out, _err = run_cli(capsys, "lint", "--layer", "idct",
-                                  "--format", "json")
+                                  "--json")
         assert code == 0
         data = json.loads(out)
         assert data["layer"] == "idct"
@@ -187,7 +187,7 @@ class TestVerify:
 
     def test_idct_json_format(self, capsys):
         code, out, _err = run_cli(capsys, "verify", "--layer", "idct",
-                                  "--format", "json")
+                                  "--json")
         assert code == 0
         data = json.loads(out)
         assert data["analysis"]["layer"] == "idct"
@@ -435,7 +435,7 @@ class TestAnalyze:
         assert "clean" in out.splitlines()[0]
 
     def test_json_format(self, capsys):
-        code, out, _err = run_cli(capsys, "analyze", "--format", "json")
+        code, out, _err = run_cli(capsys, "analyze", "--json")
         assert code == 0
         data = json.loads(out)
         assert data["clean"] is True
@@ -459,7 +459,7 @@ class TestAnalyze:
 
     def test_lock_graph_json_round_trips(self, capsys):
         code, out, _err = run_cli(capsys, "analyze", "--lock-graph",
-                                  "--format", "json")
+                                  "--json")
         assert code == 0
         data = json.loads(out)
         assert data["acyclic"] is True

@@ -158,23 +158,32 @@ class TestConstraintSet:
 
     def test_one_walk_matches_each_constraint_once_per_position(
             self, monkeypatch):
-        """``blocking_constraints`` filters the session's cached
-        applicable set, so an exhaustive crypto walk asks ``applies_to``
-        once per constraint and position it opens (42 calls; 54 with
-        the estimator), not again for every issue it gates."""
+        """The layer memoizes each CDO's applicable constraints per
+        epoch, so ``applies_to`` runs once per (constraint, CDO) pair:
+        an exhaustive crypto walk opens 4 CDOs x 6 constraints (24
+        calls); a second walk at the same epoch, with the estimator,
+        adds only the one CDO the first never opened (6); and a
+        ``verify`` followed by a lint matches each of the 21 x 6 pairs
+        once between them (126)."""
         from repro.core.explore import explore
+        from repro.core.lint import lint_layer
         from repro.domains.crypto import (build_crypto_layer,
                                           crypto_exploration_problem)
 
-        layer = build_crypto_layer(768)
         calls = []
         applies_to = ConsistencyConstraint.applies_to
         monkeypatch.setattr(
             ConsistencyConstraint, "applies_to",
             lambda cc, *args: calls.append(cc.name) or applies_to(cc, *args))
-        for with_estimator, bound in ((False, 60), (True, 80)):
+        layer = build_crypto_layer(768)
+        for with_estimator, bound in ((False, 24), (True, 6)):
             calls.clear()
             result = explore(crypto_exploration_problem(
                 layer=layer, with_estimator=with_estimator))
             assert result.frontier.digest() == "33ed4f1eafb30813"
             assert 0 < len(calls) <= bound
+        fresh = build_crypto_layer(768)
+        calls.clear()
+        fresh.verify()
+        lint_layer(fresh)
+        assert 0 < len(calls) <= 126
