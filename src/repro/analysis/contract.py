@@ -190,6 +190,8 @@ DEFAULT_CONTRACT = ConcurrencyContract(
         # frontier/prune digests compared across runs and sessions
         "repro.core.explore.outcome:ParetoFrontier.digest",
         "repro.core.pruning:PruneReport.digest",
+        "repro.core.index:IndexedPruneReport.digest",
+        "repro.core.index:CoreIndex.ids_digest",
         # the engine reaches these through the strategy object
         # (``self._strategy.search(ctx)``), a dispatch the static call
         # graph cannot follow; each builds the frontier a digest reads

@@ -32,6 +32,7 @@ caches by hand.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter, abc
@@ -208,6 +209,11 @@ class CoreIndex:
         #: core name by id, so a report can name its survivors without
         #: touching the cores.
         self.names: List[str] = [core.name for core in self.cores]
+        #: sha1 of the name table, which :meth:`ids_digest` extends with
+        #: an id mask.  Taken here, not on first use: the index is shared
+        #: between threads and never written after construction.
+        self._names_sha1 = hashlib.sha1(
+            "\x00".join(self.names).encode("utf-8")).digest()
         #: ids of the cores whose name another core shares.
         self.repeated_names = IdSet(_repeated(self.names))
         by_exact: Dict[str, List[int]] = {}
@@ -293,6 +299,37 @@ class CoreIndex:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.cores)
+
+    def ids_digest(self, ids: IdSet) -> str:
+        """Fingerprint of ``ids`` relative to this index's name table:
+        sha1 of the name table's sha1 followed by the mask's
+        little-endian bytes, truncated to 16 hex digits.
+
+        It lists no id, so it costs one pass over the mask.  Two indexes
+        over the same names in the same order give equal digests for
+        equal masks; a digest of another index's ids means nothing here.
+        """
+        mask = ids.mask
+        digest = hashlib.sha1(self._names_sha1)
+        digest.update(mask.to_bytes((mask.bit_length() + 7) >> 3, "little"))
+        return digest.hexdigest()[:16]
+
+    def first_names(self, ids: IdSet, limit: int) -> List[str]:
+        """Names of the ``limit`` lowest ids in ``ids``, ascending.
+
+        Lists only a low slice of the mask, doubled until it holds
+        ``limit`` ids, so a short page of a wide set lists a few ids
+        beyond its own, not the whole set.  The slice never grows past
+        the mask, so a huge ``limit`` costs no more than the whole set."""
+        mask = ids.mask
+        end = mask.bit_length()
+        width = min(limit * 8, end)
+        low = mask & ((1 << width) - 1)
+        while low != mask and _popcount(low) < limit:
+            width = min(width << 1, end)
+            low = mask & ((1 << width) - 1)
+        names = self.names
+        return [names[i] for i in _bits(low)[:limit]]
 
     def subtree_ids(self, cdo_name: str) -> IdSet:
         """Ids of cores indexed at ``cdo_name`` or any descendant."""
@@ -616,10 +653,14 @@ class IndexedPruneReport(PruneReport):
     reuse it without materializing cores.
 
     ``survivors=None`` defers the core list to its first read, which
-    then caches it; :attr:`survivor_names` (and so :meth:`digest`) reads
-    the index's name list instead and caches its own list.  A caller
-    that only counts, bounds, names or fingerprints the survivors never
-    builds the core list.  Two threads racing on a first read each
+    then caches it; :attr:`survivor_names` reads the index's name list
+    instead and caches its own list.  :meth:`digest` is
+    :meth:`CoreIndex.ids_digest` of the survivor mask, so it lists no
+    survivor: it is relative to the index's name table, equal across
+    indexes over the same names in the same order, and differs from
+    :func:`~repro.core.pruning.names_digest` of the same survivors.  A
+    caller that only counts, bounds, names or fingerprints the survivors
+    never builds the core list.  Two threads racing on a first read each
     build the same list from the immutable index, so the race is
     harmless."""
 
@@ -649,3 +690,8 @@ class IndexedPruneReport(PruneReport):
             self._survivor_names = [names[i]
                                     for i in _bits(self.survivor_ids.mask)]
         return self._survivor_names
+
+    def digest(self) -> str:
+        """:meth:`CoreIndex.ids_digest` of the survivor mask; not
+        memoized, since it lists no survivor."""
+        return self.index.ids_digest(self.survivor_ids)

@@ -74,10 +74,12 @@ class PruneReport:
         return [core.name for core in self.survivors]
 
     def digest(self) -> str:
-        """Fingerprint of the surviving-core names (order-sensitive).
+        """Fingerprint of the surviving-core names (order-sensitive):
+        :func:`names_digest` of :attr:`survivor_names`.
 
-        Memoized: the survivor list never changes after construction,
-        and both the prune span and the served report ask for it."""
+        Memoized: the survivor list never changes after construction.
+        :class:`~repro.core.index.IndexedPruneReport` overrides it with
+        a digest of its survivor mask, which names no survivor."""
         if self._digest is None:
             self._digest = names_digest(self.survivor_names)
         return self._digest

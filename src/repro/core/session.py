@@ -46,6 +46,7 @@ from repro.core.properties import (
 from repro.core.pruning import (
     MissingPolicy,
     _match_decision,
+    names_digest,
 )
 from repro.errors import (
     ConstraintError,
@@ -816,8 +817,10 @@ class ExplorationSession:
                 if count <= TRACE_SET_LIMIT:
                     ranges = index.merit_ranges_for(
                         report.survivor_ids, self.merit_metrics)
+                    # The names digest, not report.digest(): replay
+                    # checks it against an independently built layer.
                     span.note(
-                        digest=report.digest(),
+                        digest=names_digest(report.survivor_names),
                         ranges={m: list(b) for m, b in ranges.items()})
         return report
 

@@ -502,7 +502,8 @@ class DesignSpaceService:
             report = session.prune_report()
             return {"survivors": len(report.survivor_ids),
                     "digest": report.digest(),
-                    "names": report.survivor_names[:limit]}
+                    "names": report.index.first_names(
+                        report.survivor_ids, limit)}
 
         return self._session_view(params, view)
 

@@ -15,8 +15,11 @@ from repro.core import (
     RequirementSense,
 )
 from repro.core.index import IdSet, _bin_popcount, _bits
+from repro.core.session import ExplorationSession
 from repro.core.values import IntRange
-from repro.core.pruning import merit_bounds, merit_ranges, prune
+from repro.core.pruning import merit_bounds, merit_ranges, names_digest, prune
+
+from conftest import build_widget_layer
 
 
 def make_cores():
@@ -415,3 +418,66 @@ class TestSkyline:
                            for name in ("p", "q", "p", "r")])
         assert index.repeated_names == {0, 2}
         assert not CoreIndex(make_cores()).repeated_names
+
+
+def named_index(names):
+    return CoreIndex([DesignObject(name, "R", {}, {}) for name in names])
+
+
+class TestIdsDigest:
+    NAMES = [f"c{i}" for i in range(17)]
+
+    @pytest.mark.parametrize("ids, flipped", [
+        ({3, 9}, 0),               # lowest id
+        ({0, 9}, 16),              # highest id
+        (set(range(8)), 8),        # top bit: the mask grows a byte
+        (set(), 0),                # empty vs one id
+    ])
+    def test_one_bit_changes_the_digest(self, ids, flipped):
+        index = named_index(self.NAMES)
+        assert (index.ids_digest(id_set(ids))
+                != index.ids_digest(id_set(ids ^ {flipped})))
+
+    @pytest.mark.parametrize("other", [
+        NAMES[:-1] + ["c99"],            # another name
+        NAMES[1:] + NAMES[:1],           # the same names, rotated
+        NAMES[:2][::-1] + NAMES[2:],     # two names swapped
+    ])
+    def test_equal_masks_over_other_names_differ(self, other):
+        ids = id_set({0, 1, 5, 16})
+        assert (named_index(self.NAMES).ids_digest(ids)
+                != named_index(other).ids_digest(ids))
+
+    def test_equal_across_independent_builds_and_epochs(self):
+        def report(layer):
+            session = ExplorationSession(layer, "Widget")
+            session.set_requirement("Width", 64)
+            return session.prune_report()
+
+        first, second = build_widget_layer(), build_widget_layer()
+        before = report(first)
+        assert before.index is not report(second).index
+        assert before.digest() == report(second).digest()
+        first.libraries._bump()
+        after = report(first)
+        assert after.index is not before.index
+        assert after.digest() == before.digest()
+
+    def test_plain_report_keeps_the_names_digest(self, index):
+        indexed = index.prune("R", {"Tech": "t35"})
+        naive = prune(make_cores()[:4], {"Tech": "t35"})
+        assert naive.digest() == names_digest(["a", "c"])
+        assert indexed.digest() == index.ids_digest(id_set({0, 2}))
+        assert indexed.digest() != naive.digest()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), size=st.integers(1, 3000),
+       density=st.floats(0.0, 1.0),
+       limit=st.one_of(st.integers(1, 400), st.integers(10**6, 10**15)))
+def test_first_names_are_the_lowest_ids_names(seed, size, density, limit):
+    rng = random.Random(seed)
+    index = named_index([f"n{i}" for i in range(size)])
+    ids = id_set({i for i in range(size) if rng.random() < density})
+    want = [index.names[i] for i in sorted(ids)][:limit]
+    assert index.first_names(ids, limit) == want

@@ -27,6 +27,7 @@ from repro.core.obs import (
     write_jsonl,
 )
 from repro.core.obs.recorder import NULL_RECORDER, NULL_SPAN
+from repro.core.pruning import names_digest
 from repro.core.session import ExplorationSession
 from repro.errors import ObservabilityError
 
@@ -395,7 +396,7 @@ class TestSessionTracing:
         (prune,) = [e for e in rec.events if e.kind == PRUNE]
         assert prune.is_span
         assert prune.payload["survivors"] == len(report.survivors)
-        assert prune.payload["digest"] == report.digest()
+        assert prune.payload["digest"] == names_digest(report.survivor_names)
         assert "ranges" in prune.payload
 
     def test_failed_mutations_leave_no_event(self, widget_layer):

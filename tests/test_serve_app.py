@@ -12,6 +12,7 @@ import json
 import math
 
 from repro.core import CoreIndex, CoreQuery, DesignObject, ExplorationSession
+from repro.core import index as index_module
 from repro.core.explore import ExplorationProblem, explore
 from repro.core.pruning import merit_ranges, names_digest
 from repro.core.serialize import core_to_dict
@@ -245,10 +246,22 @@ class TestSessionVerbs:
         page = ok(service, "session/candidates", token=token, limit=limit)
         session = ExplorationSession(layer, "Widget")
         session.set_requirement("Width", 64)
-        names = [core.name for core in session.candidates()]
+        report = session.prune_report()
+        names = [core.name for core in report.survivors]
         assert page["names"] == names[:limit]
         assert page["survivors"] == len(names) == 4
-        assert page["digest"] == names_digest(names)
+        assert page["digest"] == report.index.ids_digest(report.survivor_ids)
+
+    def test_candidates_limit_beyond_the_survivors_names_them_all(
+            self, service):
+        token = ok(service, "session/open", layer="widgets",
+                   start="Widget")["token"]
+        whole = ok(service, "session/candidates", token=token,
+                   limit=1000)
+        page = ok(service, "session/candidates", token=token,
+                  limit=10**12)
+        assert page == whole
+        assert len(page["names"]) == page["survivors"] > 0
 
     def test_session_verbs_never_materialize_survivors(self, service,
                                                        monkeypatch):
@@ -268,6 +281,35 @@ class TestSessionVerbs:
         ok(service, "session/report", token=token)
         ok(service, "session/candidates", token=token, limit=2)
         assert calls == []
+
+    @pytest.fixture()
+    def listed(self, monkeypatch):
+        """Lengths of the id lists ``_bits`` returns while it is spied."""
+        lengths = []
+        bits = index_module._bits
+        monkeypatch.setattr(
+            index_module, "_bits",
+            lambda mask: lengths.append(len(bits(mask))) or bits(mask))
+        return lengths
+
+    def test_session_steps_never_list_survivors(self, service, listed):
+        token = ok(service, "session/open", layer="widgets",
+                   start="Widget")["token"]
+        ok(service, "session/require", token=token, name="Width", value=64)
+        ok(service, "session/decide", token=token, issue="Style",
+           option="hw")
+        report = ok(service, "session/report", token=token)
+        assert report["survivors"] > 0
+        assert not any(listed)
+
+    def test_root_page_names_only_its_page(self, explore_layer, listed):
+        with DesignSpaceService(layers={"big": explore_layer}) as svc:
+            token = ok(svc, "session/open", layer="big",
+                       start="Design")["token"]
+            page = ok(svc, "session/candidates", token=token, limit=100)
+        assert page["survivors"] == 50_000
+        assert page["names"] == explore_layer.libraries.index().names[:100]
+        assert max(listed) < 50_000
 
     def test_options_annotate_counts_and_ranges(self, service, layer):
         token = ok(service, "session/open", layer="widgets",
