@@ -151,7 +151,7 @@ def explore_measurements(num_cores: int = 50000, repeat: int = 3
                          ) -> Dict[str, object]:
     """Time automated exploration on the synthetic exploration layer.
 
-    Records branch counts for exhaustive / branch-and-bound / beam, the
+    Records branch counts for exhaustive / branch-and-bound, the
     serial exhaustive wall times, and the frontier digests — which must
     agree between exhaustive and branch-and-bound.
     """
@@ -165,12 +165,9 @@ def explore_measurements(num_cores: int = 50000, repeat: int = 3
     explore(problem, strategy="exhaustive")  # warm-up (index build)
     full = explore(problem, strategy="exhaustive")
     bnb = explore(problem, strategy="bnb")
-    beam = explore(problem, strategy="beam", width=2)
     serial = _runs(lambda: explore(problem, strategy="exhaustive"), repeat)
-    strategies = (("exhaustive", {}), ("bnb", {}), ("beam", {"width": 2}))
-    probes = {method: {strategy: walk_calls(owner, method, problem,
-                                            strategy, **options)
-                       for strategy, options in strategies}
+    probes = {method: {strategy: walk_calls(owner, method, problem, strategy)
+                       for strategy in ("exhaustive", "bnb")}
               for owner, method in ((CoreIndex, "merit_ranges_for"),
                                     (CoreIndex, "merit_minima"),
                                     (ParetoFrontier, "add"),
@@ -187,7 +184,6 @@ def explore_measurements(num_cores: int = 50000, repeat: int = 3
         "branches_opened": {
             "exhaustive": full.stats.opened,
             "bnb": bnb.stats.opened,
-            "beam": beam.stats.opened,
         },
         "bnb_pruned_by_bound": bnb.stats.pruned.get("bound", 0),
         "range_probes": probes["merit_ranges_for"],
@@ -201,8 +197,7 @@ def explore_measurements(num_cores: int = 50000, repeat: int = 3
     }
 
 
-def walk_calls(owner: type, method: str, problem, strategy: str,
-               **options) -> int:
+def walk_calls(owner: type, method: str, problem, strategy: str) -> int:
     """Calls of ``owner.<method>`` in one untraced ``explore()`` walk: a
     work count, deterministic on any host.  No strategy reads an
     option's ranges (``CoreIndex.merit_ranges_for``); each bounds options
@@ -221,7 +216,7 @@ def walk_calls(owner: type, method: str, problem, strategy: str,
 
     setattr(owner, method, counting)
     try:
-        explore(problem, strategy=strategy, **options)
+        explore(problem, strategy=strategy)
     finally:
         setattr(owner, method, original)
     return calls[0]

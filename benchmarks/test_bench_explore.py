@@ -5,8 +5,7 @@ fewer branches than exhaustive enumeration while returning the same
 Pareto frontier.  This benchmark measures that claim on a synthetic
 layer whose merit landscape has a real dominance gradient (later
 families are strictly worse), so branch-and-bound has something to
-prune: exhaustive vs branch-and-bound vs beam — branch counts and wall
-time.  ``record.py`` commits the 50k-core counts and serial wall times
+prune: exhaustive vs branch-and-bound — branch counts and wall time.  ``record.py`` commits the 50k-core counts and serial wall times
 to ``BENCH_pruning.json``.
 """
 
@@ -56,14 +55,9 @@ def problem_5k():
     return problem
 
 
-@pytest.mark.parametrize("strategy,options", [
-    ("exhaustive", {}),
-    ("bnb", {}),
-    ("beam", {"width": 2}),
-])
-def test_bench_strategy_cost(benchmark, problem_5k, strategy, options):
-    result = benchmark(lambda: explore(problem_5k, strategy=strategy,
-                                       **options))
+@pytest.mark.parametrize("strategy", ["exhaustive", "bnb"])
+def test_bench_strategy_cost(benchmark, problem_5k, strategy):
+    result = benchmark(lambda: explore(problem_5k, strategy=strategy))
     emit(f"Exploration strategies — {strategy} over 5k cores",
          f"{result.stats.describe()}\n"
          f"frontier: {len(result.frontier)} digest: "
@@ -80,6 +74,15 @@ def test_bench_bnb_prunes_branches(problem_5k):
     assert bnb.frontier.digest() == full.frontier.digest()
     assert bnb.stats.opened < full.stats.opened
     assert bnb.stats.pruned.get("bound", 0) > 0
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "bnb"])
+def test_bench_walk_is_deterministic(problem_5k, strategy):
+    first = explore(problem_5k, strategy=strategy)
+    again = explore(problem_5k, strategy=strategy)
+    assert again.frontier.digest() == first.frontier.digest()
+    assert again.stats.to_dict() == first.stats.to_dict()
+    assert again.render_text() == first.render_text()
 
 
 def test_bench_exhaustive_counts_dominated_branches(problem_5k,

@@ -197,8 +197,6 @@ DEFAULT_CONTRACT = ConcurrencyContract(
         # graph cannot follow; each builds the frontier a digest reads
         "repro.core.explore.strategies:ExhaustiveStrategy.search",
         "repro.core.explore.strategies:BranchAndBoundStrategy.search",
-        "repro.core.explore.strategies:BeamStrategy.search",
-        "repro.core.explore.strategies:EvolutionaryStrategy.search",
         # the serving stack's canonical byte serialization, plus the
         # payload builders behind it: DesignSpaceService.handle
         # dispatches through a bound-method table the static call graph

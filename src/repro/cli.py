@@ -222,14 +222,7 @@ def _automated_explore(args: argparse.Namespace) -> int:
     if args.trace:
         layer.observe()
     problem = replace(problem, layer=layer)
-    options = {}
-    if args.strategy in ("evolutionary", "ga"):
-        options.update(seed=args.seed, population=args.population,
-                       generations=args.generations)
-    elif args.strategy == "beam":
-        options["width"] = args.beam_width
-    result = ExplorationEngine(
-        problem, strategy=args.strategy, strategy_options=options).run()
+    result = ExplorationEngine(problem, strategy=args.strategy).run()
     if getattr(args, "json", False):
         _emit_json(args, result.to_dict())
     else:
@@ -540,18 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
         "automated search (enabled by --strategy; --require adds to and "
         "--decide prefixes the bundled problem)")
     engine.add_argument("--strategy", default=None,
-                        choices=("exhaustive", "bnb", "branch-and-bound",
-                                 "beam", "evolutionary", "ga"),
+                        choices=("exhaustive", "bnb", "branch-and-bound"),
                         help="run the exploration engine instead of a "
                              "scripted walk")
-    engine.add_argument("--seed", type=int, default=0,
-                        help="evolutionary strategy seed (deterministic)")
-    engine.add_argument("--beam-width", type=int, default=4,
-                        help="beam strategy width")
-    engine.add_argument("--population", type=int, default=16,
-                        help="evolutionary population size")
-    engine.add_argument("--generations", type=int, default=8,
-                        help="evolutionary generations")
     engine.add_argument("--estimate", action="store_true",
                         help="estimate merits of empty surviving sets "
                              "with the layer's estimation tools (crypto)")

@@ -39,8 +39,6 @@ from repro.core.designobject import (
 from repro.core.evaluation import EvaluationPoint, EvaluationSpace, dominates
 from repro.core.explore import (
     BranchAndBoundStrategy,
-    BeamStrategy,
-    EvolutionaryStrategy,
     ExhaustiveStrategy,
     ExplorationEngine,
     ExplorationProblem,
@@ -49,7 +47,6 @@ from repro.core.explore import (
     Outcome,
     ParetoFrontier,
     SearchStrategy,
-    make_strategy,
 )
 from repro.core.index import CoreIndex, IndexedPruneReport
 from repro.core.layer import DesignSpaceLayer
@@ -170,9 +167,8 @@ __all__ = [
     "IssueImpact", "advise", "assess_issue",
     "Diagnostic", "LintConfig", "LintReport", "LintRule", "RuleRegistry",
     "Severity", "SourceLocation", "lint_layer",
-    "BeamStrategy", "BranchAndBoundStrategy",
-    "EvolutionaryStrategy", "ExhaustiveStrategy",
+    "BranchAndBoundStrategy", "ExhaustiveStrategy",
     "ExplorationEngine", "ExplorationProblem", "ExplorationResult",
     "ExplorationStats", "Outcome", "ParetoFrontier",
-    "SearchStrategy", "make_strategy",
+    "SearchStrategy",
 ]

@@ -2,8 +2,8 @@
 
 The paper's layer reports, after every manual decision, which cores
 survive and what figure-of-merit ranges remain — this package closes the
-loop and drives those decisions automatically: pluggable search
-strategies (exhaustive, branch-and-bound, beam, evolutionary) walk
+loop and drives those decisions automatically: two exact search
+strategies (exhaustive and branch-and-bound) walk
 :class:`~repro.core.session.ExplorationSession` objects, terminal
 outcomes accumulate on a :class:`ParetoFrontier`.  Every search is one
 serial walk, as the paper's designer makes it.  See
@@ -26,19 +26,14 @@ from repro.core.explore.outcome import (
 from repro.core.explore.problem import ExplorationProblem
 from repro.core.explore.strategies import (
     STRATEGIES,
-    BeamStrategy,
     BranchAndBoundStrategy,
-    EvolutionaryStrategy,
     ExhaustiveStrategy,
     SearchStrategy,
-    make_strategy,
 )
 
 __all__ = [
     "ESTIMATED",
-    "BeamStrategy",
     "BranchAndBoundStrategy",
-    "EvolutionaryStrategy",
     "ExhaustiveStrategy",
     "ExplorationEngine",
     "ExplorationProblem",
@@ -50,6 +45,5 @@ __all__ = [
     "SearchContext",
     "SearchStrategy",
     "explore",
-    "make_strategy",
     "weighted_sum",
 ]

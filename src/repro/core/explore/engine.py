@@ -17,14 +17,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import (
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.explore.outcome import (
     ESTIMATED,
@@ -33,10 +26,7 @@ from repro.core.explore.outcome import (
     render_path,
 )
 from repro.core.explore.problem import ExplorationProblem
-from repro.core.explore.strategies import (
-    SearchStrategy,
-    make_strategy,
-)
+from repro.core.explore.strategies import STRATEGIES, SearchStrategy
 from repro.core.index import IdSet, IndexedPruneReport
 from repro.core.obs import events as _ev
 from repro.core.properties import DesignIssue
@@ -50,7 +40,8 @@ from repro.errors import (
 )
 
 #: Checkpoint tag marking the context's root position (problem prefix
-#: applied, nothing decided by the strategy yet).
+#: applied, nothing decided by the strategy yet).  Every traced
+#: exploration records its ``checkpoint`` event.
 ROOT_TAG = "__explore_root__"
 
 
@@ -62,7 +53,7 @@ class ExplorationStats:
     opened: int = 0
     #: Branches cut without descending, by reason
     #: (``eliminated`` / ``empty`` / ``constraint`` / ``bound`` /
-    #: ``beam`` / ``proved-dead``).
+    #: ``proved-dead``).
     pruned: Dict[str, int] = field(default_factory=dict)
     #: Successful decide() descents.
     expanded: int = 0
@@ -70,7 +61,7 @@ class ExplorationStats:
     terminals: int = 0
     #: Outcomes offered to the frontier (before dominance filtering).
     outcomes: int = 0
-    #: Estimator / genome evaluations.
+    #: Estimator evaluations (positions with no surviving core).
     evaluations: int = 0
 
     @property
@@ -123,10 +114,9 @@ def _count_below(stats: ExplorationStats, levels: List[List[Optional[int]]],
 class SearchContext:
     """What a strategy sees: one session plus frontier, stats and trace.
 
-    The context checkpoints its root position; :meth:`goto` restores it
-    and replays a decision path, so restart-style strategies (beam,
-    evolutionary) and recursive ones (exhaustive, branch-and-bound)
-    share the same facade.
+    A strategy walks the session depth-first from the context's root
+    position (checkpointed as :data:`ROOT_TAG`): it decides an option,
+    descends, and undoes it.
     """
 
     def __init__(self, problem: ExplorationProblem,
@@ -229,16 +219,6 @@ class SearchContext:
     def undo(self) -> None:
         self.session.undo()
 
-    def goto(self, path: Sequence[Tuple[str, object]]) -> bool:
-        """Return to the root checkpoint and replay a decision path."""
-        self.session.restore(ROOT_TAG)
-        for name, option in path:
-            try:
-                self.session.decide(name, option)
-            except (ConstraintViolation, SessionError):
-                return False
-        return True
-
     def count_dominated(self, via: OptionInfo, depth: int,
                         issue: Optional[DesignIssue] = None) -> bool:
         """Count the branch below ``via`` from bitmasks instead of deciding
@@ -321,16 +301,6 @@ class SearchContext:
         if obs.enabled:
             obs.emit(_ev.BRANCH_PRUNED, issue=issue.name,
                      option=info.option, reason=reason)
-
-    def prune_path(self, path: Sequence[Tuple[str, object]],
-                   reason: str) -> None:
-        """Record the cut of an already-opened branch (beam overflow)."""
-        self.stats.prune(reason)
-        obs = self._obs
-        if obs.enabled:
-            name, option = path[-1]
-            obs.emit(_ev.BRANCH_PRUNED, issue=name, option=option,
-                     reason=reason)
 
     # ------------------------------------------------------------------
     # terminals
@@ -511,14 +481,17 @@ class ExplorationEngine:
     """Drives one problem with one strategy."""
 
     def __init__(self, problem: ExplorationProblem,
-                 strategy: str = "exhaustive",
-                 strategy_options: Optional[Mapping[str, object]] = None):
+                 strategy: str = "exhaustive"):
         self.problem = problem
         self.strategy_name = strategy
-        # Validate eagerly: a typo'd strategy or option should fail at
+        # Validate eagerly: a typo'd strategy should fail at
         # construction, not halfway through a run.
-        self._strategy: SearchStrategy = make_strategy(
-            strategy, **dict(strategy_options or {}))
+        try:
+            self._strategy: SearchStrategy = STRATEGIES[strategy]()
+        except KeyError:
+            raise ExplorationError(
+                f"unknown exploration strategy {strategy!r}; "
+                f"known: {sorted(STRATEGIES)}") from None
 
     # ------------------------------------------------------------------
     def run(self) -> ExplorationResult:
@@ -542,13 +515,11 @@ class ExplorationEngine:
         # dsa: allow[DSA040] -- elapsed_s is telemetry; digests exclude it
         elapsed = time.perf_counter() - started
         return ExplorationResult(
-            strategy=self._strategy.describe(), frontier=frontier,
+            strategy=self._strategy.name, frontier=frontier,
             stats=stats, elapsed_s=elapsed)
 
 
-def explore(problem: ExplorationProblem, strategy: str = "exhaustive",
-            **strategy_options: object) -> ExplorationResult:
+def explore(problem: ExplorationProblem,
+            strategy: str = "exhaustive") -> ExplorationResult:
     """One-call convenience wrapper around :class:`ExplorationEngine`."""
-    engine = ExplorationEngine(problem, strategy=strategy,
-                               strategy_options=strategy_options)
-    return engine.run()
+    return ExplorationEngine(problem, strategy=strategy).run()

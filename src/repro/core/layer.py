@@ -366,8 +366,7 @@ class DesignSpaceLayer:
                 metrics: Sequence[str] = ("area", "latency_ns"),
                 requirements: object = (), decisions: object = (),
                 issues: Optional[Sequence[str]] = None,
-                estimator: Optional[Callable] = None,
-                **strategy_options: object):
+                estimator: Optional[Callable] = None):
         """Run a serial automated search over this layer; returns an
         :class:`~repro.core.explore.engine.ExplorationResult`.
 
@@ -383,8 +382,7 @@ class DesignSpaceLayer:
             requirements=requirements, decisions=decisions,
             issues=tuple(issues) if issues is not None else None,
             layer=self, estimator=estimator)
-        return ExplorationEngine(problem, strategy=strategy,
-                                 strategy_options=strategy_options).run()
+        return ExplorationEngine(problem, strategy=strategy).run()
 
     def validate(self) -> None:
         """Structural sanity of the whole layer.

@@ -578,8 +578,8 @@ class ExplorationSession:
         The clone shares the layer (and therefore its core indexes and
         epoch-keyed caches) but carries its own copies of requirements,
         decisions and staleness, with fresh undo history and no named
-        checkpoints — the exploration engine evaluates each branch on
-        such a fork so sibling branches can never perturb one another.
+        checkpoints, so the clone and the original never perturb one
+        another.
         """
         clone = ExplorationSession(
             self.layer, self._cdo,

@@ -27,7 +27,7 @@ from repro.core.layer import DesignSpaceLayer
 from repro.core.obs.metrics import MetricsRegistry
 from repro.core.pruning import MissingPolicy, names_digest
 from repro.core.serialize import core_to_dict
-from repro.errors import ReproError
+from repro.errors import ExplorationError, ReproError
 from repro.serve.batching import PruneBatcher
 from repro.serve.errors import ServiceError
 from repro.serve.state import (
@@ -388,6 +388,10 @@ class DesignSpaceService:
         options = params.get("options") or {}
         if not isinstance(options, Mapping):
             raise ServiceError("options must be an object")
+        if options:
+            raise ExplorationError(
+                f"exploration strategies take no options, got "
+                f"{sorted(options)}")
         problem = ExplorationProblem(
             start=start, metrics=tuple(metrics),
             requirements=_as_pairs(params.get("require"), "require"),
@@ -395,8 +399,7 @@ class DesignSpaceService:
             issues=tuple(issues) if issues is not None else None,
             missing_policy=_policy(params),
             layer=layer)
-        engine = ExplorationEngine(problem, strategy=strategy,
-                                   strategy_options=options)
+        engine = ExplorationEngine(problem, strategy=strategy)
         return {"layer": layer.name,
                 "result": engine.run().to_dict()}
 

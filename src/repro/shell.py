@@ -192,25 +192,16 @@ class ExplorationShell(cmd.Cmd):
         self._guard(action)
 
     def do_explore(self, arg: str) -> None:
-        """explore [STRATEGY] [key=value ...] — automated search from the
-        current position (requirements and decisions carried over).
+        """explore [STRATEGY] — automated search from the current
+        position (requirements and decisions carried over).
 
-        STRATEGY is exhaustive, bnb (default), beam or evolutionary;
-        key=value pairs become strategy options (width=2, seed=7,
-        population=16, ...).  The search runs serially on the shell's
-        own layer."""
+        STRATEGY is exhaustive or bnb (the default).  The search runs
+        serially on the shell's own layer."""
         from repro.core.explore import ExplorationEngine, ExplorationProblem
         from repro.core.properties import DesignIssue
 
         def action():
-            strategy = "bnb"
-            options = {}
-            for word in arg.split():
-                if "=" in word:
-                    name, value = _binding(word)
-                    options[name] = value
-                else:
-                    strategy = word
+            strategy = arg.strip() or "bnb"
             session = self.session
             decisions = []
             for name, option in session.decisions.items():
@@ -224,8 +215,7 @@ class ExplorationShell(cmd.Cmd):
                 requirements=tuple(session.requirement_values.items()),
                 decisions=tuple(decisions),
                 layer=session.layer)
-            engine = ExplorationEngine(problem, strategy=strategy,
-                                       strategy_options=options)
+            engine = ExplorationEngine(problem, strategy=strategy)
             self._say(engine.run().render_text())
         self._guard(action)
 

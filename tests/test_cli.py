@@ -413,6 +413,24 @@ class TestAutomatedExplore:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategy", ["beam", "evolutionary", "ga"])
+    def test_retired_strategies_are_refused(self, capsys, strategy):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", "--layer", "idct", "--strategy", strategy])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{strategy}'" in err
+        assert "'exhaustive', 'bnb', 'branch-and-bound'" in err
+
+    @pytest.mark.parametrize("flag", ["--seed", "--beam-width",
+                                      "--population", "--generations"])
+    def test_strategy_option_flags_are_gone(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", "--layer", "idct", "--strategy", "bnb",
+                  flag, "3"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_decide_prefix_and_trace(self, capsys, tmp_path):
         trace = tmp_path / "explore.jsonl"
         code, out, _err = run_cli(

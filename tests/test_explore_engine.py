@@ -177,11 +177,12 @@ class TestIntegration:
             ExplorationEngine(widget_problem(widget_layer),
                               strategy="simulated-annealing")
 
-    def test_engine_rejects_bad_option(self, widget_layer):
-        with pytest.raises(ExplorationError):
-            ExplorationEngine(widget_problem(widget_layer),
-                              strategy="beam",
-                              strategy_options={"girth": 3})
+    def test_engine_rejects_a_retired_strategy(self, widget_layer):
+        # The error names the strategies there are.
+        with pytest.raises(ExplorationError,
+                           match=r"'beam'; known: \['bnb', "
+                                 r"'branch-and-bound', 'exhaustive'\]"):
+            ExplorationEngine(widget_problem(widget_layer), strategy="beam")
 
     def test_trace_events_emitted(self):
         layer = build_widget_layer()

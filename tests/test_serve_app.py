@@ -122,6 +122,15 @@ class TestStatelessVerbs:
             assert status == 400
             assert payload["error"]["code"] == "ExplorationError"
 
+    def test_explore_refuses_a_retired_strategy(self, service):
+        status, payload = service.handle(
+            "explore", {"layer": "widgets", "start": "Widget",
+                        "strategy": "beam"})
+        assert status == 400
+        assert payload["error"]["code"] == "ExplorationError"
+        assert "known: ['bnb', 'branch-and-bound', 'exhaustive']" in \
+            payload["error"]["message"]
+
 
 class TestSessionVerbs:
     def test_walk_matches_a_direct_session(self, service, layer):

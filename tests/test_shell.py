@@ -221,11 +221,13 @@ class TestExploreCommand:
         # its decisions are untouched.
         assert shell.session.decisions == {"Style": "hw"}
 
-    def test_explore_defaults_to_bnb_with_options(self):
+    def test_explore_defaults_to_bnb_and_refuses_beam(self):
         _shell, out = drive("explore\nquit\n")
         assert "Exploration [bnb]" in out
-        _shell, out = drive("explore beam width=1\nquit\n")
-        assert "Exploration [beam" in out
+        _shell, out = drive("explore beam\nquit\n")
+        assert ("error: unknown exploration strategy 'beam'; known: "
+                "['bnb', 'branch-and-bound', 'exhaustive']") in out
+        assert "Exploration [" not in out
 
     def test_requirements_carry_over(self):
         _shell, out = drive(
