@@ -9,6 +9,10 @@
   no-op-recorder baseline vs the same walk with a
   :class:`~repro.core.obs.recorder.TraceRecorder` attached, plus the
   median per-pair ratio the CI overhead gate enforces (< 1.10);
+* exploration of the crypto case study on one prebuilt layer —
+  exhaustive and branch-and-bound, with and without the estimator: wall
+  times and ``relation_evaluations`` (consistency-constraint relations
+  evaluated in one walk, a host-independent count);
 * exploration on the 50k synthetic layer — serial exhaustive wall times;
   next to the timings, host-independent counts: ``range_probes``
   (option-range computations in one walk per strategy), ``bound_probes``
@@ -197,9 +201,53 @@ def explore_measurements(num_cores: int = 50000, repeat: int = 3
     }
 
 
-def walk_calls(owner: type, method: str, problem, strategy: str) -> int:
-    """Calls of ``owner.<method>`` in one untraced ``explore()`` walk: a
-    work count, deterministic on any host.  No strategy reads an
+#: The crypto exploration configurations: (strategy, with_estimator).
+CRYPTO_WALKS = (("exhaustive", False), ("bnb", False),
+                ("exhaustive", True), ("bnb", True))
+
+
+def crypto_exploration_measurements(repeat: int = 9) -> Dict[str, object]:
+    """Time the crypto case-study exploration on one prebuilt layer.
+
+    Each configuration of :data:`CRYPTO_WALKS` is warmed up once and then
+    walked ``repeat`` times; next to the times it records how many
+    consistency-constraint relations one walk evaluates.  The frontier
+    digest must agree across the configurations.
+    """
+    from test_bench_explore import available_cpus
+
+    from repro.core.explore import explore
+    from repro.core.relations import (EliminateOptions, EstimatorInvocation,
+                                      Formula, InconsistentOptions)
+    from repro.domains.crypto import (build_crypto_layer,
+                                      crypto_exploration_problem)
+
+    relations = (EliminateOptions, EstimatorInvocation, Formula,
+                 InconsistentOptions)
+    layer = build_crypto_layer(eol=768)
+    walks: Dict[str, object] = {}
+    digests = set()
+    for strategy, with_estimator in CRYPTO_WALKS:
+        problem = crypto_exploration_problem(
+            layer=layer, with_estimator=with_estimator)
+        digests.add(explore(problem, strategy=strategy).frontier.digest())
+        name = strategy + ("+estimator" if with_estimator else "")
+        walks[name] = dict(
+            _summary(_runs(lambda: explore(problem, strategy=strategy),
+                           repeat)),
+            relation_evaluations=walk_calls(relations, "evaluate", problem,
+                                            strategy))
+    if len(digests) != 1:
+        raise AssertionError(
+            f"crypto exploration digests diverged: {sorted(digests)}")
+    return {"eol": 768, "cpus": available_cpus(),
+            "digest": digests.pop(), "walks": walks}
+
+
+def walk_calls(owners, method: str, problem, strategy: str) -> int:
+    """Calls of ``<owner>.<method>`` in one untraced ``explore()`` walk,
+    summed over ``owners`` (a class or a tuple of classes): a work count,
+    deterministic on any host.  No strategy reads an
     option's ranges (``CoreIndex.merit_ranges_for``); each bounds options
     and some terminals by their ideal point (``CoreIndex.merit_minima``);
     ``ParetoFrontier.add`` counts the outcomes a walk builds and offers;
@@ -207,18 +255,23 @@ def walk_calls(owner: type, method: str, problem, strategy: str) -> int:
     session rather than counting them from bitmasks."""
     from repro.core.explore import explore
 
-    original = getattr(owner, method)
+    owners = owners if isinstance(owners, tuple) else (owners,)
+    originals = {owner: getattr(owner, method) for owner in owners}
     calls = [0]
 
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+        return wrapper
 
-    setattr(owner, method, counting)
+    for owner, original in originals.items():
+        setattr(owner, method, counting(original))
     try:
         explore(problem, strategy=strategy)
     finally:
-        setattr(owner, method, original)
+        for owner, original in originals.items():
+            setattr(owner, method, original)
     return calls[0]
 
 
@@ -374,6 +427,7 @@ def collect(repeat: int, num_cores: int) -> Dict[str, object]:
     from test_bench_explore import available_cpus
 
     crypto = crypto_walk_runs(repeat)
+    crypto_exploration = crypto_exploration_measurements(max(repeat, 9))
     overhead = overhead_measurements(num_cores, repeat)
     exploration = explore_measurements(num_cores, max(repeat - 2, 1))
     verify = verify_measurements(min(num_cores, 5000), repeat)
@@ -398,6 +452,7 @@ def collect(repeat: int, num_cores: int) -> Dict[str, object]:
             "budget": OVERHEAD_BUDGET,
             "within_budget": overhead["ratio"] < OVERHEAD_BUDGET,
         },
+        "crypto_exploration": crypto_exploration,
         "exploration": exploration_record(exploration),
         "verify": {
             "num_cores": verify["num_cores"],

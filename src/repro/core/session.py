@@ -251,14 +251,18 @@ def _filter_decisions(cdo: ClassOfDesignObjects,
 
 @dataclass
 class _State:
-    """Snapshot of all mutable session state (for undo)."""
+    """Snapshot of all mutable session state (for undo and checkpoints);
+    ``derived`` and ``eliminations`` are the constraint results at layer
+    ``epoch``."""
 
     cdo_name: str
     requirements: Dict[str, object]
     decisions: Dict[str, object]
     derived: Dict[str, object]
+    eliminations: Dict[str, List[Tuple[object, str]]]
     stale: Set[str]
     log: List[str]
+    epoch: int
 
 
 class ExplorationSession:
@@ -275,7 +279,10 @@ class ExplorationSession:
         self.missing_policy = missing_policy
         self._requirements: Dict[str, object] = {}
         self._decisions: Dict[str, object] = {}
+        # The constraint results: each refresh replaces both dicts and
+        # none mutates them, so snapshots share them.
         self._derived: Dict[str, object] = {}
+        self._eliminations: Dict[str, List[Tuple[object, str]]] = {}
         self._stale: Set[str] = set()
         self._log: List[str] = []
         self._history: List[_State] = []
@@ -392,47 +399,33 @@ class ExplorationSession:
             value = self.layer.selectors.apply_chain(ref.selectors, value)
         return value
 
-    def _bindings_for(self, constraint: ConsistencyConstraint,
-                      overrides: Optional[Mapping[str, object]] = None
+    def _bindings_for(self, constraint: ConsistencyConstraint
                       ) -> Optional[Dict[str, object]]:
         """Bind the aliases of ``constraint``; None when incomplete.
 
         Independents and shorts must all resolve; dependent aliases are
-        included when a value is available (a decided option, a
-        tentative override) and omitted otherwise — relations declare
-        via their ``requires`` lists whether they need them.
-
-        ``overrides`` maps *property names* to tentative values (used to
-        test a decision before committing it).
+        included when a value is available (a decided option) and
+        omitted otherwise — relations declare via their ``requires``
+        lists whether they need them.
         """
         bindings: Dict[str, object] = {}
         required = {**constraint.independents, **constraint.shorts}
         for alias, ref in required.items():
-            value = self._lookup(ref, overrides)
+            value = self._bind_ref(ref)
             if value is UNBOUND:
                 return None
             bindings[alias] = value
         for alias, ref in constraint.dependents.items():
-            value = self._lookup(ref, overrides)
+            value = self._bind_ref(ref)
             if value is not UNBOUND:
                 bindings[alias] = value
         return bindings
-
-    def _lookup(self, ref: Union[PropertyPath, SessionBinding],
-                overrides: Optional[Mapping[str, object]]) -> object:
-        if (overrides and isinstance(ref, PropertyPath)
-                and not ref.selectors
-                and ref.property_name in overrides):
-            return overrides[ref.property_name]
-        return self._bind_ref(ref)
 
     def _independents_bound(self, constraint: ConsistencyConstraint) -> bool:
         refs = {**constraint.independents, **constraint.shorts}
         return all(self._bind_ref(ref) is not UNBOUND for ref in refs.values())
 
-    def _refresh_constraints(self,
-                             overrides: Optional[Mapping[str, object]] = None,
-                             enforce: bool = True) -> None:
+    def _refresh_constraints(self, enforce: bool = True) -> None:
         """Re-evaluate every applicable, fully-bound constraint.
 
         Updates derived values and option eliminations; raises
@@ -440,6 +433,7 @@ class ExplorationSession:
         ``enforce``.
         """
         obs = self._obs
+        epoch = self.layer.epoch
         tools = self.layer.tools
         if obs.enabled:
             # One wrap per refresh: every estimator run inside a CC
@@ -449,7 +443,7 @@ class ExplorationSession:
         derived: Dict[str, object] = {}
         eliminated: Dict[str, List[Tuple[object, str]]] = {}
         for constraint in self.applicable_constraints():
-            bindings = self._bindings_for(constraint, overrides)
+            bindings = self._bindings_for(constraint)
             if bindings is None:
                 continue
             with obs.span(_ev.CONSTRAINT_FIRED, session=self._obs_session,
@@ -475,6 +469,8 @@ class ExplorationSession:
                     (option, f"{constraint.name}: {constraint.doc}"))
         self._derived = derived
         self._eliminations = eliminated
+        #: Layer epoch the constraint results were computed at.
+        self._evaluated_at = epoch
 
     @staticmethod
     def _alias_to_property(constraint: ConsistencyConstraint,
@@ -486,7 +482,7 @@ class ExplorationSession:
 
     def eliminations_for(self, issue_name: str) -> List[Tuple[object, str]]:
         """Options of ``issue_name`` currently eliminated, with reasons."""
-        return list(getattr(self, "_eliminations", {}).get(issue_name, []))
+        return list(self._eliminations.get(issue_name, []))
 
     def pending_constraints(self) -> List[ConsistencyConstraint]:
         """Applicable constraints whose independent sets are not bound."""
@@ -504,15 +500,30 @@ class ExplorationSession:
     # ------------------------------------------------------------------
     # mutations
     # ------------------------------------------------------------------
-    def _checkpoint(self) -> None:
-        self._history.append(_State(
+    def _snapshot(self) -> _State:
+        return _State(
             cdo_name=self._cdo.qualified_name,
             requirements=dict(self._requirements),
             decisions=dict(self._decisions),
-            derived=dict(self._derived),
+            derived=self._derived,
+            eliminations=self._eliminations,
             stale=set(self._stale),
             log=list(self._log),
-        ))
+            epoch=self._evaluated_at,
+        )
+
+    def _checkpoint(self) -> None:
+        self._history.append(self._snapshot())
+
+    def _refresh_or_roll_back(self, enforce: bool = True) -> None:
+        """Evaluate the constraints for the step just checkpointed; if
+        anything raises (a violation, a failing relation or tool), put
+        the checkpoint back and re-raise."""
+        try:
+            self._refresh_constraints(enforce=enforce)
+        except BaseException:
+            self._restore(self._history.pop())
+            raise
 
     def undo(self) -> None:
         """Revert the last mutating operation."""
@@ -525,13 +536,20 @@ class ExplorationSession:
                      cdo=self._cdo.qualified_name)
 
     def _restore(self, state: "_State") -> None:
+        """Put ``state`` back; its constraint results too, unless the
+        layer changed since they were computed (a tool, constraint or
+        library edit), in which case the constraints run afresh."""
         self._cdo = self.layer.cdo(state.cdo_name)
         self._requirements = dict(state.requirements)
         self._decisions = dict(state.decisions)
-        self._derived = dict(state.derived)
         self._stale = set(state.stale)
         self._log = list(state.log)
-        self._refresh_constraints(enforce=False)
+        if state.epoch == self.layer.epoch:
+            self._derived = state.derived
+            self._eliminations = state.eliminations
+            self._evaluated_at = state.epoch
+        else:
+            self._refresh_constraints(enforce=False)
 
     def checkpoint(self, tag: str) -> None:
         """Save the current state under a name for branched what-ifs.
@@ -546,14 +564,7 @@ class ExplorationSession:
             raise SessionError("checkpoint tag must be non-empty")
         if obs.enabled:
             obs.emit(_ev.CHECKPOINT, session=self._obs_session, tag=tag)
-        self._checkpoints[tag] = _State(
-            cdo_name=self._cdo.qualified_name,
-            requirements=dict(self._requirements),
-            decisions=dict(self._decisions),
-            derived=dict(self._derived),
-            stale=set(self._stale),
-            log=list(self._log),
-        )
+        self._checkpoints[tag] = self._snapshot()
 
     def restore(self, tag: str) -> None:
         """Return to a named checkpoint (linear undo history is kept,
@@ -602,16 +613,8 @@ class ExplorationSession:
                 f"use decide() for design issues")
         prop.validate(value, self.context())
         self._checkpoint()
-        previous = self._requirements.get(name)
         self._requirements[name] = value
-        try:
-            self._refresh_constraints()
-        except ConstraintViolation:
-            self._requirements.pop(name)
-            if previous is not None:
-                self._requirements[name] = previous
-            self._history.pop()
-            raise
+        self._refresh_or_roll_back()
         stale = self._mark_dependents_stale(name)
         self._stale.discard(name)
         self._log.append(f"requirement {name} = {value!r}")
@@ -655,13 +658,11 @@ class ExplorationSession:
                 raise ConstraintViolation(
                     reason.split(":")[0],
                     f"option {option!r} of {name!r} was eliminated: {reason}")
-        # Tentative evaluation before committing.
-        self._refresh_constraints(overrides={name: option})
         snapshot_index = self.layer.libraries.index()
         cdo_before = self._cdo
         self._checkpoint()
         self._decisions[name] = option
-        self._refresh_constraints()
+        self._refresh_or_roll_back()
         stale = self._mark_dependents_stale(name)
         self._stale.discard(name)
         self._log.append(f"decision {name} = {option!r}")
@@ -673,7 +674,7 @@ class ExplorationSession:
             if owner is self._cdo:
                 self._cdo = child
                 self._log.append(f"specialized to {child.qualified_name}")
-                self._refresh_constraints(enforce=False)
+                self._refresh_or_roll_back(enforce=False)
             elif not on_path:
                 # The session already sits inside a *different* branch
                 # of this ancestor's partition; accepting the decision

@@ -311,10 +311,6 @@ class _Analyzer:
         if isinstance(ref, SessionBinding):
             return None
         name = ref.property_name
-        if ref.selectors and name in decided:
-            # A tentative decide() override is not visible through a
-            # selector chain at the pre-commit refresh; stay conservative.
-            return None
         base: Optional[Tuple[object, ...]]
         if name in decided:
             base = (decided[name],)

@@ -89,7 +89,7 @@ class SessionManager:
                  max_sessions: int = DEFAULT_MAX_SESSIONS,
                  clock: Callable[[], float] = time.monotonic,
                  metrics: Optional[object] = None) -> None:
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._sessions: Dict[str, ServedSession] = {}
         self._ttl = float(ttl)
         self._max_sessions = int(max_sessions)
@@ -122,17 +122,6 @@ class SessionManager:
         if self._active is not None:
             self._active.set(len(self._sessions))
 
-    def _evict_expired(self, now: float) -> List[ServedSession]:
-        """Drop idle sessions; returns victims.  Reentrant (RLock), so
-        the callers that already hold the lock compose freely."""
-        with self._lock:
-            deadline = now - self._ttl
-            victims = [served for served in self._sessions.values()
-                       if served.last_used <= deadline]
-            for served in victims:
-                del self._sessions[served.token]
-            return victims
-
     def open(self, factory: Callable[[], ExplorationSession],
              layer_key: str, start: str) -> ServedSession:
         """Create, register and return a new served session."""
@@ -141,34 +130,22 @@ class SessionManager:
         # dsa: allow[DSA041] -- tokens are addresses, unpredictable by design
         token = secrets.token_hex(16)
         served = ServedSession(token, session, layer_key, start, now)
+        self.evict_idle(now)
         with self._lock:
-            victims = self._evict_expired(now)
             if len(self._sessions) >= self._max_sessions:
-                self._publish_active()
                 raise ServiceError(
                     f"session limit reached ({self._max_sessions})",
                     status=503, code="session-limit")
             self._sessions[token] = served
             self._publish_active()
-        for victim in victims:
-            victim.mark_closed()
-        if self._evicted is not None and victims:
-            self._evicted.inc(len(victims))
         if self._opened is not None:
             self._opened.inc()
         return served
 
     def get(self, token: str) -> ServedSession:
-        now = self._clock()
+        self.evict_idle(self._clock())
         with self._lock:
-            victims = self._evict_expired(now)
             served = self._sessions.get(token)
-            if victims:
-                self._publish_active()
-        for victim in victims:
-            victim.mark_closed()
-        if self._evicted is not None and victims:
-            self._evicted.inc(len(victims))
         if served is None:
             raise ServiceError(f"unknown session {token!r}",
                                status=404, code="unknown-session")
@@ -189,7 +166,11 @@ class SessionManager:
         if now is None:
             now = self._clock()
         with self._lock:
-            victims = self._evict_expired(now)
+            deadline = now - self._ttl
+            victims = [served for served in self._sessions.values()
+                       if served.last_used <= deadline]
+            for served in victims:
+                del self._sessions[served.token]
             self._publish_active()
         for victim in victims:
             victim.mark_closed()

@@ -187,3 +187,31 @@ class TestConstraintSet:
         fresh.verify()
         lint_layer(fresh)
         assert 0 < len(calls) <= 126
+
+
+@pytest.mark.parametrize("strategy, with_estimator, evaluations", [
+    ("exhaustive", False, 95),
+    ("bnb", False, 60),
+    ("exhaustive", True, 190),
+    ("bnb", True, 190),
+])
+def test_one_walk_evaluates_the_constraints_once_per_step(
+        monkeypatch, crypto_layer, strategy, with_estimator, evaluations):
+    """Each session step evaluates the applicable constraints once: a
+    decision commits and rolls back on a violation (no tentative pass
+    first), and undo puts the saved results back (no pass on the way
+    back up).  The walks' results are unchanged."""
+    from repro.core.explore import explore
+    from repro.domains.crypto import crypto_exploration_problem
+
+    calls = []
+    for cc in crypto_layer.constraints:
+        monkeypatch.setattr(
+            cc.relation, "evaluate",
+            lambda *args, _evaluate=cc.relation.evaluate:
+                calls.append(1) or _evaluate(*args))
+    result = explore(crypto_exploration_problem(
+        layer=crypto_layer, with_estimator=with_estimator),
+        strategy=strategy)
+    assert result.frontier.digest() == "33ed4f1eafb30813"
+    assert len(calls) == evaluations

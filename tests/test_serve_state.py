@@ -1,5 +1,7 @@
 """SessionManager: tokens, TTL eviction, closed-session semantics."""
 
+import itertools
+import sys
 import threading
 
 import pytest
@@ -164,3 +166,62 @@ class TestConcurrency:
             t.join()
         assert not errors
         assert len(manager) == 0
+
+    def test_sweeps_racing_opens_evict_each_session_once(self, layer):
+        """Every ``open``/``get`` sweeps idle sessions before taking the
+        registry lock.  The clock ticks on every read and the TTL is 4
+        ticks; each thread closes the session it opened one or two
+        opens earlier, so about half the sessions are evicted first,
+        many by another thread's sweep.  Each session must still leave
+        exactly once, by eviction or by close, and end closed."""
+        ticks = itertools.count()
+        registry = MetricsRegistry()
+        manager = SessionManager(ttl=4.0, clock=lambda: float(next(ticks)),
+                                 metrics=registry)
+        opened, closed, errors = [], [], []
+        barrier = threading.Barrier(8)
+
+        def body(lag):
+            held = []
+            barrier.wait()
+            try:
+                for _ in range(40):
+                    held.append(manager.open(
+                        lambda: ExplorationSession(layer, "Widget"),
+                        layer.name, "Widget"))
+                    opened.append(held[-1])
+                    if len(held) <= lag:
+                        continue
+                    served = held.pop(0)
+                    try:
+                        manager.get(served.token)
+                        manager.close(served.token)
+                    except ServiceError as exc:
+                        assert exc.code == "unknown-session"
+                    else:
+                        closed.append(served)
+            except BaseException as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=body, args=(1 + i % 2,),
+                                        daemon=True)
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        manager.evict_idle(float("inf"))
+        evicted = registry.counter("dsl_sessions_evicted_total").value
+        assert len(opened) == 320
+        assert closed and evicted > len(threads)
+        assert evicted + len(closed) == len(opened)
+        assert all(served.closed for served in opened)
+        assert len(manager) == 0
+        assert registry.gauge("dsl_sessions_active").value == 0.0

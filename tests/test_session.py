@@ -5,6 +5,7 @@ import pytest
 from repro.core import (
     ConsistencyConstraint,
     DesignIssue,
+    EliminateOptions,
     EnumDomain,
     ExplorationSession,
     Formula,
@@ -226,11 +227,13 @@ class TestConstraintIntegration:
     def test_revision_violating_cc_rolls_back(self):
         session = ExplorationSession(self.make_layer_with_cc(), "Widget")
         session.set_requirement("Width", 16)
+        session.set_requirement("MaxDelay", 1000)
         session.decide("Style", "hw")
         session.decide("Tech", "t70")
         with pytest.raises(ConstraintViolation):
             session.revise("Width", 64)
-        assert session.requirement_values["Width"] == 16
+        assert list(session.requirement_values.items()) == \
+            [("Width", 16), ("MaxDelay", 1000)]
 
     def test_pending_constraints_listed(self):
         session = ExplorationSession(self.make_layer_with_cc(), "Widget")
@@ -253,6 +256,85 @@ class TestConstraintIntegration:
         session.decide("Pipeline", 2)
         with pytest.raises(ConstraintViolation):
             session.decide("Tech", "t70")
+
+    def test_decision_rejected_once_committed_leaves_no_trace(self):
+        """A binding that reads the session sees a decision only once it
+        is in force; the rejection must still undo it completely."""
+        layer = build_widget_layer()
+        layer.add_constraint(ConsistencyConstraint(
+            "CC-s", "session-bound alias",
+            independents={"N": SessionBinding(
+                lambda s: len(s.decisions), "decision count")},
+            dependents={"T": "Tech@Widget.hw"},
+            relation=InconsistentOptions(
+                lambda b: b["T"] == "t70" and b["N"] > 2,
+                "no t70 as a third decision", requires=("N", "T"))))
+        session = ExplorationSession(layer, "Widget")
+        session.decide("Style", "hw")
+        session.decide("Pipeline", 2)
+        log, derived = session.log, session.derived_values
+        with pytest.raises(ConstraintViolation, match="third decision"):
+            session.decide("Tech", "t70")
+        assert session.decisions == {"Style": "hw", "Pipeline": 2}
+        assert session.log == log
+        assert session.derived_values == derived
+        session.undo()
+        assert session.decisions == {"Style": "hw"}
+        session.undo()
+        with pytest.raises(SessionError, match="nothing to undo"):
+            session.undo()
+
+    def test_relation_error_rolls_the_step_back(self):
+        """A relation that raises (here a division by zero) rejects the
+        step as a violation does: nothing of it stays in force."""
+        layer = build_widget_layer()
+        layer.add_constraint(ConsistencyConstraint(
+            "CC-z", "latency share per technology",
+            independents={"W": "Width@Widget"},
+            dependents={"T": "Tech@Widget.hw"},
+            relation=Formula("Share", lambda b: b["W"] // (b["T"] != "t70"),
+                             "width per fast-technology lane",
+                             requires=("W", "T"))))
+        session = ExplorationSession(layer, "Widget")
+        session.set_requirement("Width", 16)
+        session.decide("Style", "hw")
+        state = (session.decisions, session.requirement_values,
+                 session.log, session.derived_values)
+        with pytest.raises(ZeroDivisionError):
+            session.decide("Tech", "t70")
+        assert (session.decisions, session.requirement_values,
+                session.log, session.derived_values) == state
+        session.decide("Tech", "t35")
+        assert session.derived_values == {"Share": 16}
+        for _ in range(3):
+            session.undo()
+        with pytest.raises(SessionError, match="nothing to undo"):
+            session.undo()
+
+    def test_undo_after_a_layer_edit_evaluates_afresh(self):
+        """A snapshot taken after the layer changed, but before the
+        session re-evaluated its constraints, holds stale results; undo
+        and restore must not put those back."""
+        layer = build_widget_layer()
+        session = ExplorationSession(layer, "Widget")
+        session.set_requirement("Width", 16)
+        session.decide("Style", "hw")
+        layer.add_constraint(ConsistencyConstraint(
+            "CC-x", "narrow widgets do not pipeline deeply",
+            independents={"W": "Width@Widget"},
+            dependents={"P": "Pipeline@Widget.hw"},
+            relation=EliminateOptions(
+                lambda b: [("Pipeline", 4)] if b["W"] < 64 else [],
+                "depth 4 needs width 64", requires=("W",))))
+        session.checkpoint("edited")
+        session.decide("Tech", "t35")
+        eliminated = [(4, "CC-x: narrow widgets do not pipeline deeply")]
+        assert session.eliminations_for("Pipeline") == eliminated
+        session.undo()
+        assert session.eliminations_for("Pipeline") == eliminated
+        session.decide("Tech", "t35")
+        session.restore("edited")
+        assert session.eliminations_for("Pipeline") == eliminated
 
 
 class TestMissingPolicy:

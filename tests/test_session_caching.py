@@ -2,7 +2,7 @@
 
 * ``decide()`` on a generalized ancestor issue that selects a *sibling*
   branch must roll the whole session state back before raising — the
-  tentative constraint evaluation must not leak derived values,
+  constraint pass run with the decision must not leak derived values,
   eliminations, staleness or log entries into subsequent queries.
 * ``report()`` / ``fom_ranges()`` / ``candidates()`` prune the layer's
   current index on every call: repeated queries agree, and every
@@ -59,7 +59,7 @@ class TestSiblingBranchDecideRegression:
             session.decide("Style", "sw")
         assert dict(session.decisions) == decisions
         assert "Style" not in session.decisions
-        # The tentative constraint run derived P=4 from Style=sw; the
+        # The constraint pass run with Style=sw derived P=4; the
         # rollback must discard it.
         assert dict(session.derived_values) == derived
         assert set(session.stale_properties) == stale

@@ -5,13 +5,19 @@ import json
 
 import pytest
 
-from repro.core import DesignObject, ReuseLibrary
+from repro.core import (
+    ConsistencyConstraint,
+    DesignObject,
+    ExplorationSession,
+    InconsistentOptions,
+    ReuseLibrary,
+)
 from repro.core.lint import LintConfig
 from repro.core.pruning import MissingPolicy
 from repro.core.verify import VerifyReport, analyze_layer, verify_layer
 from repro.domains.crypto import build_crypto_layer
 from repro.domains.idct import build_idct_layer
-from repro.errors import LintError
+from repro.errors import ConstraintViolation, LintError
 
 from conftest import build_widget_layer
 
@@ -67,6 +73,32 @@ class TestCryptoProofs:
         local = analysis.proofs_at(OMM_H)
         assert local
         assert all(p.cdo == OMM_H for p in local)
+
+
+class TestSelectorRefs:
+    def test_decision_seen_through_a_selector_is_a_rejected_decision(self):
+        """A session evaluates its constraints with the decision in
+        force, so a selector chain over the decided issue sees it: the
+        verifier proves the rejection, and the live session agrees."""
+        layer = build_widget_layer()
+        layer.selectors.register("half", lambda value, args: value // 2)
+        layer.add_constraint(ConsistencyConstraint(
+            "CC-h", "halved depth stays shallow",
+            independents={"W": "Width@Widget"},
+            dependents={"H": "half()@Pipeline@Widget.hw"},
+            relation=InconsistentOptions(
+                lambda b: b["H"] > 1, "half depth over 1",
+                requires=("W", "H"))))
+        analysis = analyze_layer(layer, requirements=(("Width", 16),))
+        assert [(p.cdo, p.issue, p.option, p.kind, p.constraint)
+                for p in analysis.proofs] == [
+            ("Widget.hw", "Pipeline", 4, "rejected-decision", "CC-h")]
+        session = ExplorationSession(layer, "Widget")
+        session.set_requirement("Width", 16)
+        session.decide("Style", "hw")
+        with pytest.raises(ConstraintViolation, match="half depth"):
+            session.decide("Pipeline", 4)
+        assert session.decisions == {"Style": "hw"}
 
 
 class TestUnsatCores:
