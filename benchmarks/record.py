@@ -18,8 +18,9 @@
   (option-range computations in one walk per strategy), ``bound_probes``
   (ideal-point computations in one walk per strategy), ``frontier_adds``
   (outcomes offered to the frontier in one walk per strategy),
-  ``session_decides`` (session decisions in one walk per strategy) and
-  ``retained_kb_per_result`` (memory one kept result holds);
+  ``session_decides`` (session decisions in one walk per strategy),
+  ``terminal_prunes`` (session prunes in one untraced walk per strategy)
+  and ``retained_kb_per_result`` (memory one kept result holds);
 * the semantic verifier on a 5k-core synthetic layer — a cold analysis
   vs a warm epoch-cached re-verify (gate: warm < 5% of cold).
 
@@ -175,7 +176,8 @@ def explore_measurements(num_cores: int = 50000, repeat: int = 3
               for owner, method in ((CoreIndex, "merit_ranges_for"),
                                     (CoreIndex, "merit_minima"),
                                     (ParetoFrontier, "add"),
-                                    (ExplorationSession, "decide"))}
+                                    (ExplorationSession, "decide"),
+                                    (ExplorationSession, "prune_report"))}
     retained_kb = retained_kb_per_result(problem)
     digests = {full.frontier.digest(), bnb.frontier.digest()}
     if len(digests) != 1:
@@ -194,6 +196,7 @@ def explore_measurements(num_cores: int = 50000, repeat: int = 3
         "bound_probes": probes["merit_minima"],
         "frontier_adds": probes["add"],
         "session_decides": probes["decide"],
+        "terminal_prunes": probes["prune_report"],
         "retained_kb_per_result": retained_kb,
         "frontier_size": len(full.frontier),
         "digest": full.frontier.digest(),
@@ -252,7 +255,10 @@ def walk_calls(owners, method: str, problem, strategy: str) -> int:
     and some terminals by their ideal point (``CoreIndex.merit_minima``);
     ``ParetoFrontier.add`` counts the outcomes a walk builds and offers;
     ``ExplorationSession.decide`` the decisions it takes through the
-    session rather than counting them from bitmasks."""
+    session rather than counting them from bitmasks;
+    ``ExplorationSession.prune_report`` the positions it prunes: a live
+    terminal offers the candidates of the option that led there, so
+    untraced only a terminal no option led to prunes."""
     from repro.core.explore import explore
 
     owners = owners if isinstance(owners, tuple) else (owners,)

@@ -16,6 +16,7 @@ import pytest
 from repro.core import DesignSpaceLayer, ExplorationProblem, ExplorationSession
 from repro.core.explore import explore
 from repro.core.explore.engine import SearchContext
+from repro.core.index import CoreIndex
 from repro.testing import dominance_gradient_layer
 
 from conftest import emit
@@ -83,6 +84,33 @@ def test_bench_walk_is_deterministic(problem_5k, strategy):
     assert again.frontier.digest() == first.frontier.digest()
     assert again.stats.to_dict() == first.stats.to_dict()
     assert again.render_text() == first.render_text()
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "bnb"])
+def test_bench_warm_walk_builds_no_terminal_order(problem_5k, strategy,
+                                                  monkeypatch):
+    """Terminal orders are kept per decided mask, which does not depend
+    on the requirements, from the second walk that sees it: a walk
+    after that sorts nothing."""
+    first = explore(problem_5k, strategy=strategy)
+    explore(problem_5k, strategy=strategy)
+    index = problem_5k.layer.libraries.index()
+    kept = dict(index._orders)
+    built = []
+    order = CoreIndex._order
+
+    def spy(index, ids, scope, nan, metrics, columns):
+        if not isinstance(index._orders.get((metrics, scope)), list):
+            built.append(scope)
+        return order(index, ids, scope, nan, metrics, columns)
+
+    monkeypatch.setattr(CoreIndex, "_order", spy)
+    again = explore(problem_5k, strategy=strategy)
+    assert kept and all(isinstance(o, list) for o in kept.values())
+    assert built == []
+    assert index._orders == kept
+    assert again.frontier.digest() == first.frontier.digest()
+    assert again.stats.to_dict() == first.stats.to_dict()
 
 
 def test_bench_exhaustive_counts_dominated_branches(problem_5k,

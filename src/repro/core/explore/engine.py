@@ -27,7 +27,7 @@ from repro.core.explore.outcome import (
 )
 from repro.core.explore.problem import ExplorationProblem
 from repro.core.explore.strategies import STRATEGIES, SearchStrategy
-from repro.core.index import IdSet, IndexedPruneReport
+from repro.core.index import CoreIndex, IdSet
 from repro.core.obs import events as _ev
 from repro.core.properties import DesignIssue
 from repro.core.session import ExplorationSession, OptionInfo
@@ -129,11 +129,17 @@ class SearchContext:
         self.frontier = frontier if frontier is not None \
             else ParetoFrontier(self.metrics)
         self.stats = stats if stats is not None else ExplorationStats()
-        #: (issue, id(option)) -> the shared pair; see :meth:`_assignment`.
-        self._pairs: Dict[Tuple[str, int], Tuple[str, object]] = {}
-        #: Rendered merits -> the shared point; see :meth:`_point`.
+        # Kept in the layer memo, so the walks over the layer at one epoch
+        # share them; see :meth:`_assignment` and :meth:`_point`.
+        memo = session.layer.memo
+        self._pairs: Dict[Tuple[str, int], Tuple[str, object]] = memo(
+            ("explore", "pairs"), dict)
+        self._assignments: Dict[Tuple[Tuple[str, int], ...],
+                                Tuple[Tuple[str, object], ...]] = memo(
+            ("explore", "assignments"), dict)
         self._points: Dict[str, Tuple[Tuple[Tuple[str, float], ...],
-                                      Tuple[float, ...]]] = {}
+                                      Tuple[float, ...]]] = memo(
+            ("explore", "points", self.metrics), dict)
         session.checkpoint(ROOT_TAG)
 
     @property
@@ -307,31 +313,33 @@ class SearchContext:
     # ------------------------------------------------------------------
     def _assignment(self) -> Tuple[Tuple[str, object], ...]:
         """The session's decisions sorted by issue name, as an outcome
-        holds them.  Each (issue, option) pair is built once per context
-        and shared by every outcome that carries it."""
-        pairs = self._pairs
-        out = []
-        for name, option in sorted(self.session.decisions.items(),
-                                   key=lambda item: item[0]):
-            # Keyed on the option's identity: the memo keeps the option
-            # alive, so its id cannot be reused, and 1 / 1.0 / True stay
-            # distinct pairs.
-            # dsa: allow[DSA042] -- memo key only; the pair holds the option
-            key = (name, id(option))
-            pair = pairs.get(key)
-            if pair is None:
-                pair = pairs[key] = (name, option)
-            out.append(pair)
-        return tuple(out)
+        holds them.  Each (issue, option) pair and each assignment is
+        built once for the walks over the layer and shared by every
+        outcome that carries it: kept results then hold one copy, as
+        they hold one copy of each path."""
+        items = sorted(self.session.decisions.items(),
+                       key=lambda item: item[0])
+        # Keyed on each option's identity: the memos keep the options
+        # alive, so an id cannot be reused, and 1 / 1.0 / True stay
+        # distinct.
+        # dsa: allow[DSA042] -- memo keys only; the pairs hold the options
+        keys = tuple((name, id(option)) for name, option in items)
+        shared = self._assignments.get(keys)
+        if shared is None:
+            pairs = self._pairs
+            shared = self._assignments[keys] = tuple(
+                pairs.setdefault(key, item) for key, item in zip(keys, items))
+        return shared
 
     def _point(self, merits: Tuple[Tuple[str, float], ...],
                coords: Tuple[float, ...]
                ) -> Tuple[Tuple[Tuple[str, float], ...], Tuple[float, ...]]:
-        """``(merits, coords)`` shared by every outcome of the walk with the
-        same merits.  A frontier keeps ties, and a kept result holds its
-        members: the 50 of a 50k-core walk have 3 distinct merit vectors.
-        Keyed by rendering, which tells -0.0 from 0.0; a NaN equals
-        nothing, so its holder keeps its own."""
+        """``(merits, coords)`` shared by every outcome with the same
+        merits of the walks over the layer with these metrics.  A
+        frontier keeps ties, and a kept result holds its members: the 50
+        of a 50k-core walk have 3 distinct merit vectors.  Keyed by
+        rendering, which tells -0.0 from 0.0; a NaN equals nothing, so
+        its holder keeps its own."""
         if any(value != value for value in coords):
             return merits, coords
         return self._points.setdefault(repr(merits), (merits, coords))
@@ -360,42 +368,53 @@ class SearchContext:
         below an option found dominated.  The option's candidates are
         exactly this position's survivors, so a dominated terminal with
         candidates is counted from ``via`` without a prune, and a live
-        one skips the ideal-point test its option already failed.  A
-        dominated branch normally never gets here: the walk counts it
-        with :meth:`count_dominated`, and a dominated terminal is reached
+        one skips the ideal-point test its option already failed and,
+        untraced, offers ``via``'s candidates without a prune either
+        (traced, the prune's event is part of the trace).  A dominated
+        branch normally never gets here: the walk counts it with
+        :meth:`count_dominated`, and a dominated terminal is reached
         only where that falls back to the session descent.
         """
         self.stats.terminals += 1
         if dominated and via.candidate_count:
             self.stats.outcomes += via.candidate_count
             return []
-        report = None if dominated else self.session.prune_report()
-        if report is not None and report.survivor_ids:
-            added = self._offer_survivors(report, leaf_bound=via is None)
+        obs = self._obs
+        ids = None
+        if via is not None and not obs.enabled:
+            ids, decided, index = (via.candidate_ids, via.decided_ids,
+                                   via.index)
+        elif not dominated:
+            report = self.session.prune_report()
+            ids, decided, index = (report.survivor_ids, report.decided_ids,
+                                   report.index)
+        if ids:
+            added = self._offer_survivors(ids, decided, index,
+                                          leaf_bound=via is None)
         elif self.problem.estimator is not None:
             added = self._estimate()
         else:
             added = []
-        obs = self._obs
         if added and obs.enabled:
             obs.emit(_ev.FRONTIER_UPDATE, size=len(self.frontier),
                      added=len(added))
         return added
 
-    def _offer_survivors(self, report: IndexedPruneReport,
+    def _offer_survivors(self, ids: IdSet, decided: IdSet, index: CoreIndex,
                          leaf_bound: bool) -> List[Outcome]:
-        """Count the survivors and offer the ones the frontier would take;
-        with ``leaf_bound``, first test their ideal point.
+        """Count the survivors ``ids`` and offer the ones the frontier
+        would take; with ``leaf_bound``, first test their ideal point.
 
-        Only the survivors' skyline is offered, in id order.  A survivor
+        Only the survivors' skyline is offered, in id order.  ``decided``
+        is the position's ids before its requirements (a superset of
+        ``ids``), whose sorted points ``index`` keeps once it has seen
+        them twice (see :meth:`CoreIndex.skyline`).  A survivor
         left out is strictly dominated by a skyline one, which either
         joins or is itself dominated by a member that then dominates the
         survivor too; so the frontier ends exactly as if every survivor
         had been offered.  Two survivors with one name share an outcome
         key, and the first offered claims it, so then every survivor is
         offered in id order."""
-        ids = report.survivor_ids
-        index = report.index
         metrics = self.metrics
         frontier = self.frontier
         self.stats.outcomes += len(ids)
@@ -408,7 +427,8 @@ class SearchContext:
         # Interned: kept results then share the paths every walk renders.
         path_key = sys.intern(render_path(decisions))
         repeated = bool(ids & index.repeated_names)
-        offered = list(ids) if repeated else index.skyline(ids, metrics)
+        offered = (list(ids) if repeated
+                   else index.skyline(ids, metrics, within=decided))
         for i in offered:
             name = index.names[i]
             coords = index.merit_coords(i, metrics)

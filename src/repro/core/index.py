@@ -11,8 +11,8 @@ a :class:`CoreIndex` precomputes, over a snapshot of a core collection,
   set intersection instead of per-core predicate evaluation;
 * **per-merit sorted arrays**, so threshold requirements bisect and
   figure-of-merit ranges probe instead of scanning; and
-* **per-merit columns** (value by core id), so a terminal sorts its
-  survivors' points and offers only their skyline.
+* **per-merit columns** (value by core id), so a terminal offers only
+  its survivors' skyline, swept in an order kept per decided mask.
 
 Every id set is an :class:`IdSet`: an ``int`` bitmask whose bit ``i`` is
 core ``i``.  The index builds all of them once, so a prune is a chain of
@@ -63,6 +63,9 @@ _SPARSE_SPACING = 64
 #: Bit positions set in each byte value, ascending.
 _BYTE_BITS: Tuple[Tuple[int, ...], ...] = tuple(
     tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256))
+
+#: What :meth:`CoreIndex._order` finds for a scope it has never seen.
+_UNSEEN = object()
 
 
 def _bin_popcount(mask: int) -> int:
@@ -201,7 +204,8 @@ class CoreIndex:
 
     Core ids are positions in the snapshot order (the owner's iteration
     order), so walking an id set in ascending order reproduces exactly
-    the core ordering the linear scans used to return.
+    the core ordering the linear scans used to return.  Its one mutable
+    part is the bounded map of :meth:`_order`, which only caches.
     """
 
     def __init__(self, cores: Iterable[DesignObject]):
@@ -293,6 +297,13 @@ class CoreIndex:
             name: self._all & ~(self._with_prop.get(name, 0)
                                 | self._with_merit.get(name, 0))
             for name in set(by_prop) | set(merit_ids)}
+        #: (metrics, scope mask) -> the scope's points in :meth:`skyline`
+        #: order, or None for a scope seen once; see :meth:`_order`.
+        self._orders: Dict[Tuple[Tuple[str, ...], int],
+                           Optional[List[Tuple]]] = {}
+        #: What :meth:`_order` may still publish, in ids; one cell, so a
+        #: publish is a subscript store.
+        self._order_room = [len(self.cores)]
 
     # ------------------------------------------------------------------
     # id-set primitives
@@ -446,9 +457,12 @@ class CoreIndex:
               ) -> "IndexedPruneReport":
         """Indexed equivalent of :func:`repro.core.pruning.prune` over the
         cores under ``cdo_name``; elimination reasons are reconstructed
-        only when the report's ``eliminated`` mapping is read."""
+        only when the report's ``eliminated`` mapping is read.  The
+        decisions are applied first, and the report keeps their result as
+        ``decided_ids``."""
         start = self.subtree_ids(cdo_name)
-        survivor_ids = self.prune_ids(start, decisions, requirements, policy)
+        decided_ids = self.prune_ids(start, decisions, (), policy)
+        survivor_ids = self.prune_ids(decided_ids, {}, requirements, policy)
         decisions_snapshot = dict(decisions)
         requirements_snapshot = tuple(requirements)
 
@@ -471,7 +485,8 @@ class CoreIndex:
             return out
 
         return IndexedPruneReport(None, eliminated_factory=reasons,
-                                  survivor_ids=survivor_ids, index=self)
+                                  survivor_ids=survivor_ids, index=self,
+                                  decided_ids=decided_ids)
 
     # ------------------------------------------------------------------
     # figure-of-merit ranges
@@ -527,39 +542,76 @@ class CoreIndex:
         return tuple(columns[metric][i] if metric in columns else math.inf
                      for metric in metrics)
 
-    def skyline(self, ids: Iterable[int], metrics: Sequence[str]
-                ) -> List[int]:
+    def skyline(self, ids: Iterable[int], metrics: Sequence[str],
+                within: Optional[Iterable[int]] = None) -> List[int]:
         """The ids in ``ids`` whose :meth:`merit_coords` no other id in
         ``ids`` strictly dominates (all metrics minimized), ascending.
 
         Only strict dominance rejects, so every id tied at a skyline
         point is kept.  A NaN coordinate neither dominates nor is
         dominated, so its holders are always kept.  The others are
-        sorted by ``(coords..., id)``, where any strict dominator of a
-        point sorts before it: two metrics then take one sweep (the
+        visited in the :meth:`_order` of ``within`` (a superset of
+        ``ids``; ``ids`` itself when omitted, or the first time a
+        ``within`` is seen), where any strict dominator of a point comes
+        before it: two metrics then take one running-minimum pass (the
         maxima sweep of Kung, Luccio & Preparata), any other number
         compares each point with the points kept so far (the skyline
         operator of Börzsönyi et al.), which is exact because a dropped
-        dominator is itself dominated by a kept one."""
+        dominator is itself dominated by a kept one.  Each point of the
+        order that ``ids`` does not fill is tested for membership in
+        ``ids`` by a byte probe, so a kept order is used without listing
+        ``ids``."""
         mask = _mask_of(ids)
         nan = 0
         for metric in metrics:
             nan |= self._merit_nan.get(metric, 0)
-        nan &= mask
-        rest = _bits(mask & ~nan if nan else mask)
         # A metric no core documents reads inf everywhere: it ties every
         # pair of points, so it decides no dominance.
         columns = [self._merit_columns[metric] for metric in metrics
                    if metric in self._merit_columns]
-        kept = rest
-        if len(rest) > 1 and columns:
-            points = sorted(zip(*[[column[i] for i in rest]
-                                  for column in columns], rest))
-            kept = (_sweep_2d(points) if len(columns) == 2
-                    else _sweep(points))
+        points = self._order(mask,
+                             mask if within is None else _mask_of(within),
+                             nan, tuple(metrics), columns)
+        bits = (None if len(points) == _popcount(mask & ~nan)
+                else self._bytes(mask))
+        kept = (_sweep_2d(points, bits) if len(columns) == 2
+                else _sweep(points, bits))
+        nan &= mask
         if nan:
             kept = sorted(kept + _bits(nan))
         return kept
+
+    def _order(self, ids: int, scope: int, nan: int,
+               metrics: Tuple[str, ...],
+               columns: Sequence[Sequence[float]]) -> List[Tuple]:
+        """The ``(coords..., id)`` points over ``columns`` of the ids of
+        ``scope`` (a superset of ``ids``) outside ``nan``, ascending;
+        only those of ``ids`` the first time ``scope`` is seen.
+
+        Kept per ``(metrics, scope)`` from the second time a scope is
+        seen: a terminal's decided mask repeats from walk to walk, so its
+        points are sorted once, while a walk whose masks never come back
+        sorts no more than its ``ids``.  A scope seen once maps to None.
+        Keys and orders hold at most ``len(self)`` ids, a key charged one
+        id per 256 bits of its mask; past that, an order is computed and
+        not kept, and nothing is ever evicted."""
+        key = (metrics, scope)
+        order = self._orders.get(key, _UNSEEN)
+        if isinstance(order, list):
+            return order
+        keep = order is None or ids == scope
+        rest = _bits((scope if keep else ids) & ~nan)
+        new = sorted(zip(*[[column[i] for i in rest] for column in columns],
+                         rest))
+        room = self._order_room[0] - (len(new) if keep else 0) - (
+            0 if order is None else scope.bit_length() >> 8)
+        if room >= 0:
+            kept = new if keep else None
+            # dsa: allow[DSA002] -- idempotent: racing threads store equal orders
+            self._orders[key] = kept
+            # dsa: allow[DSA002] -- a lost update passes the bound by one order
+            self._order_room[0] = room
+        return new
 
     def _bytes(self, mask: int) -> bytes:
         """``mask`` little-endian, long enough to probe any core id."""
@@ -588,19 +640,25 @@ class CoreIndex:
         return values[_first_member(ordered, descending, bits)]
 
 
-def _sweep_2d(points: Sequence[Tuple[float, float, int]]) -> List[int]:
-    """Ids of the non-dominated ``(x, y, id)`` points, sorted ascending.
+def _sweep_2d(points: Sequence[Tuple[float, float, int]],
+              bits: Optional[bytes]) -> List[int]:
+    """Ids of the non-dominated ``(x, y, id)`` points among those whose
+    id is set in ``bits`` (all when None), sorted ascending; ``points``
+    is ascending.
 
     A point is dominated by a point of a strictly smaller ``x`` with a
     ``y`` no larger, or by one of its own ``x`` with a smaller ``y``: so
     it is kept when its ``y`` is the least of its ``x`` group (the
-    group's first) and below the least of every earlier group.  ``best`` starts at None, not
-    ``inf``, so an ``inf`` with no earlier group stays."""
+    group's first) and below the least of every earlier group.  ``best``
+    starts at None, not ``inf``, so an ``inf`` with no earlier group
+    stays."""
     kept: List[int] = []
     best: Optional[float] = None
     group_x: Optional[float] = None
     group_y: Optional[float] = None
     for x, y, i in points:
+        if bits is not None and not bits[i >> 3] >> (i & 7) & 1:
+            continue
         if x != group_x:
             if group_y is not None and (best is None or group_y < best):
                 best = group_y
@@ -611,16 +669,21 @@ def _sweep_2d(points: Sequence[Tuple[float, float, int]]) -> List[int]:
     return kept
 
 
-def _sweep(points: Sequence[Tuple]) -> List[int]:
-    """Ids of the non-dominated ``(coords..., id)`` points, sorted
-    ascending: each point is tested against the points kept before it."""
+def _sweep(points: Sequence[Tuple], bits: Optional[bytes]) -> List[int]:
+    """Ids of the non-dominated ``(coords..., id)`` points among those
+    whose id is set in ``bits`` (all when None), sorted ascending;
+    ``points`` is ascending, and each point is tested against the points
+    kept before it."""
     kept: List[Tuple[float, ...]] = []
     ids: List[int] = []
     for point in points:
+        i = point[-1]
+        if bits is not None and not bits[i >> 3] >> (i & 7) & 1:
+            continue
         coords = point[:-1]
         if not any(dominates(other, coords) for other in kept):
             kept.append(coords)
-            ids.append(point[-1])
+            ids.append(i)
     ids.sort()
     return ids
 
@@ -662,14 +725,17 @@ class IndexedPruneReport(PruneReport):
     caller that only counts, bounds, names or fingerprints the survivors
     never builds the core list.  Two threads racing on a first read each
     build the same list from the immutable index, so the race is
-    harmless."""
+    harmless.  ``decided_ids`` are the ids the decisions alone leave, a
+    superset of the survivors (:meth:`CoreIndex.skyline`'s ``within``)."""
 
     def __init__(self, survivors: Optional[List[DesignObject]],
                  eliminated=None, eliminated_factory=None,
                  survivor_ids: IdSet = IdSet(),
-                 index: "CoreIndex" = None):
+                 index: "CoreIndex" = None,
+                 decided_ids: Optional[IdSet] = None):
         super().__init__(survivors, eliminated, eliminated_factory)
         self.survivor_ids = survivor_ids
+        self.decided_ids = decided_ids
         self.index = index
         self._survivor_names: Optional[List[str]] = None
 

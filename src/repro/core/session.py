@@ -73,14 +73,16 @@ class OptionInfo:
     that only counts candidates never pays for them.
 
     ``candidate_ids`` is the option's candidate id set in ``index``, the
-    immutable :class:`~repro.core.index.CoreIndex` it was computed over
-    (both None for an eliminated option), so a walk can bound the option
-    without its ranges.
+    immutable :class:`~repro.core.index.CoreIndex` it was computed over,
+    and ``decided_ids`` the ids the decisions alone leave there, before
+    the requirements (all three None for an eliminated option), so a
+    walk can bound the option without its ranges and collect the
+    position it leads to without a prune.
     """
 
     __slots__ = ("option", "eliminated", "elimination_reason",
-                 "candidate_count", "candidate_ids", "index", "_ranges",
-                 "_ranges_factory")
+                 "candidate_count", "candidate_ids", "decided_ids", "index",
+                 "_ranges", "_ranges_factory")
 
     def __init__(self, option: object, eliminated: bool,
                  elimination_reason: str, candidate_count: int,
@@ -88,12 +90,14 @@ class OptionInfo:
                  ranges_factory: Optional[
                      Callable[[], Dict[str, Tuple[float, float]]]] = None,
                  candidate_ids: Optional[IdSet] = None,
-                 index: Optional[CoreIndex] = None):
+                 index: Optional[CoreIndex] = None,
+                 decided_ids: Optional[IdSet] = None):
         self.option = option
         self.eliminated = eliminated
         self.elimination_reason = elimination_reason
         self.candidate_count = candidate_count
         self.candidate_ids = candidate_ids
+        self.decided_ids = decided_ids
         self.index = index
         self._ranges = ranges if ranges is not None else (
             None if ranges_factory is not None else {})
@@ -290,6 +294,8 @@ class ExplorationSession:
         #: Recorder this session last announced itself to (see ``_obs``).
         self._obs_recorder: object = None
         self._obs_session = 0
+        #: Layer epoch the constraint results were computed at.
+        self._evaluated_at: Optional[int] = None
         self._refresh_constraints()
 
     # ------------------------------------------------------------------
@@ -309,6 +315,7 @@ class ExplorationSession:
 
     @property
     def derived_values(self) -> Mapping[str, object]:
+        self._current()
         return dict(self._derived)
 
     @property
@@ -321,6 +328,7 @@ class ExplorationSession:
 
     def context(self) -> Dict[str, object]:
         """Property-name -> value mapping used by dependent domains."""
+        self._current()
         ctx: Dict[str, object] = {}
         ctx.update(self._derived)
         ctx.update(self._requirements)
@@ -430,10 +438,21 @@ class ExplorationSession:
 
         Updates derived values and option eliminations; raises
         :class:`ConstraintViolation` for rejected combinations when
-        ``enforce``.
+        ``enforce``.  The pass counts as current from its start, so a
+        binding that reads the session during it starts no second one.
         """
+        previous, self._evaluated_at = self._evaluated_at, self.layer.epoch
+        try:
+            self._derived, self._eliminations = self._evaluate(enforce)
+        except BaseException:
+            self._evaluated_at = previous
+            raise
+
+    def _evaluate(self, enforce: bool
+                  ) -> Tuple[Dict[str, object],
+                             Dict[str, List[Tuple[object, str]]]]:
+        """Derived values and eliminations of one constraint pass."""
         obs = self._obs
-        epoch = self.layer.epoch
         tools = self.layer.tools
         if obs.enabled:
             # One wrap per refresh: every estimator run inside a CC
@@ -467,10 +486,14 @@ class ExplorationSession:
             for prop_name, option in result.eliminated:
                 eliminated.setdefault(prop_name, []).append(
                     (option, f"{constraint.name}: {constraint.doc}"))
-        self._derived = derived
-        self._eliminations = eliminated
-        #: Layer epoch the constraint results were computed at.
-        self._evaluated_at = epoch
+        return derived, eliminated
+
+    def _current(self) -> None:
+        """Run the constraints again if the layer changed since their last
+        pass (a tool, constraint or library edit), so no read sees the
+        old layer's derived values or eliminations."""
+        if self._evaluated_at != self.layer.epoch:
+            self._refresh_constraints(enforce=False)
 
     @staticmethod
     def _alias_to_property(constraint: ConsistencyConstraint,
@@ -482,6 +505,7 @@ class ExplorationSession:
 
     def eliminations_for(self, issue_name: str) -> List[Tuple[object, str]]:
         """Options of ``issue_name`` currently eliminated, with reasons."""
+        self._current()
         return list(self._eliminations.get(issue_name, []))
 
     def pending_constraints(self) -> List[ConsistencyConstraint]:
@@ -637,6 +661,7 @@ class ExplorationSession:
             raise SessionError(
                 f"{name!r} is a {type(prop).__name__}, not a design issue; "
                 f"use set_requirement() for requirements")
+        self._current()
         if prop.generalized and name in self._decisions:
             # Re-deciding a generalized issue would hop to a sibling
             # specialization while decisions made below the current one
@@ -844,8 +869,9 @@ class ExplorationSession:
         says should guide the designer at every step.
 
         Answered in one indexed pass: the base candidate set (everything
-        but this issue's filter) is pruned once, then each option is a
-        posting-set intersection instead of a full re-prune.  An
+        but this issue's filter) is pruned once, by the decisions and then
+        by the requirements, and each option intersects both with its
+        posting set instead of re-pruning.  An
         option's ranges are computed on their first read, over the index
         snapshot taken here: a read after a layer mutation still
         describes the space the options were computed from.
@@ -860,9 +886,10 @@ class ExplorationSession:
         decisions = _filter_decisions(self._cdo, self._decisions)
         decisions.pop(issue_name, None)
         requirements = _requirement_pairs(self._cdo, self._requirements)
-        base_ids = index.prune_ids(
+        base_decided = index.prune_ids(
             index.subtree_ids(self._cdo.qualified_name),
-            decisions, requirements, self.missing_policy)
+            decisions, (), self.missing_policy)
+        base_ids = index.prune_ids(base_decided, {}, requirements)
         owner = self._cdo.find_property_owner(issue_name) \
             if prop.generalized else None
         infos: List[OptionInfo] = []
@@ -878,19 +905,22 @@ class ExplorationSession:
                 try:
                     child = owner.child_for_option(option)
                 except Exception:
-                    ids = IdSet()
+                    decided = ids = IdSet()
                 else:
-                    ids = index.prune_ids(
+                    decided = index.prune_ids(
                         index.subtree_ids(child.qualified_name),
-                        decisions, requirements, self.missing_policy)
+                        decisions, (), self.missing_policy)
+                    ids = index.prune_ids(decided, {}, requirements)
             else:
-                ids = base_ids & index.decision_ids(
+                option_ids = index.decision_ids(
                     issue_name, option, self.missing_policy)
+                decided = base_decided & option_ids
+                ids = base_ids & option_ids
             infos.append(OptionInfo(
                 option, False, "", len(ids),
                 ranges_factory=partial(index.merit_ranges_for, ids,
                                        self.merit_metrics),
-                candidate_ids=ids, index=index))
+                candidate_ids=ids, index=index, decided_ids=decided))
         return infos
 
     def explain(self, core_name: str) -> str:
@@ -945,9 +975,10 @@ class ExplorationSession:
             for name, option in sorted(self._decisions.items()):
                 flag = "  [stale]" if name in self._stale else ""
                 lines.append(f"    {name} = {option!r}{flag}")
-        if self._derived:
+        derived = self.derived_values
+        if derived:
             lines.append("  derived:")
-            for name, value in sorted(self._derived.items()):
+            for name, value in sorted(derived.items()):
                 lines.append(f"    {name} = {value!r}")
         prune_report = self.prune_report()
         lines.append(f"  candidate cores: {len(prune_report.survivor_ids)}")

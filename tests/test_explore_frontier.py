@@ -14,6 +14,7 @@ from repro.core import (
     DesignObject,
     DesignSpaceLayer,
     EnumDomain,
+    ExplorationSession,
     ReuseLibrary,
 )
 from repro.core.explore import (
@@ -501,13 +502,14 @@ class TestLazyTerminal:
                                      requirements={"Width": 16},
                                      layer=explore_layer)
         explore(problem)  # index built before the spies go in
-        skylines, screened, reads, adding = [], [], [], []
+        skylines, screened, reads, adding, prunes = [], [], [], [], []
         skyline, rejects, add = (CoreIndex.skyline, ParetoFrontier.rejects,
                                  ParetoFrontier.add)
         survivors = IndexedPruneReport.survivors
+        prune_report = ExplorationSession.prune_report
 
-        def spy_skyline(index, ids, metrics):
-            kept = skyline(index, ids, metrics)
+        def spy_skyline(index, ids, metrics, within=None):
+            kept = skyline(index, ids, metrics, within=within)
             skylines.append([index.names[i] for i in kept])
             return kept
 
@@ -529,6 +531,9 @@ class TestLazyTerminal:
         monkeypatch.setattr(IndexedPruneReport, "survivors", property(
             lambda report: reads.append(report) or survivors.fget(report),
             survivors.fset))
+        monkeypatch.setattr(
+            ExplorationSession, "prune_report",
+            lambda session: prunes.append(session) or prune_report(session))
         result = explore(problem)
         assert result.frontier.digest() == EXPLORE_DIGEST
         assert result.stats.outcomes == 40000
@@ -536,6 +541,17 @@ class TestLazyTerminal:
         assert len(skylines) == 32
         assert screened == [name for names in skylines for name in names]
         assert len(screened) == 169
+        # Each live terminal offers the candidates of the option that
+        # led there, unpruned; traced, each prunes for its event.
+        assert prunes == []
+        explore_layer.observe()
+        try:
+            traced = explore(problem)
+        finally:
+            explore_layer.observe(None)
+        assert traced.frontier.digest() == EXPLORE_DIGEST
+        assert len(prunes) == 32
+        assert len(skylines) == 64
 
     def test_missing_metric_and_documented_inf_keep_merits(self):
         # One point, (1, inf), so both join and stay.
@@ -624,3 +640,51 @@ class TestLazyTerminal:
         want = reference_run(monkeypatch, problem, strategy)
         assert got.frontier.digest() == want.frontier.digest()
         assert got.stats.to_dict() == want.stats.to_dict()
+
+
+
+class TestSharedTuples:
+    def test_repeated_walks_share_decisions_and_merits(self, widget_layer):
+        problem = ExplorationProblem(start="Widget", metrics=METRICS,
+                                     layer=widget_layer)
+        first, again = explore(problem), explore(problem, "bnb")
+        assert again.frontier.digest() == first.frontier.digest()
+        for a, b in zip(first.frontier.outcomes(),
+                        again.frontier.outcomes()):
+            assert a is not b
+            assert a.decisions is b.decisions and a.merits is b.merits
+
+    def test_other_metrics_read_their_own_points(self):
+        """c0 lacks latency: its merits read alike under both metric
+        sets, but its point is (0,) under one and (0, inf) under the
+        other, where c1 dominates it."""
+        specs = [(0, "c0", 0, 0.0, None), (0, "c1", 1, 0.0, 1.0)]
+        layer = spec_layer(specs)
+        for metrics in (("area",), METRICS, ("latency_ns", "area")):
+            for strategy in ("exhaustive", "bnb"):
+                got = explore(ExplorationProblem(start="R", metrics=metrics,
+                                                 layer=layer), strategy)
+                want = explore(ExplorationProblem(
+                    start="R", metrics=metrics, layer=spec_layer(specs)),
+                    strategy)
+                assert got.frontier.digest() == want.frontier.digest()
+                assert [o.merits for o in got.frontier.outcomes()] \
+                    == [o.merits for o in want.frontier.outcomes()]
+
+    def test_equal_options_keep_their_own_decisions(self):
+        """1, 1.0 and True are equal, but each renders its own path."""
+        options = [1, 1.0, True]
+        layer = DesignSpaceLayer("alike", "equal options")
+        root = ClassOfDesignObjects("R", "root")
+        root.add_property(DesignIssue("I", EnumDomain([1, 2]), "issue"))
+        layer.add_root(root)
+        cores = ReuseLibrary("lib", "cores")
+        cores.add(DesignObject("c0", "R", {"I": 1},
+                               {"area": 1.0, "latency_ns": 1.0}))
+        layer.attach_library(cores)
+        for option in options:
+            [outcome] = explore(ExplorationProblem(
+                start="R", metrics=METRICS, decisions=(("I", option),),
+                layer=layer)).frontier.outcomes()
+            assert outcome.decisions[0][1] is option
+            assert outcome.path_key == f"I={option}"

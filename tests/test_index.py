@@ -14,7 +14,7 @@ from repro.core import (
     Requirement,
     RequirementSense,
 )
-from repro.core.index import IdSet, _bin_popcount, _bits
+from repro.core.index import IdSet, _bin_popcount, _bits, _mask_of
 from repro.core.session import ExplorationSession
 from repro.core.values import IntRange
 from repro.core.pruning import merit_bounds, merit_ranges, names_digest, prune
@@ -379,23 +379,40 @@ class TestSkyline:
                                if v is not None})
                  for i, row in enumerate(values)]
         index = CoreIndex(cores)
-        ids = data.draw(st.sets(st.integers(0, len(cores) - 1))
-                        if cores else st.just(set()))
-        assert index.skyline(ids, metrics) \
-            == _naive_skyline(cores, ids, metrics)
+        everything = st.sets(st.integers(0, len(cores) - 1)) \
+            if cores else st.just(set())
+        within = data.draw(everything)
+        ids = data.draw(st.sets(st.sampled_from(sorted(within)))
+                        if within else st.just(set()))
+        want = _naive_skyline(cores, ids, metrics)
+        for _ in range(2):  # the second call reuses the kept order
+            assert index.skyline(ids, metrics) == want
+            assert index.skyline(ids, metrics, within=within) == want
+            assert index.skyline(IdSet(_mask_of(ids)), metrics,
+                                 within=IdSet(_mask_of(within))) == want
 
     def test_ties_zeros_and_inf(self):
         cores = [DesignObject("p", "R", {}, {"a": 1.0, "b": math.inf}),
                  DesignObject("q", "R", {}, {"a": 2.0, "b": 0.0}),
                  DesignObject("r", "R", {}, {"a": 2.0, "b": -0.0}),
                  DesignObject("s", "R", {}, {"a": 2.0, "b": 1.0}),
-                 DesignObject("t", "R", {}, {"a": 1.0})]
+                 DesignObject("t", "R", {}, {"a": 1.0}),
+                 DesignObject("u", "R", {}, {"a": 0.0, "b": 0.0})]
         index = CoreIndex(cores)
+        first = IdSet(_mask_of(range(5)))
         # p and t tie at (1, inf), which an earlier group must not
         # reject; q and r tie at (2, 0); s is dominated by q.
-        assert index.skyline(index.all_ids, ("a", "b")) == [0, 1, 2, 4]
-        assert index.skyline(index.all_ids, ("b",)) == [1, 2]
-        assert index.skyline(index.all_ids, ("z",)) == [0, 1, 2, 3, 4]
+        assert index.skyline(first, ("a", "b")) == [0, 1, 2, 4]
+        assert index.skyline(first, ("b",)) == [1, 2]
+        assert index.skyline(first, ("z",)) == [0, 1, 2, 3, 4]
+        # u dominates all of them, but is not among the ids.
+        for metrics in (("a", "b"), ("b",), ("z",)):
+            assert index.skyline(first, metrics, within=index.all_ids) \
+                == index.skyline(first, metrics)
+        assert index.skyline(index.all_ids, ("a", "b")) == [5]
+        # Without q, r's -0.0 is the least b of its group.
+        assert index.skyline({0, 2, 3, 4}, ("a", "b"),
+                             within=index.all_ids) == [0, 2, 4]
 
     def test_nan_holders_are_always_kept(self):
         cores = [DesignObject("p", "R", {}, {"a": 0.0, "b": 0.0}),
@@ -404,6 +421,48 @@ class TestSkyline:
         index = CoreIndex(cores)
         assert index.skyline(index.all_ids, ("a", "b")) == [0, 1]
         assert index.skyline(index.all_ids, ("b",)) == [0]
+        assert index.skyline({1, 2}, ("a", "b"),
+                             within=index.all_ids) == [1, 2]
+        assert index.skyline({1}, ("a", "b"), within=index.all_ids) == [1]
+
+    def test_kept_orders_stay_within_the_index_size(self):
+        rnd = random.Random(7)
+        cores = [DesignObject(f"c{i}", "R", {},
+                              {"a": float(rnd.randrange(20)),
+                               "b": float(rnd.randrange(20)),
+                               "c": float(rnd.randrange(20))})
+                 for i in range(600)]
+        index = CoreIndex(cores)
+        for metrics in (("a", "b"), ("a", "b", "c")):
+            for _ in range(150):  # far more distinct masks than room
+                within = {i for i in range(len(cores)) if rnd.random() < 0.3}
+                ids = {i for i in within if rnd.random() < 0.7}
+                for _ in range(2):  # the second sight keeps the order
+                    assert index.skyline(ids, metrics, within=within) \
+                        == _naive_skyline(cores, ids, metrics)
+                held = sum(len(order or ()) + (scope.bit_length() >> 8)
+                           for (_, scope), order in index._orders.items())
+                assert held <= len(index)
+        # Some were kept before the room ran out.
+        assert any(order for order in index._orders.values())
+
+    def test_a_scope_is_kept_the_second_time_it_is_seen(self):
+        cores = [DesignObject(f"c{i}", "R", {},
+                              {"a": float(i % 3), "b": float(-i)})
+                 for i in range(6)]
+        index = CoreIndex(cores)
+        within = IdSet(_mask_of(range(6)))
+        key = (("a", "b"), 0b111111)
+        assert index.skyline({1, 4}, ("a", "b"), within=within) == [4]
+        assert index._orders == {key: None}  # seen once: only ids sorted
+        assert index.skyline({1, 2}, ("a", "b"), within=within) == [1, 2]
+        assert [point[-1] for point in index._orders[key]] \
+            == [3, 0, 4, 1, 5, 2]
+        assert index.skyline({0, 3}, ("a", "b"), within=within) == [3]
+        # Without ``within`` the ids are the scope, kept at first sight.
+        index = CoreIndex(cores)
+        assert index.skyline({0, 3}, ("b",)) == [3]
+        assert index._orders[(("b",), 0b1001)] == [(-3.0, 3), (0.0, 0)]
 
     def test_coords_read_inf_for_undocumented_merits(self):
         cores = [DesignObject("p", "R", {}, {"a": 1.0}),

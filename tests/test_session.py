@@ -336,6 +336,79 @@ class TestConstraintIntegration:
         session.restore("edited")
         assert session.eliminations_for("Pipeline") == eliminated
 
+    def test_reads_after_a_layer_edit_see_the_edited_layer(self):
+        """A constraint added between two steps eliminates at once: the
+        options, the eliminations and decide() all see it, and so do the
+        derived values of a formula added the same way."""
+        layer = build_widget_layer()
+        session = ExplorationSession(layer, "Widget")
+        session.set_requirement("Width", 16)
+        session.decide("Style", "hw")
+        layer.add_constraint(ConsistencyConstraint(
+            "CC-x", "narrow widgets do not pipeline deeply",
+            independents={"W": "Width@Widget"},
+            dependents={"P": "Pipeline@Widget.hw"},
+            relation=EliminateOptions(
+                lambda b: [("Pipeline", 4)] if b["W"] < 64 else [],
+                "depth 4 needs width 64", requires=("W",))))
+        reason = "CC-x: narrow widgets do not pipeline deeply"
+        assert session.eliminations_for("Pipeline") == [(4, reason)]
+        options = {info.option: info
+                   for info in session.available_options("Pipeline")}
+        assert options[4].eliminated
+        assert options[4].elimination_reason == reason
+        with pytest.raises(ConstraintViolation, match="was eliminated"):
+            session.decide("Pipeline", 4)
+        assert session.decisions == {"Style": "hw"}
+        layer.add_constraint(ConsistencyConstraint(
+            "CC-d", "delay budget from the width",
+            independents={"W": "Width@Widget"},
+            dependents={"D": "MaxDelay@Widget"},
+            relation=Formula("D", lambda b: 2 * b["W"], "twice the width",
+                             requires=("W",))))
+        assert session.derived_values == {"MaxDelay": 32}
+        assert session.context()["MaxDelay"] == 32
+
+    def test_a_binding_that_reads_the_session_after_a_layer_edit(self):
+        layer = build_widget_layer()
+        layer.add_constraint(ConsistencyConstraint(
+            "CC-s", "reads the session's context",
+            independents={"N": SessionBinding(
+                lambda s: len(s.context()), "context size")},
+            dependents={"P": "Pipeline@Widget.hw"},
+            relation=EliminateOptions(
+                lambda b: [("Pipeline", 4)] if b["N"] > 1 else [],
+                "deep pipelines late", requires=("N",))))
+        session = ExplorationSession(layer, "Widget")
+        session.set_requirement("Width", 16)
+        session.decide("Style", "hw")
+        layer.register_tool("noop", lambda: None)
+        assert [option for option, _ in
+                session.eliminations_for("Pipeline")] == [4]
+
+    def test_a_binding_that_reads_the_session_starts_no_second_pass(self):
+        """Each pass evaluates the relation once, also the passes that
+        no read started: opening, restoring across a layer edit, and
+        a read after one."""
+        passes = []
+        layer = build_widget_layer()
+        layer.add_constraint(ConsistencyConstraint(
+            "CC-s", "reads the session's context",
+            independents={"N": SessionBinding(
+                lambda s: len(s.context()), "context size")},
+            dependents={"D": "MaxDelay@Widget"},
+            relation=Formula("D", lambda b: passes.append(b["N"]) or 1,
+                             "one", requires=("N",))))
+        session = ExplorationSession(layer, "Widget")
+        assert passes == [0]
+        session.checkpoint("opened")
+        layer.register_tool("noop", lambda: None)
+        session.restore("opened")
+        assert passes == [0, 1]
+        layer.register_tool("other", lambda: None)
+        assert session.eliminations_for("Pipeline") == []
+        assert passes == [0, 1, 1]
+
 
 class TestMissingPolicy:
     def test_include_policy_keeps_undocumented(self, widget_layer):
